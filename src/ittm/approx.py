@@ -12,7 +12,7 @@ Translation-certified blocks need care: the wake keeps producing fresh track
 contents below the block's limit, either forever (each cycle extends the
 content) or not at all (the cycle is absorbed by the periodic background).
 One cycle comparison decides which, so content streams are enumerated
-exacttly up to the appearance cap and truncation is always flagged with the
+exactly up to the appearance cap and truncation is always flagged with the
 first stage the log no longer covers.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .machine import Program
 from .ordinal import (Ordinal, OrderCode, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
-from .oracle import RealOracle, _as_programs
+from .oracle import RealOracle, run_programs
 from .reals import Real, ZERO as ZERO_REAL, from_support
 from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, ExceededCert,
                      RepeatCert, RunResult, TranslationCert, run_transfinite)
@@ -40,28 +40,27 @@ def _digest(r: Real) -> str:
 
 # --- per-program content streams -------------------------------------------
 
+def _wake(block: BlockSummary, k: int, i: int) -> tuple[Real, ...]:
+    """Track contents at relative step mu + k*pi + i (k >= 1, 0 <= i < pi)
+    of a translation block: the window snapshot at mu + i moved k*shift
+    cells right from its mu head position on, with the limit's frozen
+    cells below."""
+    cert = block.certificate
+    h0 = block.explicit[cert.mu].head
+    out = []
+    for lim, cur in zip(block.limit.tracks, block.explicit[cert.mu + i].tracks):
+        rest = cur.suffix(h0)
+        out.append(Real(lim.bits(h0 + k * cert.shift) + rest.prefix, rest.tail))
+    return tuple(out)
+
+
 def _translation_tail(block: BlockSummary, cap: int):
     """Contents of the stages past the certified window of a translation
     block, as (relative step, per-track contents).  Yields nothing when the
     wake is absorbed by the background (the stream is stationary); otherwise
     the stream is genuinely infinite and is cut at `cap` with a flag."""
-    cert = block.certificate
-    mu, pi, d = cert.mu, cert.pi, cert.shift
-    h0 = block.explicit[mu].head
-    limit = block.limit
-    n_tracks = len(limit.tracks)
-
-    def contents(k, i):
-        out = []
-        for t in range(n_tracks):
-            head_bits = limit.tracks[t].bits(h0 + k * d)
-            rest = block.explicit[mu + i].tracks[t].suffix(h0)
-            out.append(Real(head_bits + rest.prefix, rest.tail))
-        return tuple(out)
-
-    window = [tuple(block.explicit[mu + i].tracks) for i in range(pi)]
-    first_cycle = [contents(1, i) for i in range(pi)]
-    if first_cycle == window:
+    mu, pi = block.certificate.mu, block.certificate.pi
+    if all(_wake(block, 1, i) == block.explicit[mu + i].tracks for i in range(pi)):
         return  # wake absorbed by the background: the stream is stationary
     emitted = 0
     k = 1
@@ -73,25 +72,9 @@ def _translation_tail(block: BlockSummary, cap: int):
             if emitted >= cap:
                 yield (rel, None)  # truncation marker
                 return
-            yield (rel, contents(k, i))
+            yield (rel, _wake(block, k, i))
             emitted += 1
         k += 1
-
-
-def _translation_track_stationary(block: BlockSummary, track: int) -> bool:
-    """Whether one track's content stops changing past the certified window
-    of a translation block (the per-cycle wake extension is absorbed)."""
-    cert = block.certificate
-    mu, pi, d = cert.mu, cert.pi, cert.shift
-    h0 = block.explicit[mu].head
-    for i in range(pi):
-        base = block.explicit[mu + i].tracks[track]
-        rest = base.suffix(h0)
-        shifted = Real(block.limit.tracks[track].bits(h0 + d) + rest.prefix,
-                       rest.tail)
-        if shifted != base:
-            return False
-    return True
 
 
 def _program_content_events(res: RunResult, cap: int):
@@ -170,23 +153,13 @@ class AppearanceLog:
         return [rec.real for rec in self.records if rec.stage < upto_stage]
 
 
-def _bare_oracle(p: Program):
-    """Oracle for an oracle-free dovetail: machines that declare the query
-    protocol are answered by the empty set, the stage-zero approximation."""
-    if p.query_state is not None:
-        from .oracle import SetOracle
-        return SetOracle(frozenset())
-    return None
-
-
-def universal_run(programs, budget: BudgetPolicy = DEFAULT_BUDGET) -> AppearanceLog:
-    """Dovetail every program on input all-zero, one step per master stage,
-    logging each new distinct track content at its first appearance."""
-    progs = _as_programs(programs)
+def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceLog:
+    """Dovetail the runs of every program on input all-zero, one step per
+    master stage, logging each new distinct track content at its first
+    appearance."""
     merged = []
     horizons = []
-    for pid, p in enumerate(progs):
-        res = run_transfinite(p, ZERO_REAL, budget, oracle=_bare_oracle(p))
+    for pid, res in enumerate(results):
         events, horizon = _program_content_events(res, budget.appearance_cap)
         merged.extend((stage, pid, t, real) for stage, t, real in events)
         if horizon is not None:
@@ -210,7 +183,7 @@ def universal_run(programs, budget: BudgetPolicy = DEFAULT_BUDGET) -> Appearance
         bounds.append(cap_stage)
     complete_below = min(bounds) if bounds else None
     return AppearanceLog(records, first, truncated, complete_below,
-                         len(progs), budget)
+                         len(results), budget)
 
 
 def diagonal_against(reals) -> Real:
@@ -232,10 +205,13 @@ def diagonalize_appearances(log: AppearanceLog, upto_stage: Ordinal) -> Real:
 
 # --- cell and track histories ----------------------------------------------
 
-def _cell_items(res: RunResult, track: int, cell: int):
-    """History of one cell: ("set", stage, value) changes plus
-    ("osc", block_start_stage, limit_stage) markers for blocks whose
-    certified cycle flips the cell cofinally below the block limit."""
+def _history(res: RunResult, read, wake_changes):
+    """Change history of one value read off the run's track tuples:
+    ("set", stage, value) changes plus ("osc", block_start_stage,
+    limit_stage) markers for blocks whose certified cycle changes the value
+    cofinally below the block limit.  `wake_changes(block)` gives the
+    (relative step, value) changes past a translation block's window, or
+    None when they never stop."""
     items = []
     value = None
     def set_at(stage, v):
@@ -246,68 +222,52 @@ def _cell_items(res: RunResult, track: int, cell: int):
     for block in res.trace.blocks:
         base = block.start.stage
         for rel, snap in enumerate(block.explicit):
-            set_at(cnf_add(base, from_int(rel)), snap.tracks[track].bit(cell))
+            set_at(cnf_add(base, from_int(rel)), read(snap.tracks))
         cert = block.certificate
+        changes = []
         if isinstance(cert, RepeatCert):
-            vals = {s.tracks[track].bit(cell)
+            vals = {read(s.tracks)
                     for s in block.explicit[cert.mu: cert.mu + cert.pi]}
             if len(vals) > 1:
-                items.append(("osc", base, block.limit.stage))
-                value = None
+                changes = None
         elif isinstance(cert, TranslationCert):
-            mu, pi, d = cert.mu, cert.pi, cert.shift
-            h0 = block.explicit[mu].head
-            if cell >= h0:
-                for k in range(1, (cell - h0) // d + 1):
-                    pre = cell - k * d
-                    for i in range(pi):
-                        rel = mu + k * pi + i
-                        if rel <= mu + pi:
-                            continue
-                        set_at(cnf_add(base, from_int(rel)),
-                               block.explicit[mu + i].tracks[track].bit(pre))
-                # the cell freezes at its wake value when the head range
-                # passes it, one cycle after the last shifted preimage
-                k_fix = (cell - h0) // d + 1
-                set_at(cnf_add(base, from_int(mu + k_fix * pi)),
-                       block.limit.tracks[track].bit(cell))
+            changes = wake_changes(block)
+        if changes is None:
+            items.append(("osc", base, block.limit.stage))
+            value = None
+        else:
+            for rel, v in changes:
+                set_at(cnf_add(base, from_int(rel)), v)
         if block.limit is not None:
-            set_at(block.limit.stage, block.limit.tracks[track].bit(cell))
+            set_at(block.limit.stage, read(block.limit.tracks))
     if res.trace.final_limit is not None:
-        set_at(res.trace.final_limit.stage,
-               res.trace.final_limit.tracks[track].bit(cell))
+        set_at(res.trace.final_limit.stage, read(res.trace.final_limit.tracks))
     return items
 
 
-def _track_items(res: RunResult, track: int, cap: int):
-    """Like _cell_items but for whole-track contents."""
-    items = []
-    content = None
-    def set_at(stage, c):
-        nonlocal content
-        if c != content:
-            items.append(("set", stage, c))
-            content = c
-    for block in res.trace.blocks:
-        base = block.start.stage
-        for rel, snap in enumerate(block.explicit):
-            set_at(cnf_add(base, from_int(rel)), snap.tracks[track])
-        cert = block.certificate
-        if isinstance(cert, RepeatCert):
-            vals = {s.tracks[track]
-                    for s in block.explicit[cert.mu: cert.mu + cert.pi]}
-            if len(vals) > 1:
-                items.append(("osc", base, block.limit.stage))
-                content = None
-        elif isinstance(cert, TranslationCert):
-            if not _translation_track_stationary(block, track):
-                items.append(("osc", base, block.limit.stage))
-                content = None
-        if block.limit is not None:
-            set_at(block.limit.stage, block.limit.tracks[track])
-    if res.trace.final_limit is not None:
-        set_at(res.trace.final_limit.stage, res.trace.final_limit.tracks[track])
-    return items
+def _cell_items(res: RunResult, track: int, cell: int):
+    """History of one cell."""
+    def wake_changes(block):
+        # the cell freezes at its limit value once the head range passes
+        # it, which takes at most cell // shift + 1 cycles past the window
+        mu, pi = block.certificate.mu, block.certificate.pi
+        return [(mu + k * pi + i, _wake(block, k, i)[track].bit(cell))
+                for k in range(1, cell // block.certificate.shift + 2)
+                for i in range(pi) if k > 1 or i > 0]
+    return _history(res, lambda tracks: tracks[track].bit(cell), wake_changes)
+
+
+def _track_items(res: RunResult, track: int):
+    """History of one whole-track content.  Past a translation block's
+    window the track is stationary iff the first wake cycle equals the
+    window; otherwise every cycle changes it."""
+    def wake_changes(block):
+        mu, pi = block.certificate.mu, block.certificate.pi
+        if all(_wake(block, 1, i)[track] == block.explicit[mu + i].tracks[track]
+               for i in range(pi)):
+            return []
+        return None
+    return _history(res, lambda tracks: tracks[track], wake_changes)
 
 
 def _settle(items, res: RunResult):
@@ -364,7 +324,7 @@ def eventually_written(p: Program, budget: BudgetPolicy = DEFAULT_BUDGET
                        ) -> EventuallyWritten:
     """Output-track content if it is constant from some certified stage on."""
     res = run_transfinite(p, ZERO_REAL, budget)
-    items = _track_items(res, 2, budget.appearance_cap)
+    items = _track_items(res, 2)
     status, stage, value = _settle(items, res)
     if status != "stable":
         return EventuallyWritten(status, None, None)
@@ -401,20 +361,12 @@ class ApproximationStream:
         return from_support(self.final())
 
 
-def approximate_jump(programs, oracle=None,
-                     budget: BudgetPolicy = DEFAULT_BUDGET,
-                     workers: int | None = None) -> ApproximationStream:
+def approximate_jump(results: list[RunResult], budget: BudgetPolicy
+                     ) -> ApproximationStream:
     """Exact event stream of budgeted halts, ordered by (stage, program).
 
     Bookkeeping is kept separate from jump_lightface so that agreement of
     the stream's final set with the jump is a real cross-check."""
-    from .oracle import _map_programs, run_with_oracle
-    progs = _as_programs(programs, 4 if oracle is not None else 3)
-    def run(p):
-        if oracle is None:
-            return run_transfinite(p, ZERO_REAL, budget, oracle=_bare_oracle(p))
-        return run_with_oracle(p, ZERO_REAL, oracle, budget)[0]
-    results = _map_programs(run, progs, workers)
     pending = []
     exceeded, diverges = set(), set()
     for pid, res in enumerate(results):
@@ -426,7 +378,7 @@ def approximate_jump(programs, oracle=None,
             exceeded.add(pid)
     events = tuple(sorted(pending, key=lambda e: (e[0], e[1])))
     return ApproximationStream(events, frozenset(exceeded), frozenset(diverges),
-                               len(progs), budget)
+                               len(results), budget)
 
 
 # --- the iterated-jump injury matrix ----------------------------------------
@@ -530,7 +482,7 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     every materialized row above r, whose approximations restart against the
     updated lower rows.  Event ties break by (stage, rank, program).
     """
-    progs = _as_programs(programs, 4)
+    progs = list(programs)
     alpha = y.ordinal
     ranks, partial = materialized_ranks(alpha, row_cap)
     reasons = ["ranks-omitted"] if partial else []
@@ -543,7 +495,8 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     jump_cache: dict[Real, tuple[tuple[Ordinal, int], ...]] = {}
     def jump_events(oracle_real: Real):
         if oracle_real not in jump_cache:
-            stream = approximate_jump(progs, RealOracle(oracle_real), budget)
+            results = run_programs(progs, budget, RealOracle(oracle_real))
+            stream = approximate_jump(results, budget)
             jump_cache[oracle_real] = stream.events
         return jump_cache[oracle_real]
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 engine refusal (budget exceeded, truncated logs,
 partial results), 2 usage or parse errors.  All outputs are byte-identical
-across reruns and across worker counts for a given configuration.
+across reruns for a given configuration.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import sys
 from .approx import TruncatedLog, iterated_matrix, universal_run, validate_erasures
 from .fm import fm_construct, ConstructionRefusal
 from .machine import ProgramError, parse_program
-from .oracle import (RealOracle, SetOracle, enumeration_slice, jump_lightface,
-                     run_with_oracle)
+from .oracle import (ENUM_WORK_CAP, RealOracle, SetOracle, enumeration_slice,
+                     jump_lightface, run_programs, run_with_oracle)
 from .ordinal import BudgetOrdinalOverflow, encode_order, parse_ordinal
 from .reals import ZERO as ZERO_REAL, parse_real
-from .runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
-                     TranslationCert, run_transfinite)
+from .runner import (BudgetPolicy, ExceededCert, HaltAt, OracleProtocolError,
+                     RepeatCert, TranslationCert, run_transfinite)
 
 SCHEMA = 1
+_STATES = range(ENUM_WORK_CAP + 1)
 
 
 class UsageError(Exception):
@@ -106,20 +107,25 @@ def _result_line(res) -> str:
     return "EXCEEDED reason=%s" % res.reason
 
 
-def _run_result(args, want_trace: bool):
+def _run_result(args):
     program = _load_program(args.program)
     budget = _budget(args)
     oracle = _oracle(args)
-    input_real = parse_real(args.input) if args.input else ZERO_REAL
+    input_real = ZERO_REAL
+    if args.input:
+        try:
+            input_real = parse_real(args.input)
+        except ValueError as exc:
+            raise UsageError("bad input real: %s" % exc)
     if oracle is not None:
         res, _log = run_with_oracle(program, input_real, oracle, budget)
     else:
         res = run_transfinite(program, input_real, budget)
-    return program, res
+    return res
 
 
 def cmd_run(args) -> int:
-    _program, res = _run_result(args, False)
+    res = _run_result(args)
     if args.format == "json":
         doc = {"schema": SCHEMA, "outcome": res.outcome}
         if res.outcome == "halted":
@@ -137,7 +143,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _program, res = _run_result(args, True)
+    res = _run_result(args)
     lines = []
     for block in res.trace.blocks:
         rec = {"schema": SCHEMA, "kind": "block",
@@ -175,10 +181,8 @@ def cmd_trace(args) -> int:
 def cmd_survey(args) -> int:
     budget = _budget(args)
     programs = enumeration_slice(args.bound, args.states, args.tracks)
+    results = run_programs(programs, budget)
     entries = []
-    from .oracle import _map_programs
-    results = _map_programs(lambda p: run_transfinite(p, ZERO_REAL, budget),
-                            programs, args.workers)
     for pid, res in enumerate(results):
         entry = {"index": pid, "digest": programs[pid].digest(),
                  "outcome": res.outcome}
@@ -186,7 +190,7 @@ def cmd_survey(args) -> int:
             entry["time"] = res.time.render()
             entry["output"] = res.output.render()
         entries.append(entry)
-    log = universal_run(programs, budget)
+    log = universal_run(results, budget)
     doc = {"schema": SCHEMA, "bound": args.bound, "states": args.states,
            "tracks": args.tracks,
            "budget": {"depth": budget.depth, "per_level": budget.per_level_budget,
@@ -209,7 +213,7 @@ def cmd_jump(args) -> int:
     budget = _budget(args)
     oracle = _oracle(args)
     programs = enumeration_slice(args.bound, args.states, args.tracks)
-    jr = jump_lightface(programs, oracle, budget, args.workers)
+    jr = jump_lightface(programs, oracle, budget)
     doc = {"schema": SCHEMA, "bound": jr.bound,
            "oracle": oracle.describe() if oracle else None,
            "halted": [{"program": p, "time": t.render()} for p, t in jr.halted],
@@ -276,6 +280,12 @@ def cmd_fm(args) -> int:
     return 1 if state.flags else 0
 
 
+def _natural(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a natural number, got %r" % text)
+    return int(text)
+
+
 def _add_budget_args(sp):
     sp.add_argument("--depth", type=int, default=3,
                     help="ordinal depth D; stages stay below w^D")
@@ -317,19 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(fn=cmd_trace)
 
     survey = sub.add_parser("survey", help="clockable times and appearance log")
-    survey.add_argument("--states", type=int, default=2)
+    survey.add_argument("--states", type=int, choices=_STATES, default=2)
     survey.add_argument("--tracks", type=int, choices=(3, 4), default=3)
-    survey.add_argument("--bound", type=int, default=256)
-    survey.add_argument("--workers", type=int, default=None)
+    survey.add_argument("--bound", type=_natural, default=256)
     survey.add_argument("--out")
     _add_budget_args(survey)
     survey.set_defaults(fn=cmd_survey)
 
     jump = sub.add_parser("jump", help="budgeted halting set of the enumeration")
-    jump.add_argument("--states", type=int, default=2)
+    jump.add_argument("--states", type=int, choices=_STATES, default=2)
     jump.add_argument("--tracks", type=int, choices=(3, 4), default=3)
-    jump.add_argument("--bound", type=int, default=256)
-    jump.add_argument("--workers", type=int, default=None)
+    jump.add_argument("--bound", type=_natural, default=256)
     jump.add_argument("--out")
     _add_budget_args(jump)
     _add_oracle_args(jump)
@@ -337,19 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser("matrix", help="iterated-jump injury matrix")
     matrix.add_argument("--order", required=True, help="ordinal literal, e.g. w*1+1")
-    matrix.add_argument("--states", type=int, default=0)
-    matrix.add_argument("--bound", type=int, default=40)
+    matrix.add_argument("--states", type=int, choices=_STATES, default=0)
+    matrix.add_argument("--bound", type=_natural, default=40)
     matrix.add_argument("--rows", type=int, default=8, help="per-run row cap")
-    matrix.add_argument("--prefix-bits", type=int, default=256)
+    matrix.add_argument("--prefix-bits", type=_natural, default=256)
     matrix.add_argument("--log", help="erasure JSONL path")
     matrix.add_argument("--out")
     _add_budget_args(matrix)
     matrix.set_defaults(fn=cmd_matrix)
 
     fm = sub.add_parser("fm", help="transfinite priority construction")
-    fm.add_argument("--states", type=int, default=0)
+    fm.add_argument("--states", type=int, choices=_STATES, default=0)
     fm.add_argument("--tracks", type=int, choices=(3, 4), default=3)
-    fm.add_argument("--bound", type=int, default=16)
+    fm.add_argument("--bound", type=_natural, default=16)
     fm.add_argument("--trim-bits", type=int, default=64)
     fm.add_argument("--events", help="event JSONL path")
     fm.add_argument("--report", help="report JSON path")
@@ -372,7 +380,7 @@ def main(argv=None) -> int:
     except (TruncatedLog, ConstructionRefusal, BudgetOrdinalOverflow) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 1
-    except ProgramError as exc:
+    except (ProgramError, OracleProtocolError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
 

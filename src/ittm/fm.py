@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .approx import (AppearanceLog, TruncatedLog, approximate_jump,
                      diagonal_against, universal_run)
 from .machine import Program, extend_to_oracle_tracks
-from .oracle import SetOracle, replay_queries, run_with_oracle
+from .oracle import SetOracle, replay_queries, run_programs, run_with_oracle
 from .ordinal import Ordinal, ZERO as ZERO_ORD, successor
 from .reals import Real
 from .runner import BudgetPolicy, DEFAULT_BUDGET, QueryRecord
@@ -205,13 +205,14 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
     progs = list(programs)
     state = FMState(progs, budget, trim_bits)
     state.oracle_programs = [_oracle_ready(p) for p in progs]
-    state.appearance_log = universal_run(progs, budget)
+    results = run_programs(progs, budget)
+    state.appearance_log = universal_run(results, budget)
     if state.appearance_log.truncated:
         state.flags.append("appearance-log-truncated")
     for pid in range(len(progs)):
         state.requirements.append(Requirement("R", pid, 2 * pid))
         state.requirements.append(Requirement("S", pid, 2 * pid + 1))
-    background = approximate_jump(progs, None, budget)
+    background = approximate_jump(results, budget)
     try:
         for req in state.requirements:
             _assign_witness(state, req)

@@ -19,7 +19,6 @@ hand-written machines run against set oracles.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -146,12 +145,6 @@ def _binom(n, k):
     return out
 
 
-def _as_programs(programs, tracks_default: int = 3) -> list[Program]:
-    if isinstance(programs, int):
-        return enumeration_slice(programs, tracks=tracks_default)
-    return list(programs)
-
-
 # --- relativized runs and jumps -------------------------------------------
 
 def run_with_oracle(p: Program, input_real: Real, o, budget: BudgetPolicy
@@ -166,6 +159,24 @@ def run_with_oracle(p: Program, input_real: Real, o, budget: BudgetPolicy
     log: list[QueryRecord] = []
     res = run_transfinite(p, input_real, budget, oracle=o, query_log=log)
     return res, tuple(log)
+
+
+def _bare_oracle(p: Program):
+    """Oracle for an oracle-free run: machines that declare the query
+    protocol are answered by the empty set, the stage-zero approximation."""
+    if p.query_state is not None:
+        return SetOracle(frozenset())
+    return None
+
+
+def run_programs(programs, budget: BudgetPolicy, oracle=None,
+                 input_real: Real = ZERO_REAL) -> list[RunResult]:
+    """Run each program once, in order, against the oracle (or, without
+    one, against the empty set for query-protocol machines)."""
+    if oracle is None:
+        return [run_transfinite(p, input_real, budget, oracle=_bare_oracle(p))
+                for p in programs]
+    return [run_with_oracle(p, input_real, oracle, budget)[0] for p in programs]
 
 
 @dataclass(frozen=True)
@@ -191,24 +202,10 @@ class JumpResult:
         return join(self.oracle.real, self.halting_real())
 
 
-def _run_one(p: Program, oracle, budget: BudgetPolicy) -> RunResult:
-    if oracle is None:
-        return run_transfinite(p, ZERO_REAL, budget)
-    return run_with_oracle(p, ZERO_REAL, oracle, budget)[0]
-
-
-def _map_programs(fn, programs, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, programs))
-    return [fn(p) for p in programs]
-
-
-def jump_lightface(programs, oracle=None, budget: BudgetPolicy = DEFAULT_BUDGET,
-                   workers: int | None = None) -> JumpResult:
+def jump_lightface(programs, oracle=None, budget: BudgetPolicy = DEFAULT_BUDGET
+                   ) -> JumpResult:
     """Budgeted halting set over the enumerated space, on input all-zero."""
-    progs = _as_programs(programs, 4 if oracle is not None else 3)
-    results = _map_programs(lambda p: _run_one(p, oracle, budget), progs, workers)
+    results = run_programs(programs, budget, oracle)
     halted, exceeded, diverges = [], set(), set()
     for pid, res in enumerate(results):
         if res.outcome == "halted":
@@ -218,7 +215,7 @@ def jump_lightface(programs, oracle=None, budget: BudgetPolicy = DEFAULT_BUDGET,
         else:
             exceeded.add(pid)
     return JumpResult(tuple(halted), frozenset(exceeded), frozenset(diverges),
-                      len(progs), budget, oracle)
+                      len(results), budget, oracle)
 
 
 @dataclass(frozen=True)
@@ -230,23 +227,18 @@ class BoldfaceResult:
 
 
 def jump_boldface(programs, inputs: Sequence[Real], oracle=None,
-                  budget: BudgetPolicy = DEFAULT_BUDGET,
-                  workers: int | None = None) -> BoldfaceResult:
+                  budget: BudgetPolicy = DEFAULT_BUDGET) -> BoldfaceResult:
     """Halting pairs <p, x> over a finite input set."""
     from .ordinal import pair_index
-    progs = _as_programs(programs, 4 if oracle is not None else 3)
+    progs = list(programs)
     inputs = list(inputs)
-    tasks = [(pid, xi) for pid in range(len(progs)) for xi in range(len(inputs))]
-    def run(task):
-        pid, xi = task
-        if oracle is None:
-            return run_transfinite(progs[pid], inputs[xi], budget)
-        return run_with_oracle(progs[pid], inputs[xi], oracle, budget)[0]
-    results = _map_programs(run, tasks, workers)
+    by_input = [run_programs(progs, budget, oracle, x) for x in inputs]
     halted = []
     pairs = set()
-    for (pid, xi), res in zip(tasks, results):
-        if res.outcome == "halted":
-            halted.append((pid, inputs[xi], res.time))
-            pairs.add(pair_index(pid, xi))
+    for pid in range(len(progs)):
+        for xi, x in enumerate(inputs):
+            res = by_input[xi][pid]
+            if res.outcome == "halted":
+                halted.append((pid, x, res.time))
+                pairs.add(pair_index(pid, xi))
     return BoldfaceResult(tuple(halted), frozenset(pairs), len(progs), budget)

@@ -46,10 +46,6 @@ class OracleProtocolError(Exception):
     pass
 
 
-class LimitNotFound(Exception):
-    """No block-start recurrence within the per-level budget."""
-
-
 @dataclass(frozen=True)
 class BudgetPolicy:
     depth: int = 3
@@ -320,37 +316,6 @@ def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
                 and all(b.tracks[t].suffix(h0 + d) == a.tracks[t].suffix(h0)
                         for t in range(p.track_count)))
     raise ValueError("unknown certificate %r" % (cert,))
-
-
-def limit_of_level(blocks, level: int, budget: BudgetPolicy) -> Snapshot:
-    """The w^level limit of a chained run of level-(level-1) blocks.
-
-    Detects recurrence of block-start snapshots; the limit's cell is 1 iff
-    the cell is in some cycle block's ever_one (1 cofinally below w^level).
-    """
-    if level < 2:
-        raise ValueError("limit_of_level applies at levels >= 2")
-    if not blocks:
-        raise ValueError("no blocks given")
-    for b in blocks:
-        if b.limit is None:
-            raise ValueError("block without a limit (halted or exceeded): no limit to take")
-    for prev, nxt in zip(blocks, blocks[1:]):
-        if prev.limit.key() != nxt.start.key():
-            raise ValueError("block chain broken: each start must be the previous limit")
-    n_tracks = len(blocks[0].start.tracks)
-    starts = {blocks[0].start.key(): 0}
-    for m, b in enumerate(blocks[: budget.per_level_budget]):
-        key = b.limit.key()
-        if key in starts:
-            i = starts[key]
-            union = tuple(or_all(blocks[k].ever_one[t] for k in range(i, m + 1))
-                          for t in range(n_tracks))
-            stage = limit_step(blocks[0].start.stage, level, budget.depth)
-            return Snapshot(b.limit.state, 0, union, stage)
-        starts[key] = m + 1
-    raise LimitNotFound("no block-start recurrence within %d blocks"
-                        % budget.per_level_budget)
 
 
 def run_transfinite(p: Program, input_real: Real = ZERO_REAL,

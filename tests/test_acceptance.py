@@ -21,7 +21,8 @@ from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, check_event_log,
                      check_witness_hygiene, fm_construct)
 from ittm.machine import (extend_to_oracle_tracks, p_flip, p_flip_lh, p_halt,
                           p_sweep)
-from ittm.oracle import RealOracle, enumeration_slice, jump_lightface
+from ittm.oracle import (RealOracle, enumeration_slice, jump_lightface,
+                         run_programs)
 from ittm.ordinal import (Ordinal, OMEGA, ZERO as ZERO_ORD, cnf_add, cnf_cmp,
                           element_of, encode_order, from_int, ordinal_at,
                           pair_index, parse_ordinal, unpair)
@@ -129,7 +130,8 @@ def test_criterion_4_jump_coherence(survey):
     base = survey["programs"]
     for bound in list(range(JUMP_EXHAUSTIVE_BOUND + 1)) + list(JUMP_SPOT_BOUNDS):
         progs = base[:bound]
-        stream = approximate_jump(progs, None, SURVEY_BUDGET)
+        stream = approximate_jump(run_programs(progs, SURVEY_BUDGET),
+                                  SURVEY_BUDGET)
         snaps = stream.snapshots()
         for (st1, h1), (st2, h2) in zip(snaps, snaps[1:]):
             assert st1 <= st2 and h1 <= h2
@@ -159,8 +161,9 @@ def test_criterion_5_matrix_invariants():
         for entry in matrix.erasure_log:
             assert entry.cause in ("lower-row-change", "limit-of-erasures")
         for lo, hi in matrix.successor_pairs():
-            redo = approximate_jump(MATRIX_PROGRAMS,
-                                    RealOracle(matrix.rows[lo]), MATRIX_BUDGET)
+            results = run_programs(MATRIX_PROGRAMS, MATRIX_BUDGET,
+                                   RealOracle(matrix.rows[lo]))
+            redo = approximate_jump(results, MATRIX_BUDGET)
             assert matrix.rows[hi] == redo.final_real(), (alpha.render(), hi.render())
         for lam in matrix.limit_ranks():
             expect = set()
@@ -293,12 +296,9 @@ def test_criterion_8_byte_determinism(tmp_path):
     }
     for name, argv in recipes.items():
         blobs = []
-        variants = [[], []]
-        if name in ("survey", "jump"):
-            variants.append(["--workers", "4"])
-        for k, extra in enumerate(variants):
+        for k in range(2):
             out = tmp_path / ("%s-%d.json" % (name, k))
-            args = list(argv) + extra
+            args = list(argv)
             if name == "fm":
                 rep = tmp_path / ("%s-%d-report.json" % (name, k))
                 args += ["--events", str(out), "--report", str(rep)]

@@ -11,7 +11,7 @@ from ittm.approx import (TruncatedLog, approximate_jump,
                          join_rows, materialized_ranks, stabilization_stage,
                          universal_run, validate_erasures, ErasureEntry)
 from ittm.machine import Rule, extend_to_oracle_tracks, p_flip, p_halt, p_sweep
-from ittm.oracle import RealOracle
+from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
                           encode_order, from_int, pair_index, parse_ordinal)
 from ittm.reals import ZERO as ZERO_REAL, from_support, parse_real
@@ -45,40 +45,77 @@ def scratch_mirror():
 # --- universal dovetailer ----------------------------------------------------
 
 def test_universal_run_single_halter():
-    log = universal_run([p_halt()], B)
+    log = universal_run(run_programs([p_halt()], B), B)
     hits = [(a.stage, a.track, a.real) for a in log.records]
     assert (from_int(1), 2, parse_real("1(0)*")) in hits
     assert not log.truncated and log.complete_below is None
 
 
 def test_universal_run_empty():
-    log = universal_run([], B)
+    log = universal_run(run_programs([], B), B)
     assert log.records == [] and not log.truncated
 
 
 def test_universal_run_flip_and_halt():
-    log = universal_run([p_halt(), p_flip()], B)
+    log = universal_run(run_programs([p_halt(), p_flip()], B), B)
     scratch_one = [a for a in log.records if a.real == parse_real("1(0)*")]
     assert scratch_one and scratch_one[0].stage == from_int(1)
-    again = universal_run([p_halt(), p_flip()], B)
+    again = universal_run(run_programs([p_halt(), p_flip()], B), B)
     assert [(a.stage, a.program, a.track, a.real) for a in log.records] == \
         [(a.stage, a.program, a.track, a.real) for a in again.records]
     assert log.complete_below is None    # halt + loop are both complete
 
 
 def test_universal_run_sweeper_truncates():
-    log = universal_run([p_sweep()], BudgetPolicy(3, 64, 24))
+    budget = BudgetPolicy(3, 64, 24)
+    log = universal_run(run_programs([p_sweep()], budget), budget)
     assert log.truncated
     assert log.complete_below is not None
     assert len(log.records) <= 24
 
 
 def test_first_appearance_order_is_by_stage():
-    log = universal_run([nonzero_halter(2), p_halt()], B)
+    log = universal_run(run_programs([nonzero_halter(2), p_halt()], B), B)
     stages = [a.stage for a in log.records]
     assert stages == sorted(stages)
     firsts = list(log.first_appearance.values())
     assert firsts == sorted(firsts)
+
+
+def dipping_drifter():
+    """Walks right two cells, then repeats write-R, write-R, write-L, R:
+    a translation with mu > 0, period 4 and shift 2 whose head dips inside
+    the window, leaving a wake on all three tracks that grows each cycle."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        i, s, o = read
+        overrides[("start", read)] = Rule(read, "R", "a")
+        overrides[("a", read)] = Rule(read, "R", "w1")
+        overrides[("w1", read)] = Rule((i, 1, o), "R", "w2")
+        overrides[("w2", read)] = Rule((i, s, 1), "R", "w3")
+        overrides[("w3", read)] = Rule((1, s, o), "L", "w4")
+        overrides[("w4", read)] = Rule(read, "R", "w1")
+    return total_program(3, overrides)
+
+
+def test_translation_wake_matches_stepping():
+    from ittm.approx import _wake
+    from ittm.oracle import enumeration_slice
+    from ittm.runner import TranslationCert, initial_snapshot, run_block, step
+    absorbed = enumeration_slice(52, 2, 3)[51]
+    for p in (p_sweep(), dipping_drifter(), absorbed):
+        blk = run_block(initial_snapshot(p), p, B)
+        cert = blk.certificate
+        assert isinstance(cert, TranslationCert)
+        trail = [initial_snapshot(p)]
+        for _ in range(cert.mu + 9 * cert.pi):
+            trail.append(step(trail[-1], p))
+        for k in range(1, 9):
+            for i in range(cert.pi):
+                assert _wake(blk, k, i) == trail[cert.mu + k * cert.pi + i].tracks
+    cert = run_block(initial_snapshot(dipping_drifter()), dipping_drifter(),
+                     B).certificate
+    assert cert.mu > 0 and cert.pi == 4 and cert.shift == 2
 
 
 # --- diagonalization ---------------------------------------------------------
@@ -90,14 +127,15 @@ def test_diagonal_examples():
 
 
 def test_diagonalize_appearances_absent_from_segment():
-    log = universal_run([p_halt(), p_flip(), zero_halter()], B)
+    log = universal_run(run_programs([p_halt(), p_flip(), zero_halter()], B), B)
     upto = parse_ordinal("w*2")
     out = diagonalize_appearances(log, upto)
     assert out not in set(log.segment(upto))
 
 
 def test_diagonalize_refuses_truncated_segment():
-    log = universal_run([p_sweep()], BudgetPolicy(3, 64, 8))
+    budget = BudgetPolicy(3, 64, 8)
+    log = universal_run(run_programs([p_sweep()], budget), budget)
     assert log.truncated
     with pytest.raises(TruncatedLog):
         diagonalize_appearances(log, parse_ordinal("w*1"))
@@ -148,22 +186,23 @@ def test_eventually_written_examples():
 # --- the approximation stream ------------------------------------------------
 
 def test_approximate_jump_examples():
-    stream = approximate_jump([p_halt(), p_flip()], None, B)
+    stream = approximate_jump(run_programs([p_halt(), p_flip()], B), B)
     assert stream.events == ((from_int(1), 0),)
     assert stream.snapshot_at(ZERO_ORD) == frozenset()
     assert stream.snapshot_at(from_int(2)) == frozenset({0})
     assert stream.final() == frozenset({0})
 
-    assert approximate_jump([], None, B).events == ()
+    assert approximate_jump(run_programs([], B), B).events == ()
 
-    with_loop = approximate_jump([p_halt(), p_flip(), looper(1)], None, B)
+    with_loop = approximate_jump(
+        run_programs([p_halt(), p_flip(), looper(1)], B), B)
     assert with_loop.events == stream.events
 
 
 def test_stream_monotone_and_matches_jump():
     from ittm.oracle import jump_lightface
     progs = [zero_halter(), nonzero_halter(2), p_flip(), p_halt()]
-    stream = approximate_jump(progs, None, B)
+    stream = approximate_jump(run_programs(progs, B), B)
     snaps = stream.snapshots()
     for (st1, h1), (st2, h2) in zip(snaps, snaps[1:]):
         assert st1 <= st2 and h1 <= h2
@@ -186,8 +225,8 @@ def test_matrix_code_one_single_zero_row():
 def test_matrix_code_two_row_one_is_the_jump():
     progs = [extend_to_oracle_tracks(p_halt()), extend_to_oracle_tracks(p_flip())]
     m = iterated_matrix(encode_order(from_int(2), 64), progs, B)
-    assert m.rows[from_int(1)] == \
-        approximate_jump(progs, RealOracle(ZERO_REAL), B).final_real()
+    jump = approximate_jump(run_programs(progs, B, RealOracle(ZERO_REAL)), B)
+    assert m.rows[from_int(1)] == jump.final_real()
     assert m.rows[from_int(1)] == parse_real("1(0)*")
 
 
@@ -207,7 +246,8 @@ def test_matrix_code_three_erasure_replay():
 def test_matrix_successor_rows_recheck():
     m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
     for lo, hi in m.successor_pairs():
-        redo = approximate_jump(MATRIX_PROGS, RealOracle(m.rows[lo]), B)
+        redo = approximate_jump(
+            run_programs(MATRIX_PROGS, B, RealOracle(m.rows[lo])), B)
         assert m.rows[hi] == redo.final_real()
 
 
@@ -274,7 +314,8 @@ def test_diagonal_absent_across_survey_logs():
     from ittm.oracle import enumeration_slice
     budget = BudgetPolicy(3, 64, 384)
     for bound in (25, 73, 120):
-        log = universal_run(enumeration_slice(bound, 0, 3), budget)
+        results = run_programs(enumeration_slice(bound, 0, 3), budget)
+        log = universal_run(results, budget)
         for upto in (from_int(1), from_int(3), OMEGA, parse_ordinal("w*2")):
             if log.complete_below is not None and log.complete_below < upto:
                 continue

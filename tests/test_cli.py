@@ -1,6 +1,12 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import ittm
 
 from ittm.cli import main
 from ittm.machine import p_flip, p_flip_lh, p_halt, render_program
@@ -59,12 +65,12 @@ def test_survey_byte_identical_and_worker_independent(tmp_path):
     args = ["survey", "--states", "0", "--bound", "60", "--depth", "2",
             "--budget", "64", "--cap", "128"]
     outs, codes = [], []
-    for name, extra in (("a", []), ("b", []), ("c", ["--workers", "3"])):
+    for name in ("a", "b"):
         path = tmp_path / ("%s.json" % name)
-        codes.append(main(args + ["--out", str(path)] + extra))
+        codes.append(main(args + ["--out", str(path)]))
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-    assert codes[0] == codes[1] == codes[2]
+    assert outs[0] == outs[1]
+    assert codes[0] == codes[1]
     doc = json.loads(outs[0])
     # sweepers in the slice produce endless fresh contents: truncation is
     # flagged and surfaces as the refusal exit code
@@ -148,3 +154,45 @@ def test_env_default_budget(halt_file, monkeypatch, capsys):
 def test_unknown_usage_is_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["run"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{halt}", "--input", "1(0"],
+    ["survey", "--states", "9"],
+    ["jump", "--states", "9"],
+    ["fm", "--states", "9"],
+    ["survey", "--bound", "-5"],
+    ["jump", "--bound", "-1"],
+    ["matrix", "--order", "w", "--prefix-bits", "-1"],
+    ["run", "{halt}", "--oracle-real", "(0)*"],
+    ["jump", "--oracle-real", "(0)*"],
+])
+def test_bad_arguments_are_usage_errors(halt_file, argv):
+    argv = [a.replace("{halt}", halt_file) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ittm.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ittm.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
+
+
+def test_each_command_runs_each_program_once(monkeypatch, tmp_path):
+    runner = importlib.import_module("ittm.runner")
+    original = runner.run_transfinite
+    oracles = []
+    def counting(*args, **kwargs):
+        oracles.append(kwargs.get("oracle", args[3] if len(args) > 3 else None))
+        return original(*args, **kwargs)
+    for name in ("runner", "oracle", "approx", "fm", "cli"):
+        module = importlib.import_module("ittm." + name)
+        if getattr(module, "run_transfinite", None) is original:
+            monkeypatch.setattr(module, "run_transfinite", counting)
+    main(["survey", "--states", "0", "--bound", "60", "--budget", "64",
+          "--cap", "128", "--out", str(tmp_path / "survey.json")])
+    assert len(oracles) == 60
+    oracles.clear()
+    main(["fm", "--states", "0", "--bound", "16",
+          "--report", str(tmp_path / "report.json")])
+    # the requirement runs against set oracles come on top
+    assert sum(o is None for o in oracles) == 16

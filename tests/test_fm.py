@@ -8,6 +8,7 @@ from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, ConstructionRefusal, FMState,
                      fresh_witness, receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
 from ittm.approx import universal_run
+from ittm.oracle import run_programs
 from ittm.ordinal import ZERO as ZERO_ORD, from_int
 from ittm.reals import ZERO as ZERO_REAL, parse_real
 from ittm.runner import BudgetPolicy
@@ -20,7 +21,7 @@ def empty_state(programs=(), budget=B):
     state = FMState(progs, budget, 16)
     state.oracle_programs = [extend_to_oracle_tracks(p) if p.track_count == 3
                              else p for p in progs]
-    state.appearance_log = universal_run(progs, budget)
+    state.appearance_log = universal_run(run_programs(progs, budget), budget)
     for pid in range(len(progs)):
         state.requirements.append(Requirement("R", pid, 2 * pid))
         state.requirements.append(Requirement("S", pid, 2 * pid + 1))

@@ -135,6 +135,10 @@ def test_jump_with_empty_set_oracle_matches_plain_jump():
     assert plain.halted == relative.halted
     assert plain.diverges == relative.diverges
     assert plain.exceeded == relative.exceeded
+    # without an oracle a query-protocol machine is answered by the empty set
+    bare = jump_lightface([query_probe()], None, B)
+    assert bare.halted == jump_lightface([query_probe()], set_oracle([]), B).halted
+    assert bare.halted_set() == frozenset({0})
 
 
 def test_jump_matches_independent_clockable_times():
@@ -181,11 +185,3 @@ def test_jump_boldface_examples():
 
     jr = jump_boldface([p_halt()], [], None, B)
     assert jr.halted == ()
-
-
-def test_parallel_jump_is_deterministic():
-    progs = enumeration_slice(100, 0, 3)
-    serial = jump_lightface(progs, None, B)
-    parallel = jump_lightface(progs, None, B, workers=4)
-    assert serial.halted == parallel.halted
-    assert serial.diverges == parallel.diverges

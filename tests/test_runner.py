@@ -6,11 +6,10 @@ from conftest import total_program, zero_halter
 
 from ittm.machine import Rule, p_flip, p_flip_lh, p_halt, p_sweep
 from ittm.ordinal import OMEGA, from_int, parse_ordinal
-from ittm.reals import ZERO as ZERO_REAL, parse_real
-from ittm.runner import (BlockSummary, BudgetPolicy, ExceededCert, HaltAt,
-                         LimitNotFound, RepeatCert, Snapshot, StepFromHalt,
-                         TranslationCert, clockable_time, initial_snapshot,
-                         limit_of_level, run_block, run_transfinite, step,
+from ittm.reals import ZERO as ZERO_REAL, from_support, parse_real
+from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
+                         StepFromHalt, TranslationCert, clockable_time,
+                         initial_snapshot, run_block, run_transfinite, step,
                          verify_certificate)
 
 B = BudgetPolicy(3, 64, 256)
@@ -73,51 +72,25 @@ def test_run_block_exceeded():
     assert isinstance(blk.certificate, (TranslationCert, ExceededCert))
 
 
-def test_limit_of_level_flip_fixed_point():
-    p = p_flip()
-    res = run_transfinite(p, ZERO_REAL, B)
-    s_omega = res.trace.blocks[0].limit
-    blk = run_block(s_omega, p, B)
-    lim = limit_of_level([blk], 2, B)
-    assert lim.key() == s_omega.key()
-    assert lim.stage == parse_ordinal("w^2*1")
-
-
-def test_limit_of_level_rejects_halted_blocks():
-    p = p_halt()
-    blk = run_block(initial_snapshot(p), p, B)
-    with pytest.raises(ValueError):
-        limit_of_level([blk], 2, B)
-
-
-def _synthetic_snapshot(tracks, stage):
-    return Snapshot("limit", 0, tracks, stage)
-
-
-def test_limit_of_level_synthetic_two_cycle():
-    # block starts alternate S1 -> S2 -> S1; cell 2 is ever-one only in the
-    # block out of S2, so the w^2 limit must still set it (cofinal below w^2)
-    t_a = (parse_real("(0)*"),)
-    t_b = (parse_real("1(0)*"),)
-    s1 = _synthetic_snapshot(t_a, OMEGA)
-    s2 = _synthetic_snapshot(t_b, parse_ordinal("w*2"))
-    s1b = _synthetic_snapshot(t_a, parse_ordinal("w*3"))
-    blk1 = BlockSummary(s1, RepeatCert(0, 1), (parse_real("1(0)*"),), s2, (s1,))
-    blk2 = BlockSummary(s2, RepeatCert(0, 1), (parse_real("101(0)*"),), s1b, (s2,))
-    lim = limit_of_level([blk1, blk2], 2, B)
-    assert lim.tracks[0] == parse_real("101(0)*")
-    assert lim.stage == parse_ordinal("w^2*1")
-
-
-def test_limit_of_level_needs_recurrence():
-    tracks = [(parse_real("1" * k + "(0)*"),) for k in range(1, 6)]
-    snaps = [_synthetic_snapshot(t, parse_ordinal("w*%d" % (k + 1)))
-             for k, t in enumerate(tracks)]
-    blocks = [BlockSummary(snaps[i], RepeatCert(0, 1), snaps[i + 1].tracks,
-                           snaps[i + 1], (snaps[i],))
-              for i in range(len(snaps) - 1)]
-    with pytest.raises(LimitNotFound):
-        limit_of_level(blocks, 2, BudgetPolicy(3, 4, 16))
+def test_level_two_block_budget_exhaustion_is_exceeded():
+    # each block adds one to a binary counter on the scratch track and then
+    # idles, so no block-start snapshot ever recurs and the w^2 limit cannot
+    # be certified within the block budget
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        i, s, o = read
+        for st in ("start", "limit", "carry"):
+            overrides[(st, read)] = Rule((i, 0, o), "R", "carry") if s else \
+                Rule((i, 1, o), "S", "idle")
+        overrides[("idle", read)] = Rule(read, "S", "idle")
+    p = total_program(3, overrides)
+    res = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 8, 16))
+    assert res.outcome == "exceeded" and res.reason == "budget"
+    assert len(res.trace.blocks) == 8 and res.trace.limits == []
+    assert all(isinstance(b.certificate, RepeatCert) for b in res.trace.blocks)
+    counts = [b.limit.tracks[1] for b in res.trace.blocks]
+    assert counts == [from_support(k for k in range(4) if n >> k & 1)
+                      for n in range(1, 9)]
 
 
 def test_run_transfinite_micro_facts():
