@@ -140,9 +140,6 @@ class AppearanceLog:
     bound: int
     budget: BudgetPolicy
 
-    def distinct_reals(self) -> list[Real]:
-        return [rec.real for rec in self.records]
-
     def segment(self, upto_stage: Ordinal) -> list[Real]:
         """Distinct reals first appearing below upto_stage, in appearance
         order; refuses when truncation may hide earlier appearances."""

@@ -299,7 +299,7 @@ def _add_budget_args(sp):
 def _add_oracle_args(sp):
     sp.add_argument("--oracle", help="set-oracle file, one real per line")
     sp.add_argument("--oracle-real", help="real oracle, prefix(tail)* syntax")
-    sp.add_argument("--trim-bits", type=int, default=64,
+    sp.add_argument("--trim-bits", type=_natural, default=64,
                     help="query canonicalization width for set oracles")
 
 
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--order", required=True, help="ordinal literal, e.g. w*1+1")
     matrix.add_argument("--states", type=int, choices=_STATES, default=0)
     matrix.add_argument("--bound", type=_natural, default=40)
-    matrix.add_argument("--rows", type=int, default=8, help="per-run row cap")
+    matrix.add_argument("--rows", type=_natural, default=8, help="per-run row cap")
     matrix.add_argument("--prefix-bits", type=_natural, default=256)
     matrix.add_argument("--log", help="erasure JSONL path")
     matrix.add_argument("--out")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--states", type=int, choices=_STATES, default=0)
     fm.add_argument("--tracks", type=int, choices=(3, 4), default=3)
     fm.add_argument("--bound", type=_natural, default=16)
-    fm.add_argument("--trim-bits", type=int, default=64)
+    fm.add_argument("--trim-bits", type=_natural, default=64)
     fm.add_argument("--events", help="event JSONL path")
     fm.add_argument("--report", help="report JSON path")
     _add_budget_args(fm)

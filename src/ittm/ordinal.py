@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import total_ordering
 from math import isqrt
 
-from .reals import join as _join_reals
-
 Terms = tuple[tuple[int, int], ...]
 
 
@@ -180,9 +178,6 @@ def unpair(n: int) -> tuple[int, int]:
     return s - j, j
 
 
-join = _join_reals
-
-
 # --- Global element numbering --------------------------------------------
 #
 # Ordinals below w^w enumerated by (size, ordinal order), where size is the
@@ -262,10 +257,6 @@ class OrderCode:
 
     def prefix_bits(self) -> tuple[int, ...]:
         return tuple(self.bit_at(k) for k in range(self.materialized_prefix_len))
-
-    def rank_of(self, element: int) -> Ordinal | None:
-        r = ordinal_at(element)
-        return r if r < self.ordinal else None
 
     def elements_below(self, bound_elements: int) -> list[int]:
         """Domain members among the first bound_elements naturals."""

@@ -122,10 +122,6 @@ class Real:
 ZERO = Real((), (0,))
 
 
-def from_bits(prefix, tail=(0,)) -> Real:
-    return Real(tuple(prefix), tuple(tail))
-
-
 def from_support(ones, width: int = 0) -> Real:
     """Finite-support real: 1 exactly at the given indices."""
     ones = set(ones)

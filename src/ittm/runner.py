@@ -15,9 +15,18 @@ computed under a certificate that makes them exact:
   the omega-limit is the tape left behind: the pre-window prefix followed by
   the wake of one cycle repeating.
 
+Both rules need the per-track union of a stretch of snapshots.  A successor
+step changes only the cell under the head, so that union is the stretch's
+first snapshot plus every cell a step leaves at 1; the read-only oracle track
+is never rebuilt.
+
 Limits of limits reuse the same idea one level up: block-start snapshots
 recur, and a cell is 1 at the w^k-limit iff it is 1 somewhere inside
 cofinally many level-(k-1) blocks, i.e. inside the certified cycle.
+`run_transfinite` climbs the levels in one loop: each block's limit is
+handed up through one frame per level in progress (origin, sub-block start
+keys, ever-one sets) until some level sees no recurrence yet, and the next
+block starts from the last limit.
 
 A run diverges provably when a limit snapshot recurs in the strong sense: an
 identical earlier limit snapshot such that no cell that is 0 in it was 1 at
@@ -35,7 +44,8 @@ from dataclasses import dataclass, field
 from .machine import Program, validate, ProgramError
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, successor, limit_step,
                       BudgetOrdinalOverflow)
-from .reals import Real, ZERO as ZERO_REAL, or_all, and_not, shift_union
+from .reals import (Real, ZERO as ZERO_REAL, or_all, or_real, and_not,
+                    shift_union)
 
 
 class StepFromHalt(Exception):
@@ -210,78 +220,64 @@ def step(s: Snapshot, p: Program, oracle=None, query_log=None) -> Snapshot:
     return _step(s, p, oracle, query_log)[0]
 
 
-def _or_tracks(snaps, n_tracks):
-    return tuple(or_all(s.tracks[t] for s in snaps) for t in range(n_tracks))
+def _union(window):
+    """Per-track union of the window's snapshots, from the cells written 1."""
+    union = list(window[0].tracks)
+    for prev, nxt in zip(window, window[1:]):
+        for t, track in enumerate(nxt.tracks):
+            if track.bit(prev.head) and not union[t].bit(prev.head):
+                union[t] = union[t].with_bit(prev.head, 1)
+    return tuple(union)
 
 
 def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
-    n_tracks = p.track_count
     if start.state == p.halt_state:
         return BlockSummary(start, HaltAt(0), tuple(start.tracks), None, (start,))
     snaps = [start]
-    heads = [start.head]
     seen = {start.key(): 0}
-    records = [(0, start.head)]      # strict head maxima, translation candidates
+    # translation candidates: strict head maxima (step, snapshot) with no
+    # edge clamp since and the head never below them since, lowest first
+    records = [(0, start)]
     max_head = start.head
-    clamps: set[int] = set()         # i such that the step snaps[i] -> snaps[i+1] clamped
 
-    def finish_repeat(mu, pi):
-        window = snaps[: mu + pi + 1]
-        ever = _or_tracks(window, n_tracks)
-        limit_tracks = _or_tracks(snaps[mu: mu + pi + 1], n_tracks)
+    def finish(cert, limit_tracks, ever):
         stage = limit_step(start.stage, 1, budget.depth)
         lim = Snapshot(p.limit_state, 0, limit_tracks, stage)
-        return BlockSummary(start, RepeatCert(mu, pi), ever, lim, tuple(window))
-
-    def finish_translation(mu, pi, d):
-        window = snaps[: mu + pi + 1]
-        h0 = heads[mu]
-        last = snaps[mu + pi]
-        ever = []
-        cycle = _or_tracks(snaps[mu: mu + pi + 1], n_tracks)
-        whole = _or_tracks(window, n_tracks)
-        for t in range(n_tracks):
-            ever.append(or_all([whole[t], shift_union(cycle[t], h0, d)]))
-        limit_tracks = tuple(
-            Real(last.tracks[t].bits(h0), last.tracks[t].bits(h0 + d)[h0:])
-            for t in range(n_tracks))
-        stage = limit_step(start.stage, 1, budget.depth)
-        lim = Snapshot(p.limit_state, 0, limit_tracks, stage)
-        return BlockSummary(start, TranslationCert(mu, pi, d), tuple(ever),
-                            lim, tuple(window))
+        return BlockSummary(start, cert, ever, lim, tuple(snaps))
 
     for i in range(1, budget.per_level_budget + 1):
         nxt, clamped = _step(snaps[-1], p, oracle, query_log)
-        if clamped:
-            clamps.add(i - 1)
         snaps.append(nxt)
-        heads.append(nxt.head)
         if nxt.state == p.halt_state:
-            return BlockSummary(start, HaltAt(i), _or_tracks(snaps, n_tracks),
-                                None, tuple(snaps))
+            return BlockSummary(start, HaltAt(i), _union(snaps), None, tuple(snaps))
         key = nxt.key()
         if key in seen:
             mu = seen[key]
-            return finish_repeat(mu, i - mu)
+            return finish(RepeatCert(mu, i - mu), _union(snaps[mu:]), _union(snaps))
         seen[key] = i
+        if clamped:
+            records.clear()
+        while records and records[-1][1].head > nxt.head:
+            records.pop()
         if nxt.head > max_head:
-            for j, hj in records:
-                if snaps[j].state != nxt.state:
-                    continue
-                d = nxt.head - hj
-                if d < 1 or min(heads[j: i + 1]) < hj:
-                    continue
-                if any(t in clamps for t in range(j, i)):
-                    continue
-                if all(nxt.tracks[t].suffix(hj + d) == snaps[j].tracks[t].suffix(hj)
-                       for t in range(n_tracks)):
-                    return finish_translation(j, i - j, d)
-            records.append((i, nxt.head))
+            for j, rec in records:
+                h0, d = rec.head, nxt.head - rec.head
+                if rec.state == nxt.state and all(
+                        nxt.tracks[t].suffix(h0 + d) == rec.tracks[t].suffix(h0)
+                        for t in range(p.track_count)):
+                    cycle, whole = _union(snaps[j:]), _union(snaps)
+                    return finish(
+                        TranslationCert(j, i - j, d),
+                        tuple(Real(x.bits(h0), x.bits(h0 + d)[h0:])
+                              for x in nxt.tracks),
+                        tuple(or_real(w, shift_union(c, h0, d))
+                              for w, c in zip(whole, cycle)))
+            records.append((i, nxt))
             max_head = nxt.head
     return BlockSummary(start, ExceededCert(budget.per_level_budget),
-                        _or_tracks(snaps, n_tracks), None, tuple(snaps))
+                        _union(snaps), None, tuple(snaps))
 
 
 def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
@@ -325,84 +321,67 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
     if problems:
         raise ProgramError("invalid program: %s" % problems[:3])
     trace = RunTrace(budget=budget)
-    registry: list[tuple[Ordinal, tuple, Snapshot]] = []
+    registry = {}   # limit snapshot key -> (stage, number of blocks before it)
     n_tracks = p.track_count
 
     def check_loops(snap: Snapshot) -> LoopCert | None:
-        key = snap.key()
-        for st1, k1, _s1 in registry:
-            if k1 != key:
-                continue
-            between = [b for b in trace.blocks if b.start.stage >= st1]
-            strong = True
-            for t in range(n_tracks):
-                ever = or_all(b.ever_one[t] for b in between)
-                if not and_not(ever, snap.tracks[t]).is_zero():
-                    strong = False
-                    break
-            if strong:
-                return LoopCert(st1, snap.stage, snap.digest())
-        return None
+        # an older entry with the same key failed the check when this one
+        # was registered, and the blocks since it only grow, so it fails now
+        hit = registry.get(snap.key())
+        if hit is None:
+            return None
+        first, n = hit
+        for t in range(n_tracks):
+            ever = or_all(b.ever_one[t] for b in trace.blocks[n:])
+            if not and_not(ever, snap.tracks[t]).is_zero():
+                return None
+        return LoopCert(first, snap.stage, snap.digest())
 
-    def level_limit(level: int, snap: Snapshot):
-        if level == 1:
-            summary = run_block(snap, p, budget, oracle, query_log)
+    # frames[k] for a level k >= 2 in progress: (origin snapshot, sub-block
+    # start key -> index, ever-one sets).  A frame is made when its level
+    # first receives a limit; its origin is where the run below it started.
+    frames = {}
+    cur = initial_snapshot(p, input_real, oracle)
+    try:
+        while True:
+            summary = run_block(cur, p, budget, oracle, query_log)
             trace.blocks.append(summary)
             cert = summary.certificate
             if isinstance(cert, HaltAt):
                 final = summary.explicit[-1]
-                return ("halted", final.stage, final.tracks[2])
+                return RunResult("halted", trace, time=final.stage,
+                                 output=final.tracks[2])
             if isinstance(cert, ExceededCert):
-                return ("exceeded", "budget", None)
-            lim = summary.limit
-            loop = check_loops(lim)
-            if loop is not None:
-                trace.final_limit = lim
-                return ("loops", loop, None)
-            registry.append((lim.stage, lim.key(), lim))
-            return ("limit", lim, summary.ever_one)
-        starts = {snap.key(): 0}
-        evers = []
-        cur = snap
-        for m in range(budget.per_level_budget):
-            r = level_limit(level - 1, cur)
-            if r[0] != "limit":
-                return r
-            nxt, ever = r[1], r[2]
-            evers.append(ever)
-            key = nxt.key()
-            if key in starts:
-                i = starts[key]
-                union = tuple(or_all(e[t] for e in evers[i:])
-                              for t in range(n_tracks))
-                stage = limit_step(snap.stage, level, budget.depth)
-                lim = Snapshot(p.limit_state, 0, union, stage)
+                return RunResult("exceeded", trace, reason="budget")
+            lim, ever, level, origin = summary.limit, summary.ever_one, 1, cur
+            while True:   # hand the level-`level` limit up
                 loop = check_loops(lim)
                 if loop is not None:
                     trace.final_limit = lim
-                    return ("loops", loop, None)
-                registry.append((lim.stage, lim.key(), lim))
-                trace.limits.append((level, lim))
-                whole = tuple(or_all(e[t] for e in evers)
-                              for t in range(n_tracks))
-                return ("limit", lim, whole)
-            starts[key] = m + 1
-            cur = nxt
-        return ("exceeded", "budget", None)
-
-    init = initial_snapshot(p, input_real, oracle)
-    try:
-        r = level_limit(budget.depth, init)
+                    return RunResult("loops", trace, loop=loop)
+                key = lim.key()
+                registry[key] = (lim.stage, len(trace.blocks))
+                if level > 1:
+                    trace.limits.append((level, lim))
+                if level + 1 not in frames:
+                    frames[level + 1] = (origin, {origin.key(): 0}, [])
+                origin, starts, evers = frames[level + 1]
+                evers.append(ever)
+                if key not in starts:
+                    if len(evers) == budget.per_level_budget:
+                        return RunResult("exceeded", trace, reason="budget")
+                    starts[key] = len(evers)
+                    break
+                i = starts[key]
+                del frames[level + 1]
+                level += 1
+                stage = limit_step(origin.stage, level, budget.depth)
+                lim = Snapshot(p.limit_state, 0, tuple(
+                    or_all(e[t] for e in evers[i:]) for t in range(n_tracks)), stage)
+                ever = tuple(or_all(e[t] for e in evers) for t in range(n_tracks))
+            cur = lim
     except BudgetOrdinalOverflow:
-        r = ("exceeded", "ordinal-overflow", None)
-    if r[0] == "halted":
-        return RunResult("halted", trace, time=r[1], output=r[2])
-    if r[0] == "loops":
-        return RunResult("loops", trace, loop=r[1])
-    if r[0] == "limit":
-        # the top-level w^depth limit itself has no representable stage
         return RunResult("exceeded", trace, reason="ordinal-overflow")
-    return RunResult("exceeded", trace, reason=r[1])
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,12 @@ def test_unknown_usage_is_exit_two(capsys):
     assert main(["run"]) == 2
 
 
+def _cli(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ittm.__file__)))
+    return subprocess.run([sys.executable, "-m", "ittm.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{halt}", "--input", "1(0"],
     ["survey", "--states", "9"],
@@ -166,15 +172,21 @@ def test_unknown_usage_is_exit_two(capsys):
     ["matrix", "--order", "w", "--prefix-bits", "-1"],
     ["run", "{halt}", "--oracle-real", "(0)*"],
     ["jump", "--oracle-real", "(0)*"],
+    ["matrix", "--order", "3", "--states", "0", "--bound", "3", "--rows", "-1"],
+    ["fm", "--states", "0", "--bound", "4", "--trim-bits", "-1"],
 ])
 def test_bad_arguments_are_usage_errors(halt_file, argv):
-    argv = [a.replace("{halt}", halt_file) for a in argv]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ittm.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "ittm.cli"] + argv, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _cli([a.replace("{halt}", halt_file) for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+def test_deep_depth_climbs_levels_without_recursion(halt_file):
+    proc = _cli(["run", halt_file, "--depth", "5000"])
+    assert proc.returncode == 0, proc.stderr
+    assert "HALTED time=1" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_each_command_runs_each_program_once(monkeypatch, tmp_path):

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from conftest import total_program, zero_halter
+from conftest import looper, query_probe, total_program, zero_halter
 
 from ittm.machine import Rule, p_flip, p_flip_lh, p_halt, p_sweep
 from ittm.ordinal import OMEGA, from_int, parse_ordinal
-from ittm.reals import ZERO as ZERO_REAL, from_support, parse_real
+from ittm.oracle import RealOracle, SetOracle, enumeration_slice, run_programs
+from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
+                        parse_real, shift_union)
 from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
                          StepFromHalt, TranslationCert, clockable_time,
                          initial_snapshot, run_block, run_transfinite, step,
@@ -70,6 +72,63 @@ def test_run_block_exceeded():
     blk = run_block(initial_snapshot(p), p, BudgetPolicy(3, 1 + 1, 16))
     del tiny
     assert isinstance(blk.certificate, (TranslationCert, ExceededCert))
+
+
+def test_edge_clamp_blocks_a_translation():
+    # moves L at cell 0 (clamped), then R: the configuration at step 2 is
+    # the one at step 0 moved one cell right, but the clamp rules that out
+    reads = list(itertools.product((0, 1), repeat=3))
+    bouncer = total_program(3, {**{("start", r): Rule(r, "L", "s0") for r in reads},
+                                **{("s0", r): Rule(r, "R", "start") for r in reads}})
+    start = initial_snapshot(bouncer)
+    assert run_block(start, bouncer, B).certificate == RepeatCert(1, 2)
+    assert not verify_certificate(bouncer, start, TranslationCert(0, 2, 1))
+
+
+def _fold(snaps):
+    """Per-track OR of every snapshot: the reference for the block unions."""
+    return tuple(or_all(s.tracks[t] for s in snaps)
+                 for t in range(len(snaps[0].tracks)))
+
+
+def scratch_eraser():
+    """Marks the scratch cell, then erases it forever: RepeatCert(2, 1), with
+    a 1 in the block's ever-one that its limit lacks."""
+    reads = list(itertools.product((0, 1), repeat=3))
+    return total_program(3, {
+        **{("start", r): Rule((r[0], 1, r[2]), "S", "erase") for r in reads},
+        **{("erase", r): Rule((r[0], 0, r[2]), "S", "erase") for r in reads}})
+
+
+def test_block_unions_match_the_fold_over_every_snapshot():
+    budget = BudgetPolicy(3, 256, 256)
+    oracle_real = Real(tuple(int(k * k % 7 < 3) for k in range(200)), (1, 0, 0))
+    sets = [(enumeration_slice(3000, 2, 3), None, budget),
+            (enumeration_slice(300, 0, 4), RealOracle(oracle_real), budget),
+            ([query_probe()], SetOracle(frozenset({from_support([0])})), budget),
+            # six walking states cannot certify in four steps
+            ([looper(6)], None, BudgetPolicy(3, 4, 64)),
+            ([scratch_eraser()], None, budget)]
+    kinds = set()
+    for progs, oracle, bp in sets:
+        for p, res in zip(progs, run_programs(progs, bp, oracle)):
+            for blk in res.trace.blocks:
+                cert = blk.certificate
+                kinds.add(type(cert))
+                whole = _fold(blk.explicit)
+                assert verify_certificate(p, blk.start, cert, oracle)
+                if isinstance(cert, TranslationCert):
+                    cycle = _fold(blk.explicit[cert.mu: cert.mu + cert.pi + 1])
+                    h0 = blk.explicit[cert.mu].head
+                    assert blk.ever_one == tuple(
+                        or_real(w, shift_union(c, h0, cert.shift))
+                        for w, c in zip(whole, cycle))
+                    continue
+                assert blk.ever_one == whole
+                if isinstance(cert, RepeatCert):
+                    assert blk.limit.tracks == _fold(
+                        blk.explicit[cert.mu: cert.mu + cert.pi + 1])
+    assert kinds == {HaltAt, RepeatCert, TranslationCert, ExceededCert}
 
 
 def test_level_two_block_budget_exhaustion_is_exceeded():
