@@ -35,8 +35,11 @@ def _json_line(obj) -> str:
 
 
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write output: %s" % exc)
 
 
 def _budget(args) -> BudgetPolicy:
@@ -58,7 +61,7 @@ def _load_program(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_program(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read program: %s" % exc)
     except ProgramError as exc:
         raise UsageError("bad program %s: %s" % (path, exc))
@@ -236,7 +239,7 @@ def cmd_matrix(args) -> int:
         alpha = parse_ordinal(args.order)
     except ValueError as exc:
         raise UsageError(str(exc))
-    code = encode_order(alpha, args.prefix_bits)
+    code = encode_order(alpha, 256)  # iterated_matrix reads only the order
     programs = enumeration_slice(args.bound, args.states, 4)
     matrix = iterated_matrix(code, programs, budget, args.rows)
     problems = validate_erasures(matrix)
@@ -348,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--states", type=int, choices=_STATES, default=0)
     matrix.add_argument("--bound", type=_natural, default=40)
     matrix.add_argument("--rows", type=_natural, default=8, help="per-run row cap")
-    matrix.add_argument("--prefix-bits", type=_natural, default=256)
     matrix.add_argument("--log", help="erasure JSONL path")
     matrix.add_argument("--out")
     _add_budget_args(matrix)

@@ -1,7 +1,10 @@
 """Program model and the `.itm` assembly format.
 
 A program is a total transition table over aligned tape tracks: every
-non-halt state must have a rule for every read vector.  Three tracks mean
+non-halt state must have a rule for every read vector.  The table is checked
+once, when the `Program` is made: construction raises `TotalityError` for
+missing rules and `ProgramError` for any other problem, so a run trusts the
+program it is given and checks nothing.  Three tracks mean
 (input, scratch, output); a fourth track is the oracle tape.  One head is
 shared by all tracks, and a left move at cell 0 leaves the head at cell 0.
 
@@ -12,11 +15,10 @@ so the query state carries no rules, like halt.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
-
-from .reals import Real, parse_real  # noqa: F401  (re-exported: machine-facing types)
 
 MOVES = ("L", "R", "S")
 
@@ -60,6 +62,14 @@ class Program:
     query_state: str | None = None
     yes_state: str | None = None
     no_state: str | None = None
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            missing = [m for m in problems if isinstance(m, tuple)]
+            if missing:
+                raise TotalityError(missing)
+            raise ProgramError("; ".join(problems))
 
     def states(self) -> list[str]:
         named = [self.start_state, self.limit_state, self.halt_state]
@@ -180,27 +190,20 @@ def parse_program(text: str) -> Program:
         if (state, read) in rules:
             raise ProgramSyntaxError(lineno, 1, "duplicate rule for %s %s" % (state, "".join(map(str, read))))
         rules[(state, read)] = Rule(write, move, nxt)
-    p = Program(track_count=track_count,
-                start_state=headers["start"],
-                limit_state=headers["limit"],
-                halt_state=headers["halt"],
-                query_state=headers.get("query"),
-                yes_state=headers.get("yes"),
-                no_state=headers.get("no"),
-                rules=rules)
     header_states = {headers["start"], headers["limit"], headers["halt"],
                      headers.get("query"), headers.get("yes"), headers.get("no")}
     sources = {s for s, _ in rules}
     for lineno, state, read, nxt, write, move in rule_lines:
         if nxt not in sources and nxt not in header_states:
             raise ProgramSyntaxError(lineno, 1, "undeclared state %r" % nxt)
-    problems = validate(p)
-    if problems:
-        missing = [m for m in problems if isinstance(m, tuple)]
-        if missing:
-            raise TotalityError(missing)
-        raise ProgramError("; ".join(problems))
-    return p
+    return Program(track_count=track_count,
+                   start_state=headers["start"],
+                   limit_state=headers["limit"],
+                   halt_state=headers["halt"],
+                   query_state=headers.get("query"),
+                   yes_state=headers.get("yes"),
+                   no_state=headers.get("no"),
+                   rules=rules)
 
 
 def validate(p: Program):
@@ -234,38 +237,39 @@ def validate(p: Program):
     return problems
 
 
-# --- reference machines ----------------------------------------------------
+# --- default-filled programs and reference machines ------------------------
 #
 # The fill convention for rules a description leaves open is the least rule
-# text "-> halt 000 L", which also pins these machines to small indices in
-# the canonical enumeration.
+# text "-> halt 000 L".  The canonical enumeration fills its tables the same
+# way, which pins the reference machines to small indices in it.
 
-def _zeros(n):
-    return tuple(0 for _ in range(n))
-
-
+@functools.cache
 def default_rule(p_halt_state: str, tracks: int) -> Rule:
-    return Rule(_zeros(tracks), "L", p_halt_state)
+    return Rule((0,) * tracks, "L", p_halt_state)
 
 
-def _filled(tracks: int, overrides, query=None, yes=None, no=None) -> Program:
-    states = ["start", "limit"]
-    for (st, _read) in overrides:
-        if st not in states and st != "halt":
-            states.append(st)
-    rules = {}
-    for st in states:
-        for read in itertools.product((0, 1), repeat=tracks):
-            rules[(st, read)] = default_rule("halt", tracks)
+@functools.cache
+def _default_table(states: tuple[str, ...], tracks: int):
+    rule = default_rule("halt", tracks)
+    return {(st, read): rule for st in states
+            for read in itertools.product((0, 1), repeat=tracks)}
+
+
+def total_program(tracks: int, overrides, states=("start", "limit"),
+                  **special) -> Program:
+    """Program over start/limit/halt: `overrides`, and the default rule in
+    every other slot of `states` and of the overrides' states.  The default
+    table is made once per (states, tracks); each program gets a copy."""
+    extra = sorted({st for st, _ in overrides} - set(states) - {"halt"})
+    rules = dict(_default_table(tuple(states) + tuple(extra), tracks))
     rules.update(overrides)
     return Program(track_count=tracks, start_state="start", limit_state="limit",
-                   halt_state="halt", query_state=query, yes_state=yes,
-                   no_state=no, rules=rules)
+                   halt_state="halt", rules=rules, **special)
 
 
 def p_halt() -> Program:
     """Writes output bit 0 and halts on the first step."""
-    return _filled(3, {("start", (0, 0, 0)): Rule((0, 0, 1), "S", "halt")})
+    return total_program(3, {("start", (0, 0, 0)): Rule((0, 0, 1), "S", "halt")})
 
 
 def p_flip() -> Program:
@@ -276,7 +280,7 @@ def p_flip() -> Program:
         rule = Rule((i, 1 - s, o), "S", "start")
         overrides[("start", read)] = rule
         overrides[("limit", read)] = rule
-    return _filled(3, overrides)
+    return total_program(3, overrides)
 
 
 def p_flip_lh() -> Program:
@@ -295,7 +299,7 @@ def p_sweep() -> Program:
         for read in itertools.product((0, 1), repeat=3):
             overrides[(st, read)] = Rule(read, "S", st)
     overrides[("start", (0, 0, 0))] = Rule((0, 1, 0), "R", "start")
-    return _filled(3, overrides)
+    return total_program(3, overrides)
 
 
 def extend_to_oracle_tracks(p: Program) -> Program:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .machine import MOVES, Program, Rule, default_rule
+from .machine import MOVES, Program, Rule, default_rule, total_program
 from .ordinal import Ordinal
 from .reals import Real, ZERO as ZERO_REAL, from_support, join
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, OracleProtocolError,
@@ -88,13 +88,6 @@ def _option_list(work: int, tracks: int):
     return [Rule(w, m, n) for n in nexts for w in writes for m in sorted(MOVES)]
 
 
-def _build(work: int, tracks: int, overrides) -> Program:
-    rules = {slot: default_rule("halt", tracks) for slot in _slot_list(work, tracks)}
-    rules.update(overrides)
-    return Program(track_count=tracks, start_state="start", limit_state="limit",
-                   halt_state="halt", rules=rules)
-
-
 def enumerate_programs(max_work_states: int, tracks: int = 3):
     """Deterministic, duplicate-free stream of all total programs with up to
     max_work_states non-special states.  Graded so that bounded prefixes mix
@@ -115,10 +108,12 @@ def enumerate_programs(max_work_states: int, tracks: int = 3):
             default = options[0]
             assert default == default_rule("halt", tracks)
             extra = options[1:]
+            states = ("start", "limit") + _WORK_NAMES[:work]
             for combo in itertools.combinations(range(len(slots)), k):
                 for choice in itertools.product(extra, repeat=k):
-                    yield _build(work, tracks,
-                                 {slots[c]: rule for c, rule in zip(combo, choice)})
+                    yield total_program(
+                        tracks, {slots[c]: rule for c, rule in zip(combo, choice)},
+                        states)
 
 
 def enumeration_slice(bound: int, max_work_states: int = 2, tracks: int = 3):

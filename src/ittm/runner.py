@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .machine import Program, validate, ProgramError
+from .machine import Program
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, successor, limit_step,
                       BudgetOrdinalOverflow)
 from .reals import (Real, ZERO as ZERO_REAL, or_all, or_real, and_not,
@@ -196,9 +196,7 @@ def _step(s: Snapshot, p: Program, oracle=None, query_log=None):
         nxt = p.yes_state if ans else p.no_state
         return Snapshot(nxt, s.head, s.tracks, successor(s.stage)), False
     read = tuple(t.bit(s.head) for t in s.tracks)
-    rule = p.rules.get((s.state, read))
-    if rule is None:
-        raise ProgramError("no rule for state %r reading %s" % (s.state, read))
+    rule = p.rules[(s.state, read)]
     tracks = list(s.tracks)
     for idx, bit in enumerate(rule.write):
         if idx == 3 and _oracle_kind(oracle) == "real":
@@ -317,9 +315,6 @@ def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
 def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
                     budget: BudgetPolicy = DEFAULT_BUDGET,
                     oracle=None, query_log=None) -> RunResult:
-    problems = validate(p)
-    if problems:
-        raise ProgramError("invalid program: %s" % problems[:3])
     trace = RunTrace(budget=budget)
     registry = {}   # limit snapshot key -> (stage, number of blocks before it)
     n_tracks = p.track_count

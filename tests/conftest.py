@@ -10,20 +10,8 @@ import itertools
 
 import pytest
 
-from ittm.machine import Program, Rule, default_rule
+from ittm.machine import Rule, total_program
 from ittm.runner import BudgetPolicy
-
-
-def total_program(tracks, overrides, states=("start", "limit"), **special):
-    rules = {}
-    extra = [st for st, _ in overrides if st not in states and st != "halt"]
-    all_states = list(states) + sorted(set(extra))
-    for st in all_states:
-        for read in itertools.product((0, 1), repeat=tracks):
-            rules[(st, read)] = default_rule("halt", tracks)
-    rules.update(overrides)
-    return Program(track_count=tracks, start_state="start", limit_state="limit",
-                   halt_state="halt", rules=rules, **special)
 
 
 def zero_halter():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ittm.machine import (Program, ProgramSyntaxError, Rule,
+from ittm.machine import (Program, ProgramError, ProgramSyntaxError, Rule,
                           TotalityError, default_rule, extend_to_oracle_tracks,
                           parse_program, p_flip, p_flip_lh, p_halt, p_sweep,
                           render_program, validate)
@@ -80,9 +80,9 @@ def test_validate_flags_halt_rules():
     p = p_halt()
     rules = dict(p.rules)
     rules[("halt", (0, 0, 0))] = default_rule("halt", 3)
-    bad = Program(track_count=3, start_state="start", limit_state="limit",
-                  halt_state="halt", rules=rules)
-    assert any("halt" in str(v) for v in validate(bad) if isinstance(v, str))
+    with pytest.raises(ProgramError, match="halt state 'halt' has outgoing rule"):
+        Program(track_count=3, start_state="start", limit_state="limit",
+                halt_state="halt", rules=rules)
 
 
 def test_validate_flags_incomplete_query_protocol():
@@ -90,18 +90,18 @@ def test_validate_flags_incomplete_query_protocol():
     for st in ("start", "limit"):
         for read in itertools.product((0, 1), repeat=4):
             rules[(st, read)] = default_rule("halt", 4)
-    bad = Program(track_count=4, start_state="start", limit_state="limit",
-                  halt_state="halt", query_state="query", rules=rules)
-    assert any("query protocol incomplete" in str(v) for v in validate(bad))
+    with pytest.raises(ProgramError, match="query protocol incomplete"):
+        Program(track_count=4, start_state="start", limit_state="limit",
+                halt_state="halt", query_state="query", rules=rules)
 
 
 def test_validate_flags_limit_equal_halt():
     rules = {}
     for read in itertools.product((0, 1), repeat=3):
         rules[("start", read)] = default_rule("h", 3)
-    bad = Program(track_count=3, start_state="start", limit_state="h",
-                  halt_state="h", rules=rules)
-    assert any("distinct" in str(v) for v in validate(bad) if isinstance(v, str))
+    with pytest.raises(ProgramError, match="distinct"):
+        Program(track_count=3, start_state="start", limit_state="h",
+                halt_state="h", rules=rules)
 
 
 def test_extend_to_oracle_tracks_preserves_behavior():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -9,8 +10,8 @@ from ittm.machine import (Rule, extend_to_oracle_tracks, p_flip, p_halt,
 from ittm.ordinal import from_int, pair_index
 from ittm.oracle import (RealOracle, count_programs,
                          enumeration_slice, jump_boldface,
-                         jump_lightface, replay_queries, run_with_oracle,
-                         set_oracle)
+                         jump_lightface, replay_queries, run_programs,
+                         run_with_oracle, set_oracle)
 from ittm.reals import ZERO as ZERO_REAL, parse_real
 from ittm.runner import BudgetPolicy, OracleProtocolError, clockable_time
 
@@ -54,6 +55,28 @@ def test_enumeration_is_deterministic():
 def test_enumeration_contains_p_halt_at_fixed_index():
     texts = [render_program(p) for p in enumeration_slice(80, 0, 3)]
     assert texts.index(render_program(p_halt())) == 5
+
+
+def test_programs_are_checked_when_made_not_when_run(monkeypatch):
+    machine = importlib.import_module("ittm.machine")
+    original = machine.validate
+    calls = []
+    def counting(p):
+        calls.append(p)
+        return original(p)
+    for name in ("machine", "runner", "oracle", "approx", "fm", "cli"):
+        module = importlib.import_module("ittm." + name)
+        if getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counting)
+    programs = enumeration_slice(200, 2, 3)
+    assert len(calls) == 200
+    calls.clear()
+    run_programs(programs, B)
+    assert calls == []
+    # every default slot of every enumerated program holds one shared rule
+    default = programs[0].rules[("start", (0, 0, 0))]
+    assert all(r is default for p in programs for r in p.rules.values()
+               if r == default)
 
 
 def test_run_with_set_oracle_membership():
