@@ -47,11 +47,9 @@ def _wake(block: BlockSummary, k: int, i: int) -> tuple[Real, ...]:
     cells below."""
     cert = block.certificate
     h0 = block.explicit[cert.mu].head
-    out = []
-    for lim, cur in zip(block.limit.tracks, block.explicit[cert.mu + i].tracks):
-        rest = cur.suffix(h0)
-        out.append(Real(lim.bits(h0 + k * cert.shift) + rest.prefix, rest.tail))
-    return tuple(out)
+    return tuple(lim.splice(h0 + k * cert.shift, cur.suffix(h0))
+                 for lim, cur in zip(block.limit.tracks,
+                                     block.explicit[cert.mu + i].tracks))
 
 
 def _translation_tail(block: BlockSummary, cap: int):
@@ -424,8 +422,10 @@ def is_limit_of(stages, sigma: Ordinal) -> bool:
     """Whether sigma is a limit of the given stage set (sup of the part
     strictly below equals sigma).  A finite set strictly below sigma has a
     maximum below sigma, so at desk scale this holds only vacuously."""
+    if not sigma.is_limit():
+        return False
     below = [s for s in stages if s < sigma]
-    if not sigma.is_limit() or not below:
+    if not below:
         return False
     return max(below) == sigma
 
@@ -483,10 +483,10 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     alpha = y.ordinal
     ranks, partial = materialized_ranks(alpha, row_cap)
     reasons = ["ranks-omitted"] if partial else []
-    rank_set = set(ranks)
     rows: dict[Ordinal, Real] = {r: ZERO_REAL for r in ranks}
     change_log: list[ChangeEntry] = []
     erasure_log: list[ErasureEntry] = []
+    erased: dict[Ordinal, list[Ordinal]] = {r: [] for r in ranks}  # stages, per rank
     stabilization: dict[Ordinal, Ordinal] = {r: ZERO_ORD for r in ranks}
 
     jump_cache: dict[Real, tuple[tuple[Ordinal, int], ...]] = {}
@@ -551,9 +551,10 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
             # second erasure rule: a row is also erased at any stage that
             # is a limit of its previous erasure stages; finitely many desk
             # events never produce such a limit, but check anyway
-            past = [e.stage for e in erasure_log if e.rank == q]
-            if is_limit_of(past[:-1], stage):
+            if is_limit_of(erased[q], stage):
                 erasure_log.append(ErasureEntry(stage, q, "limit-of-erasures"))
+                erased[q].append(stage)
+            erased[q].append(stage)
         processed += 1
     else:
         reasons.append("event-budget")

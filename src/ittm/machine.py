@@ -230,11 +230,24 @@ def validate(p: Program):
             problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
         if rule.move not in MOVES:
             problems.append("rule %s/%s has bad move %r" % (state, "".join(map(str, read)), rule.move))
-    for state in p.rule_states():
+    rule_states = p.rule_states()
+    # every state of a table either carries rules or is halt or query
+    for state in rule_states + [p.halt_state, p.query_state]:
+        if state is not None and not _is_token(state):
+            problems.append("state name %r is not one token free of whitespace, "
+                            "'#' and '->'" % (state,))
+    for state in rule_states:
         for read in p.read_vectors():
             if (state, read) not in p.rules:
                 problems.append((state, read))
     return problems
+
+
+@functools.cache
+def _is_token(name) -> bool:
+    """Whether `render_program` can write the state name back as one token."""
+    return (isinstance(name, str) and name.split() == [name]
+            and "#" not in name and "->" not in name)
 
 
 # --- default-filled programs and reference machines ------------------------

@@ -7,85 +7,155 @@ sequences is closed under everything the executors do (finitely many writes,
 limsup limits of periodic runs, interleaving joins), which is what makes
 exact transfinite simulation possible at desk scale.
 
+Representation: the prefix and the tail are each stored as a Python int,
+bit i being position i of the word, together with the word's length.  Every
+operation is a few shifts, masks and ORs on those ints.
+
 Canonical form: the tail is primitive (not a power of a shorter word) and the
 prefix is as short as possible.  Two `Real`s are equal iff they denote the
-same infinite sequence, and canonical forms make that plain tuple equality.
+same infinite sequence, and canonical forms make that int equality of the
+four stored fields.  `prefix` and `tail` read back as bit tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 Bits = tuple[int, ...]
 
 
-def _primitive(tail: Bits) -> Bits:
-    """Shortest word w with tail = w^k."""
-    n = len(tail)
-    for d in range(1, n + 1):
-        if n % d == 0 and tail == tail[:d] * (n // d):
-            return tail[:d]
-    return tail
+def _mask(n: int) -> int:
+    return (1 << n) - 1
 
 
-def _canonical(prefix: Bits, tail: Bits) -> tuple[Bits, Bits]:
-    tail = _primitive(tail)
-    prefix = tuple(prefix)
-    # p . (t0..tk-1)* == p[:-1] . (tk-1 t0..tk-2)*  whenever p ends in tk-1
-    while prefix and prefix[-1] == tail[-1]:
-        prefix = prefix[:-1]
-        tail = tail[-1:] + tail[:-1]
-    return prefix, _primitive(tail)
+def _repeat(word: int, width: int, n: int) -> int:
+    """The first n bits of the width-bit word repeated forever."""
+    while width < n:
+        word |= word << width
+        width *= 2
+    return word & _mask(n)
 
 
-@dataclass(frozen=True)
+def _root(word: int, width: int) -> int:
+    """Length of the shortest word w with word = w^k."""
+    for d in range(1, width // 2 + 1):
+        if width % d == 0 and word >> d == word & _mask(width - d):
+            return d
+    return width
+
+
+def _to_bits(word: int, n: int) -> Bits:
+    return tuple(map(int, _to_text(word, n)))
+
+
+def _to_text(word: int, n: int) -> str:
+    return format(word, "0%db" % n)[::-1] if n else ""
+
+
+def _from_bits(bits) -> int:
+    return int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2)
+
+
+def _real(prefix: int, n_prefix: int, tail: int, n_tail: int) -> "Real":
+    """A Real from fields already in canonical form."""
+    r = object.__new__(Real)
+    r._p, r._np, r._t, r._nt, r._hash = prefix, n_prefix, tail, n_tail, None
+    return r
+
+
+def _canonical(prefix: int, n_prefix: int, tail: int, n_tail: int) -> "Real":
+    """The canonical Real for prefix . tail^omega."""
+    n_tail = _root(tail, n_tail)
+    tail &= _mask(n_tail)
+    # the sequence is n_tail-periodic from position k on exactly when no
+    # bit at or past k differs from the bit n_tail later; the last such
+    # difference lies in the prefix, so one XOR against the tail's backward
+    # extension finds the shortest prefix
+    seq = prefix | tail << n_prefix
+    k = (prefix ^ (seq >> n_tail) & _mask(n_prefix)).bit_length()
+    return _real(prefix & _mask(k), k, (seq >> k) & _mask(n_tail), n_tail)
+
+
 class Real:
-    prefix: Bits
-    tail: Bits
+    __slots__ = ("_p", "_np", "_t", "_nt", "_hash")
 
-    def __post_init__(self):
-        if not self.tail:
+    def __init__(self, prefix: Bits, tail: Bits):
+        prefix, tail = tuple(prefix), tuple(tail)
+        if not tail:
             raise ValueError("tail pattern must be nonempty")
-        if any(b not in (0, 1) for b in self.prefix + self.tail):
+        if not set(prefix + tail) <= {0, 1}:
             raise ValueError("bits must be 0 or 1")
-        p, t = _canonical(self.prefix, self.tail)
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "tail", t)
+        c = _canonical(_from_bits(prefix), len(prefix), _from_bits(tail), len(tail))
+        self._p, self._np, self._t, self._nt = c._p, c._np, c._t, c._nt
+        self._hash = None
+
+    @property
+    def prefix(self) -> Bits:
+        return _to_bits(self._p, self._np)
+
+    @property
+    def tail(self) -> Bits:
+        return _to_bits(self._t, self._nt)
+
+    def __eq__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return (self._np == other._np and self._nt == other._nt
+                and self._p == other._p and self._t == other._t)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._np, self._p, self._nt, self._t))
+        return self._hash
 
     def bit(self, n: int) -> int:
         if n < 0:
             raise IndexError("bit positions are naturals")
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.tail[(n - len(self.prefix)) % len(self.tail)]
+        if n < self._np:
+            return self._p >> n & 1
+        return self._t >> (n - self._np) % self._nt & 1
 
     def bits(self, n: int) -> Bits:
         """First n bits."""
-        return tuple(self.bit(i) for i in range(n))
+        return _to_bits(self._window(0, n), n)
+
+    def _phase(self, pos: int) -> int:
+        """Tail pattern rotated so it continues the sequence from `pos`."""
+        k = max(pos - self._np, 0) % self._nt
+        return (self._t >> k | self._t << (self._nt - k)) & _mask(self._nt)
+
+    def _window(self, start: int, n: int) -> int:
+        """Bits start .. start+n-1 as an int."""
+        if start >= self._np:
+            return _repeat(self._phase(start), self._nt, n)
+        held = self._np - start
+        if n <= held:
+            return self._p >> start & _mask(n)
+        return self._p >> start | _repeat(self._t, self._nt, n - held) << held
 
     def with_bit(self, n: int, value: int) -> "Real":
         if value not in (0, 1):
             raise ValueError("bit value must be 0 or 1")
         if self.bit(n) == value:
             return self
-        width = max(n + 1, len(self.prefix))
-        buf = list(self.bits(width))
-        buf[n] = value
-        return Real(tuple(buf), self._tail_at(width))
+        width = max(n + 1, self._np)
+        return _canonical(self._window(0, width) ^ 1 << n, width,
+                          self._phase(width), self._nt)
 
-    def _tail_at(self, pos: int) -> Bits:
-        """Tail pattern rotated so it continues the sequence from `pos`."""
-        if pos <= len(self.prefix):
-            return self.tail
-        k = (pos - len(self.prefix)) % len(self.tail)
-        return self.tail[k:] + self.tail[:k]
+    def cycled(self, n: int, d: int) -> "Real":
+        """The first n bits of self, then its next d bits repeated forever."""
+        return _canonical(self._window(0, n), n, self._window(n, d), d)
+
+    def splice(self, n: int, rest: "Real") -> "Real":
+        """The first n bits of self, followed by the whole of rest."""
+        return _canonical(self._window(0, n) | rest._p << n, n + rest._np,
+                          rest._t, rest._nt)
 
     def suffix(self, n: int) -> "Real":
         """The sequence shifted left: bit(i) of result = bit(n + i)."""
-        if n <= len(self.prefix):
-            return Real(self.prefix[n:], self.tail)
-        return Real((), self._tail_at(n))
+        if n <= self._np:
+            return _real(self._p >> n, self._np - n, self._t, self._nt)
+        return _real(0, 0, self._phase(n), self._nt)
 
     def truncated(self, n: int) -> "Real":
         """First n bits, continued by the periodic tail phase at n.
@@ -94,39 +164,33 @@ class Real:
         prefix structure is forgotten, which is the set-oracle query
         canonicalization.
         """
-        return Real(self.bits(n), self._tail_at(n))
+        return _canonical(self._window(0, n), n, self._phase(n), self._nt)
 
     def is_zero(self) -> bool:
-        return not self.prefix and self.tail == (0,)
+        return self._np == 0 and self._t == 0
 
     def support_bound(self) -> int | None:
         """Index past the last 1 bit, or None if 1s occur in the tail."""
-        if self.tail != (0,):
+        if self._t != 0:
             return None
-        last = -1
-        for i, b in enumerate(self.prefix):
-            if b:
-                last = i
-        return last + 1
+        return self._np
 
     def render(self) -> str:
-        return "%s(%s)*" % (
-            "".join(str(b) for b in self.prefix),
-            "".join(str(b) for b in self.tail),
-        )
+        return "%s(%s)*" % (_to_text(self._p, self._np), _to_text(self._t, self._nt))
 
     def __repr__(self):
         return "Real[%s]" % self.render()
 
 
-ZERO = Real((), (0,))
+ZERO = _real(0, 0, 0, 1)
 
 
 def from_support(ones, width: int = 0) -> Real:
     """Finite-support real: 1 exactly at the given indices."""
-    ones = set(ones)
-    n = max(max(ones, default=-1) + 1, width)
-    return Real(tuple(1 if i in ones else 0 for i in range(n)), (0,))
+    word = 0
+    for i in set(ones):
+        word |= 1 << i
+    return _canonical(word, max(word.bit_length(), width), 0, 1)
 
 
 def parse_real(text: str) -> Real:
@@ -141,29 +205,34 @@ def parse_real(text: str) -> Real:
         pat = rest[:-2]
         if not pat:
             raise ValueError("empty tail pattern: %r" % text)
-        if any(c not in "01" for c in head + pat):
-            raise ValueError("real literal bits must be 0/1: %r" % text)
-        return Real(tuple(int(c) for c in head), tuple(int(c) for c in pat))
-    if any(c not in "01" for c in text):
+    else:
+        head, pat = text, "0"
+    if any(c not in "01" for c in head + pat):
         raise ValueError("real literal bits must be 0/1: %r" % text)
-    return Real(tuple(int(c) for c in text), (0,))
+    return _canonical(int(head[::-1] or "0", 2), len(head), int(pat[::-1], 2), len(pat))
 
 
-def _combine(a: Real, b: Real, op) -> Real:
-    head = max(len(a.prefix), len(b.prefix))
-    period = len(a.tail) * len(b.tail) // gcd(len(a.tail), len(b.tail))
-    prefix = tuple(op(a.bit(i), b.bit(i)) for i in range(head))
-    tail = tuple(op(a.bit(head + i), b.bit(head + i)) for i in range(period))
-    return Real(prefix, tail)
+def _aligned(a: Real, b: Real) -> tuple[int, int, int, int]:
+    """Both reals as ints over head + lcm(periods) bits: (a, b, head, period),
+    so that any bitwise op on them is exact with that head and period."""
+    head = max(a._np, b._np)
+    period = lcm(a._nt, b._nt)
+    return a._window(0, head + period), b._window(0, head + period), head, period
+
+
+def _split(word: int, head: int, period: int) -> Real:
+    return _canonical(word & _mask(head), head, word >> head, period)
 
 
 def or_real(a: Real, b: Real) -> Real:
-    return _combine(a, b, lambda x, y: x | y)
+    x, y, head, period = _aligned(a, b)
+    return _split(x | y, head, period)
 
 
 def and_not(a: Real, b: Real) -> Real:
     """Positions where a is 1 and b is 0."""
-    return _combine(a, b, lambda x, y: x & (1 - y))
+    x, y, head, period = _aligned(a, b)
+    return _split(x & ~y, head, period)
 
 
 def or_all(reals) -> Real:
@@ -175,12 +244,10 @@ def or_all(reals) -> Real:
 
 def join(a: Real, b: Real) -> Real:
     """Interleave: bit 2n of the result is bit n of a, bit 2n+1 is bit n of b."""
-    head = 2 * max(len(a.prefix), len(b.prefix))
-    period = 2 * (len(a.tail) * len(b.tail) // gcd(len(a.tail), len(b.tail)))
-    def bit(i):
-        return a.bit(i // 2) if i % 2 == 0 else b.bit(i // 2)
-    return Real(tuple(bit(i) for i in range(head)),
-                tuple(bit(head + i) for i in range(period)))
+    x, y, head, period = _aligned(a, b)
+    n = head + period
+    text = "".join(map("".join, zip(_to_text(x, n), _to_text(y, n))))
+    return _split(int(text[::-1], 2), 2 * head, 2 * period)
 
 
 def shift_union(base: Real, offset: int, delta: int) -> Real:
@@ -195,11 +262,13 @@ def shift_union(base: Real, offset: int, delta: int) -> Real:
     if delta < 1:
         raise ValueError("delta must be >= 1")
     seg = base.suffix(offset)
-    la = len(seg.prefix)
-    p = len(seg.tail) * delta // gcd(len(seg.tail), delta)
-    def hit(x):
-        return any(seg.bit(x - k * delta) for k in range(x // delta + 1))
-    rel_prefix = tuple(1 if hit(x) else 0 for x in range(la + p))
-    rel_tail = tuple(1 if hit(la + p + x) else 0 for x in range(p))
-    rel = Real(rel_prefix, rel_tail)
-    return Real(tuple(0 for _ in range(offset)) + rel.prefix, rel.tail)
+    head = seg._np
+    period = lcm(seg._nt, delta)
+    n = head + 2 * period
+    hits, reach = seg._window(0, n), delta
+    while reach < n:   # OR in the copies shifted by every multiple below reach
+        hits |= hits << reach
+        reach *= 2
+    head += period
+    return _canonical((hits & _mask(head)) << offset, offset + head,
+                      hits >> head & _mask(period), period)

@@ -268,8 +268,7 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
                     cycle, whole = _union(snaps[j:]), _union(snaps)
                     return finish(
                         TranslationCert(j, i - j, d),
-                        tuple(Real(x.bits(h0), x.bits(h0 + d)[h0:])
-                              for x in nxt.tracks),
+                        tuple(x.cycled(h0, d) for x in nxt.tracks),
                         tuple(or_real(w, shift_union(c, h0, d))
                               for w, c in zip(whole, cycle)))
             records.append((i, nxt))

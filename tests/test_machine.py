@@ -5,7 +5,7 @@ import pytest
 from ittm.machine import (Program, ProgramError, ProgramSyntaxError, Rule,
                           TotalityError, default_rule, extend_to_oracle_tracks,
                           parse_program, p_flip, p_flip_lh, p_halt, p_sweep,
-                          render_program, validate)
+                          render_program, total_program, validate)
 
 MINIMAL = "\n".join(
     ["tracks: 3", "start: s0", "limit: s0", "halt: h",
@@ -102,6 +102,35 @@ def test_validate_flags_limit_equal_halt():
     with pytest.raises(ProgramError, match="distinct"):
         Program(track_count=3, start_state="start", limit_state="h",
                 halt_state="h", rules=rules)
+
+
+ODD_NAMES = ["a b", "x#y", "p->q", "", " s", "t\n", "#", "->"]
+
+
+@pytest.mark.parametrize("name", ODD_NAMES)
+def test_validate_rejects_state_names_that_cannot_round_trip(name):
+    """A name render_program cannot write back as one token is refused as a
+    work state, as the start state and as the halt state."""
+    with pytest.raises(ProgramError, match="not one token"):
+        total_program(3, {}, states=("start", "limit", name))
+    to_halt = {(st, read): Rule((0, 0, 0), "L", name)
+               for st in ("start", "limit")
+               for read in itertools.product((0, 1), repeat=3)}
+    with pytest.raises(ProgramError, match="not one token"):
+        Program(track_count=3, start_state="start", limit_state="limit",
+                halt_state=name, rules=to_halt)
+    renamed = {(name if st == "start" else st, read): rule
+               for (st, read), rule in p_halt().rules.items()}
+    with pytest.raises(ProgramError, match="not one token"):
+        Program(track_count=3, start_state=name, limit_state="limit",
+                halt_state="halt", rules=renamed)
+
+
+@pytest.mark.parametrize("name", ["s-1", "a>b", "q:1", "-", ">x", "tracks"])
+def test_state_names_with_punctuation_round_trip(name):
+    p = total_program(3, {("start", (0, 0, 0)): Rule((0, 0, 1), "R", name)},
+                      states=("start", "limit", name))
+    assert parse_program(render_program(p)) == p
 
 
 def test_extend_to_oracle_tracks_preserves_behavior():
