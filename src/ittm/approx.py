@@ -88,8 +88,8 @@ def _program_content_events(res: RunResult, cap: int):
                 events.append((stage, t, content))
     for block in res.trace.blocks:
         base = block.start.stage
-        for rel, snap in enumerate(block.explicit):
-            emit(cnf_add(base, from_int(rel)), snap.tracks)
+        for snap in block.explicit:
+            emit(snap.stage, snap.tracks)
         cert = block.certificate
         if isinstance(cert, ExceededCert):
             horizon = cnf_add(base, from_int(len(block.explicit)))
@@ -216,8 +216,8 @@ def _history(res: RunResult, read, wake_changes):
             value = v
     for block in res.trace.blocks:
         base = block.start.stage
-        for rel, snap in enumerate(block.explicit):
-            set_at(cnf_add(base, from_int(rel)), read(snap.tracks))
+        for snap in block.explicit:
+            set_at(snap.stage, read(snap.tracks))
         cert = block.certificate
         changes = []
         if isinstance(cert, RepeatCert):
@@ -568,17 +568,21 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
 def validate_erasures(matrix: JumpMatrix) -> list[str]:
     """Justify every erasure entry from the logs alone, per the two rules."""
     problems = []
+    lowest = {}    # change stage -> lowest rank changed at it
+    for ch in matrix.change_log:
+        if ch.stage not in lowest or ch.rank < lowest[ch.stage]:
+            lowest[ch.stage] = ch.rank
+    past = {}      # rank -> stages of the erasures so far at that rank
     for k, entry in enumerate(matrix.erasure_log):
         if entry.cause == "lower-row-change":
-            if not any(ch.stage == entry.stage and ch.rank < entry.rank
-                       for ch in matrix.change_log):
+            if not (entry.stage in lowest and lowest[entry.stage] < entry.rank):
                 problems.append("erasure %d at %s lacks a same-stage lower-row change"
                                 % (k, entry.stage.render()))
         elif entry.cause == "limit-of-erasures":
-            past = [e.stage for e in matrix.erasure_log[:k] if e.rank == entry.rank]
-            if not is_limit_of(past, entry.stage):
+            if not is_limit_of(past.get(entry.rank, ()), entry.stage):
                 problems.append("erasure %d at %s is not a limit of prior erasures"
                                 % (k, entry.stage.render()))
         else:
             problems.append("erasure %d has unknown cause %r" % (k, entry.cause))
+        past.setdefault(entry.rank, []).append(entry.stage)
     return problems

@@ -81,6 +81,13 @@ class Ordinal:
         return "Ordinal[%s]" % self.render()
 
 
+def _ordinal(terms: Terms) -> Ordinal:
+    """An Ordinal from a tuple of terms already in Cantor normal form."""
+    o = object.__new__(Ordinal)
+    object.__setattr__(o, "terms", terms)
+    return o
+
+
 ZERO = Ordinal()
 ONE = Ordinal(((0, 1),))
 OMEGA = Ordinal(((1, 1),))
@@ -89,7 +96,7 @@ OMEGA = Ordinal(((1, 1),))
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are nonnegative")
-    return Ordinal(((0, n),)) if n else ZERO
+    return _ordinal(((0, n),)) if n else ZERO
 
 
 def omega_power(e: int, c: int = 1) -> Ordinal:
@@ -137,13 +144,16 @@ def cnf_cmp(a: Ordinal, b: Ordinal) -> int:
 def cnf_add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not b.terms:
         return a
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if t[0] > lead]
-    merged = list(b.terms)
-    for e, c in a.terms:
-        if e == lead:
-            merged[0] = (lead, c + merged[0][1])
-    return Ordinal(tuple(kept) + tuple(merged))
+    if not a.terms:
+        return b
+    (lead, c), rest = b.terms[0], b.terms[1:]
+    kept = a.terms
+    n = len(kept)
+    while n and kept[n - 1][0] < lead:    # terms below b's lead are absorbed
+        n -= 1
+    if n and kept[n - 1][0] == lead:
+        return _ordinal(kept[:n - 1] + ((lead, kept[n - 1][1] + c),) + rest)
+    return _ordinal(kept[:n] + b.terms)
 
 
 def successor(a: Ordinal) -> Ordinal:
@@ -157,7 +167,7 @@ def limit_step(a: Ordinal, level: int, depth: int | None = None) -> Ordinal:
     head = [t for t in a.terms if t[0] > level]
     at = [c for e, c in a.terms if e == level]
     head.append((level, at[0] + 1 if at else 1))
-    result = Ordinal(tuple(head))
+    result = _ordinal(tuple(head))
     if depth is not None and result.degree() >= depth:
         raise BudgetOrdinalOverflow(
             "stage %s reaches w^%d" % (result.render(), depth))

@@ -117,15 +117,17 @@ class Real:
 
     def bits(self, n: int) -> Bits:
         """First n bits."""
-        return _to_bits(self._window(0, n), n)
+        return _to_bits(self.window(0, n), n)
 
     def _phase(self, pos: int) -> int:
         """Tail pattern rotated so it continues the sequence from `pos`."""
         k = max(pos - self._np, 0) % self._nt
         return (self._t >> k | self._t << (self._nt - k)) & _mask(self._nt)
 
-    def _window(self, start: int, n: int) -> int:
+    def window(self, start: int, n: int) -> int:
         """Bits start .. start+n-1 as an int."""
+        if not self._t:
+            return self._p >> start & _mask(n)
         if start >= self._np:
             return _repeat(self._phase(start), self._nt, n)
         held = self._np - start
@@ -133,22 +135,38 @@ class Real:
             return self._p >> start & _mask(n)
         return self._p >> start | _repeat(self._t, self._nt, n - held) << held
 
+    def flipped(self, mask: int) -> "Real":
+        """The sequence with the cells of the finite bit set `mask` inverted."""
+        if not mask:
+            return self
+        if not self._t:     # a finite support stays one: its prefix ends at its last 1
+            word = self._p ^ mask
+            return _real(word, word.bit_length(), 0, 1)
+        width = max(mask.bit_length(), self._np)
+        return _canonical(self.window(0, width) ^ mask, width,
+                          self._phase(width), self._nt)
+
     def with_bit(self, n: int, value: int) -> "Real":
         if value not in (0, 1):
             raise ValueError("bit value must be 0 or 1")
-        if self.bit(n) == value:
-            return self
-        width = max(n + 1, self._np)
-        return _canonical(self._window(0, width) ^ 1 << n, width,
-                          self._phase(width), self._nt)
+        return self.flipped((self.bit(n) ^ value) << n)
+
+    def flips_agree(self, a: int, da: int, b: int, db: int) -> bool:
+        """Whether self.flipped(da).suffix(a) == self.flipped(db).suffix(b),
+        decided on ints: past the flips and the prefix both reads run through
+        the primitive tail, which agree iff a and b are a whole number of
+        tail periods apart."""
+        n = max(da.bit_length() - a, db.bit_length() - b, self._np - min(a, b), 0)
+        return ((a - b) % self._nt == 0
+                and self.window(a, n) ^ da >> a == self.window(b, n) ^ db >> b)
 
     def cycled(self, n: int, d: int) -> "Real":
         """The first n bits of self, then its next d bits repeated forever."""
-        return _canonical(self._window(0, n), n, self._window(n, d), d)
+        return _canonical(self.window(0, n), n, self.window(n, d), d)
 
     def splice(self, n: int, rest: "Real") -> "Real":
         """The first n bits of self, followed by the whole of rest."""
-        return _canonical(self._window(0, n) | rest._p << n, n + rest._np,
+        return _canonical(self.window(0, n) | rest._p << n, n + rest._np,
                           rest._t, rest._nt)
 
     def suffix(self, n: int) -> "Real":
@@ -164,7 +182,7 @@ class Real:
         prefix structure is forgotten, which is the set-oracle query
         canonicalization.
         """
-        return _canonical(self._window(0, n), n, self._phase(n), self._nt)
+        return _canonical(self.window(0, n), n, self._phase(n), self._nt)
 
     def is_zero(self) -> bool:
         return self._np == 0 and self._t == 0
@@ -217,7 +235,7 @@ def _aligned(a: Real, b: Real) -> tuple[int, int, int, int]:
     so that any bitwise op on them is exact with that head and period."""
     head = max(a._np, b._np)
     period = lcm(a._nt, b._nt)
-    return a._window(0, head + period), b._window(0, head + period), head, period
+    return a.window(0, head + period), b.window(0, head + period), head, period
 
 
 def _split(word: int, head: int, period: int) -> Real:
@@ -265,7 +283,7 @@ def shift_union(base: Real, offset: int, delta: int) -> Real:
     head = seg._np
     period = lcm(seg._nt, delta)
     n = head + 2 * period
-    hits, reach = seg._window(0, n), delta
+    hits, reach = seg.window(0, n), delta
     while reach < n:   # OR in the copies shifted by every multiple below reach
         hits |= hits << reach
         reach *= 2

@@ -15,10 +15,17 @@ computed under a certificate that makes them exact:
   the omega-limit is the tape left behind: the pre-window prefix followed by
   the wake of one cycle repeating.
 
-Both rules need the per-track union of a stretch of snapshots.  A successor
-step changes only the cell under the head, so that union is the stretch's
-first snapshot plus every cell a step leaves at 1; the read-only oracle track
-is never rebuilt.
+A block steps on ints, not on `Real`s.  Each track is its start `Real` plus
+one int `delta` of the cells flipped since the block began, so a step reads
+start bit ^ delta bit under the head and flips a delta bit when it writes a
+different value.  Each step stores the row (state, head, *deltas).  The start
+tracks are fixed within a block, so two configurations are equal iff their
+rows are: the row is the exact repeat key, with no canonical form.  The
+per-track union of the rows j .. i that both rules need is row j's tracks
+plus every cell a later step turned to 1, one `Real.flipped` per track; the
+read-only oracle track keeps delta 0 and is never rebuilt.  The snapshots of
+a block are built from its rows only when they are read (`Snapshots`), and
+`verify_certificate` re-checks each certificate by stepping on `Real`s.
 
 Limits of limits reuse the same idea one level up: block-start snapshots
 recur, and a cell is 1 at the w^k-limit iff it is 1 somewhere inside
@@ -39,11 +46,12 @@ sets that cell and the computation escapes with a genuinely new snapshot.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .machine import Program
-from .ordinal import (Ordinal, ZERO as ZERO_ORD, successor, limit_step,
-                      BudgetOrdinalOverflow)
+from .ordinal import (Ordinal, ZERO as ZERO_ORD, cnf_add, from_int, successor,
+                      limit_step, BudgetOrdinalOverflow)
 from .reals import (Real, ZERO as ZERO_REAL, or_all, or_real, and_not,
                     shift_union)
 
@@ -78,7 +86,7 @@ class BudgetPolicy:
 DEFAULT_BUDGET = BudgetPolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     state: str
     head: int
@@ -119,13 +127,13 @@ class ExceededCert:
     steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockSummary:
     start: Snapshot
     certificate: object
     ever_one: tuple[Real, ...]
     limit: Snapshot | None
-    explicit: tuple[Snapshot, ...]
+    explicit: Sequence[Snapshot]   # a Snapshots, or (start,) for a halted start
 
 
 @dataclass(frozen=True)
@@ -218,63 +226,164 @@ def step(s: Snapshot, p: Program, oracle=None, query_log=None) -> Snapshot:
     return _step(s, p, oracle, query_log)[0]
 
 
-def _union(window):
-    """Per-track union of the window's snapshots, from the cells written 1."""
-    union = list(window[0].tracks)
-    for prev, nxt in zip(window, window[1:]):
-        for t, track in enumerate(nxt.tracks):
-            if track.bit(prev.head) and not union[t].bit(prev.head):
-                union[t] = union[t].with_bit(prev.head, 1)
-    return tuple(union)
+class Snapshots(Sequence):
+    """A block's snapshots, built from its rows when read.
+
+    Row k is (state, head, *deltas): snapshot k has that state and head, the
+    start tracks with each track's delta cells flipped, and stage
+    start.stage + k.  Each entry is its row until read and its snapshot
+    after, so built rows are dropped; entry 0 is the start itself.  An index
+    read builds one snapshot; a slice or an iteration builds the rest, once,
+    and consecutive snapshots share the `Real` of every track whose delta
+    did not change.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, start: Snapshot, rows: list):
+        rows[0] = start
+        self._items = rows
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._all()[k])
+        item = self._items[k]
+        if type(item) is tuple:
+            item = self._items[k] = self._build(k % len(self._items), item)
+        return item
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def _all(self) -> list:
+        items, prev, prev_row = self._items, None, None
+        for k, item in enumerate(items):
+            row = item if type(item) is tuple else None
+            if row is not None:
+                item = items[k] = self._build(k, row, prev, prev_row)
+            prev, prev_row = item, row
+        return items
+
+    def _build(self, k: int, row: tuple, prev: Snapshot | None = None,
+               prev_row: tuple | None = None) -> Snapshot:
+        start = self._items[0]
+        tracks = start.tracks
+        if prev_row is None:
+            tracks = tuple([t.flipped(d) for t, d in zip(tracks, row[2:])])
+        else:
+            tracks = tuple([pt if pd == d else t.flipped(d) for t, pt, pd, d in
+                            zip(tracks, prev.tracks, prev_row[2:], row[2:])])
+        return Snapshot(row[0], row[1], tracks, cnf_add(start.stage, from_int(k)))
 
 
 def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
     if start.state == p.halt_state:
-        return BlockSummary(start, HaltAt(0), tuple(start.tracks), None, (start,))
-    snaps = [start]
-    seen = {start.key(): 0}
-    # translation candidates: strict head maxima (step, snapshot) with no
-    # edge clamp since and the head never below them since, lowest first
-    records = [(0, start)]
-    max_head = start.head
+        return BlockSummary(start, HaltAt(0), start.tracks, None, (start,))
+    kind = _oracle_kind(oracle)
+    tracks = start.tracks
+    writable = range(3 if kind == "real" else len(tracks))  # oracle track is read-only
+    rules, halt_state, query_state = p.rules, p.halt_state, p.query_state
+    state, head = start.state, start.head
+    # cur[t]: cells 0 .. width-1 of track t now; delta[t]: cells flipped since
+    # the start; ups: (step, track, cell) for each cell turned to 1
+    width = head + 64
+    cur = [t.window(0, width) for t in tracks]
+    delta = [0] * len(tracks)
+    ups = []
+    rows = [(state, head, *delta)]
+    seen = {rows[0]: 0}
+    # translation candidates: rows at strict head maxima with no edge clamp
+    # since and the head never below them since, lowest first
+    records = [0]
+    max_head = head
 
-    def finish(cert, limit_tracks, ever):
-        stage = limit_step(start.stage, 1, budget.depth)
-        lim = Snapshot(p.limit_state, 0, limit_tracks, stage)
-        return BlockSummary(start, cert, ever, lim, tuple(snaps))
+    def union(j):
+        """Per-track union of rows j .. now: row j's tracks plus each cell a
+        later step turned to 1 that is 0 in row j."""
+        on = [0] * len(tracks)
+        for k, t, cell in reversed(ups):
+            if k <= j:
+                break
+            on[t] |= 1 << cell
+        return tuple([t.flipped(dj ^ o & ~(c ^ d ^ dj)) for t, c, d, dj, o in
+                      zip(tracks, cur, delta, rows[j][2:], on)])
+
+    def summary(cert, ever, limit_tracks=None):
+        lim = None
+        if limit_tracks is not None:
+            lim = Snapshot(p.limit_state, 0, limit_tracks,
+                           limit_step(start.stage, 1, budget.depth))
+        return BlockSummary(start, cert, ever, lim, Snapshots(start, rows))
 
     for i in range(1, budget.per_level_budget + 1):
-        nxt, clamped = _step(snaps[-1], p, oracle, query_log)
-        snaps.append(nxt)
-        if nxt.state == p.halt_state:
-            return BlockSummary(start, HaltAt(i), _union(snaps), None, tuple(snaps))
-        key = nxt.key()
-        if key in seen:
-            mu = seen[key]
-            return finish(RepeatCert(mu, i - mu), _union(snaps[mu:]), _union(snaps))
-        seen[key] = i
+        clamped = False
+        if state == query_state:
+            if kind != "set":
+                raise OracleProtocolError("query state entered without a set oracle")
+            q = oracle.canonical_query(tracks[3].flipped(delta[3]))
+            ans = oracle.contains(q)
+            if query_log is not None:
+                query_log.append(QueryRecord(
+                    cnf_add(start.stage, from_int(i - 1)), q, ans))
+            state = p.yes_state if ans else p.no_state
+        else:
+            if head >= width:
+                grow = head + 64
+                cur = [c | t.window(width, grow) << width
+                       for c, t in zip(cur, tracks)]
+                width += grow
+            read = tuple([c >> head & 1 for c in cur])
+            rule = rules[state, read]
+            write = rule.write
+            for t in writable:
+                bit = write[t]
+                if read[t] != bit:
+                    m = 1 << head
+                    cur[t] ^= m
+                    delta[t] ^= m
+                    if bit:
+                        ups.append((i, t, head))
+            if rule.move == "R":
+                head += 1
+            elif rule.move == "L":
+                if head == 0:
+                    clamped = True
+                else:
+                    head -= 1
+            state = rule.next_state
+        row = (state, head, *delta)
+        rows.append(row)
+        if state == halt_state:
+            return summary(HaltAt(i), union(0))
+        mu = seen.setdefault(row, i)
+        if mu != i:
+            return summary(RepeatCert(mu, i - mu), union(0), union(mu))
         if clamped:
             records.clear()
-        while records and records[-1][1].head > nxt.head:
+        while records and rows[records[-1]][1] > head:
             records.pop()
-        if nxt.head > max_head:
-            for j, rec in records:
-                h0, d = rec.head, nxt.head - rec.head
-                if rec.state == nxt.state and all(
-                        nxt.tracks[t].suffix(h0 + d) == rec.tracks[t].suffix(h0)
-                        for t in range(p.track_count)):
-                    cycle, whole = _union(snaps[j:]), _union(snaps)
-                    return finish(
+        if head > max_head:
+            for j in records:
+                rec = rows[j]
+                h0, d = rec[1], head - rec[1]
+                if rec[0] == state and all(
+                        t.flips_agree(h0 + d, dn, h0, dj)
+                        for t, dn, dj in zip(tracks, delta, rec[2:])):
+                    cycle, whole = union(j), union(0)
+                    return summary(
                         TranslationCert(j, i - j, d),
-                        tuple(x.cycled(h0, d) for x in nxt.tracks),
                         tuple(or_real(w, shift_union(c, h0, d))
-                              for w, c in zip(whole, cycle)))
-            records.append((i, nxt))
-            max_head = nxt.head
-    return BlockSummary(start, ExceededCert(budget.per_level_budget),
-                        _union(snaps), None, tuple(snaps))
+                              for w, c in zip(whole, cycle)),
+                        tuple(t.flipped(dn).cycled(h0, d)
+                              for t, dn in zip(tracks, delta)))
+            records.append(i)
+            max_head = head
+    return summary(ExceededCert(budget.per_level_budget), union(0))
 
 
 def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:

@@ -213,6 +213,25 @@ def test_with_bit_suffix_and_truncated_match_the_model(m, i, v, k):
 
 
 @PROPERTY
+@given(models(), st.sets(st.integers(0, 40), max_size=3), st.integers(0, 40),
+       st.integers(0, 3), st.booleans(), st.booleans())
+def test_flipped_and_flips_agree_match_the_model(m, ones, b, k, off, mirrored):
+    r = real_of(m)
+    d = k * len(m[1]) + off
+    # mirrored flips make the two reads agree whenever the reals allow it
+    others = {x - d for x in ones if x >= d} if mirrored else set()
+    n = len(m[0]) + d + 2 * len(m[1]) + 90
+    bits = model_bits(m, b + n)
+    flip_a = [x ^ (i in ones) for i, x in enumerate(bits)]
+    flip_b = [x ^ (i in others) for i, x in enumerate(bits)]
+    mask_a, mask_b = sum(1 << x for x in ones), sum(1 << x for x in others)
+    assert_denotes(r.flipped(mask_a), flip_a)
+    assert_denotes(r.flipped(mask_b), flip_b)
+    assert r.flips_agree(b + d, mask_a, b, mask_b) == \
+        (flip_a[b + d:] == flip_b[b: b + n - d])
+
+
+@PROPERTY
 @given(models(), models(), st.integers(0, 2400), st.integers(1, 7))
 def test_splice_and_cycled_match_the_model(m, rest, k, d):
     r = real_of(m)

@@ -1,12 +1,16 @@
+import collections
 import itertools
+from pathlib import Path
 
 import pytest
 
 from conftest import looper, query_probe, total_program, zero_halter
 
-from ittm.machine import Rule, p_flip, p_flip_lh, p_halt, p_sweep
-from ittm.ordinal import OMEGA, from_int, parse_ordinal
-from ittm.oracle import RealOracle, SetOracle, enumeration_slice, run_programs
+from ittm import ordinal, reals
+from ittm.machine import Rule, p_flip, p_flip_lh, p_halt, p_sweep, parse_program
+from ittm.ordinal import OMEGA, cnf_add, from_int, parse_ordinal
+from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
+                         run_with_oracle)
 from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
                         parse_real, shift_union)
 from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
@@ -15,6 +19,8 @@ from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
                          verify_certificate)
 
 B = BudgetPolicy(3, 64, 256)
+# an acceptance-survey program that no budget up to 4096 certifies
+HARD_10825 = Path(__file__).resolve().parents[1] / "perfbench" / "hard_set" / "10825.itm"
 
 
 def test_step_examples():
@@ -129,6 +135,131 @@ def test_block_unions_match_the_fold_over_every_snapshot():
                     assert blk.limit.tracks == _fold(
                         blk.explicit[cert.mu: cert.mu + cert.pi + 1])
     assert kinds == {HaltAt, RepeatCert, TranslationCert, ExceededCert}
+
+
+def omega_cubed_clocker():
+    """Sweeps the output track right after a transient scratch mark in every
+    block, so block limits recur weakly and a w^2 limit sets the mark.  A
+    w^2 start clears it behind a transient input mark, so w^2 limits recur
+    weakly too, and at the w^3 limit, which has both marks, it halts.  Every
+    block from w on starts from an output track 0(1)*."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        i, s, o = read
+        overrides[("start", read)] = Rule((0, 1, o), "S", "down")
+        overrides[("limit", read)] = (Rule((0, 1, o), "S", "down") if s == 0 else
+                                      Rule((1, 0, o), "S", "start") if i == 0 else
+                                      Rule(read, "S", "halt"))
+        overrides[("down", read)] = Rule((i, 0, o), "R", "sweep")
+        overrides[("sweep", read)] = Rule((i, s, 1), "R", "sweep")
+    return total_program(3, overrides)
+
+
+def _check_explicit_against_stepping(p, res, budget, oracle=None):
+    """Each block's explicit snapshots equal a chain of `step` from its start,
+    read by iteration, every index, negative index and slice, and, on a
+    fresh run of the block, at -1 alone and then in full.  Returns the
+    chains' query log and the certificate kinds seen."""
+    log = []
+    kinds = set()
+    for blk in res.trace.blocks:
+        kinds.add(type(blk.certificate))
+        chain = [blk.start]
+        for _ in range(len(blk.explicit) - 1):
+            chain.append(step(chain[-1], p, oracle, log))
+        n = len(chain)
+        assert len(blk.explicit) == n and list(blk.explicit) == chain
+        assert [blk.explicit[k] for k in range(n)] == chain
+        assert [blk.explicit[k] for k in range(-n, 0)] == chain
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(-3, None),
+                    slice(None, None, 2), slice(n, None)):
+            assert blk.explicit[cut] == tuple(chain[cut])
+        fresh = run_block(blk.start, p, budget, oracle)
+        assert fresh.certificate == blk.certificate
+        assert fresh.explicit[-1] == chain[-1]
+        assert list(fresh.explicit) == chain
+        with pytest.raises(IndexError):
+            blk.explicit[n]
+        for k, snap in enumerate(chain):
+            assert snap.stage == cnf_add(blk.start.stage, from_int(k))
+    return log, kinds
+
+
+def test_explicit_snapshots_match_stepping_from_each_block_start():
+    kinds = set()
+    small = BudgetPolicy(3, 24, 64)
+    # six walking states cannot certify in four steps; a hard-set drifter
+    # runs out of a longer budget
+    for progs, budget in ((enumeration_slice(2000, 2, 3), small),
+                          ([looper(6)], BudgetPolicy(3, 4, 64)),
+                          ([parse_program(HARD_10825.read_text())],
+                           BudgetPolicy(3, 160, 64))):
+        for p in progs:
+            kinds |= _check_explicit_against_stepping(
+                p, run_transfinite(p, ZERO_REAL, budget), budget)[1]
+    assert kinds == {HaltAt, RepeatCert, TranslationCert, ExceededCert}
+    # start tapes with non-zero tails: the input, and limits at w, w^2, w^3
+    odd = parse_real("1(10)*")
+    for p in enumeration_slice(300, 2, 3):
+        _check_explicit_against_stepping(p, run_transfinite(p, odd, small), small)
+    p = omega_cubed_clocker()
+    for depth in (3, 4):
+        budget = BudgetPolicy(depth, 64, 64)
+        for input_real in (ZERO_REAL, odd):
+            res = run_transfinite(p, input_real, budget)
+            levels = {blk.start.stage.degree() for blk in res.trace.blocks}
+            assert levels == {-1, *range(1, depth)}
+            assert all(blk.start.tracks[2] == parse_real("0(1)*")
+                       for blk in res.trace.blocks[1:])
+            _check_explicit_against_stepping(p, res, budget)
+    # a read-only oracle track with a long prefix
+    oracle = RealOracle(Real(tuple(int(k * k % 11 < 5) for k in range(3000)),
+                             (1, 1, 0)))
+    for p in enumeration_slice(300, 0, 4):
+        res = run_programs([p], small, oracle)[0]
+        _check_explicit_against_stepping(p, res, small, oracle)
+
+
+def test_query_log_matches_stepping():
+    budget = BudgetPolicy(3, 64, 256)
+    one, one_one = from_support([0]), from_support([0, 1])
+    for members, answers in ((frozenset(), (False, False)),
+                             (frozenset({one}), (True, False)),
+                             (frozenset({one, one_one}), (True, True))):
+        oracle = SetOracle(members)
+        res, log = run_with_oracle(query_probe(), ZERO_REAL, oracle, budget)
+        stepped, _ = _check_explicit_against_stepping(query_probe(), res, budget,
+                                                      oracle)
+        assert list(log) == stepped
+        assert [(q.stage, q.real, q.answer) for q in log] == [
+            (from_int(1), one, answers[0]), (from_int(4), one_one, answers[1])]
+
+
+def test_run_block_builds_reals_and_ordinals_per_block_not_per_step(monkeypatch):
+    """A block builds Reals and Ordinals for its unions and limit only, so
+    their counts do not grow with the number of steps."""
+    p = parse_program(HARD_10825.read_text())
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(reals, "_canonical", counted("canonical", reals._canonical))
+    monkeypatch.setattr(reals, "_real", counted("real", reals._real))
+    monkeypatch.setattr(ordinal, "_ordinal", counted("ordinal", ordinal._ordinal))
+    monkeypatch.setattr(ordinal.Ordinal, "__post_init__",
+                        counted("ordinal", ordinal.Ordinal.__post_init__))
+    counts = []
+    for per_level in (1024, 4096):
+        calls.clear()
+        blk = run_block(initial_snapshot(p), p, BudgetPolicy(3, per_level, 256))
+        assert blk.certificate == ExceededCert(per_level)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert all(n <= 8 for n in counts[0].values())
 
 
 def test_level_two_block_budget_exhaustion_is_exceeded():
