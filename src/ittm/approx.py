@@ -19,7 +19,9 @@ first stage the log no longer covers.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .machine import Program
 from .ordinal import (Ordinal, OrderCode, ZERO as ZERO_ORD, OMEGA, cnf_add,
@@ -131,21 +133,26 @@ class Appearance:
 
 @dataclass
 class AppearanceLog:
-    records: list[Appearance]
+    records: list[Appearance]        # in stage order
     first_appearance: dict[Real, int]
     truncated: bool
     complete_below: Ordinal | None   # None: covers every stage it claims
     bound: int
     budget: BudgetPolicy
 
-    def segment(self, upto_stage: Ordinal) -> list[Real]:
-        """Distinct reals first appearing below upto_stage, in appearance
-        order; refuses when truncation may hide earlier appearances."""
+    def require_complete(self, upto_stage: Ordinal) -> None:
+        """Refuse when truncation may hide appearances below upto_stage."""
         if self.complete_below is not None and self.complete_below < upto_stage:
             raise TruncatedLog(
                 "appearance log complete below %s only, need %s"
                 % (self.complete_below.render(), upto_stage.render()))
-        return [rec.real for rec in self.records if rec.stage < upto_stage]
+
+    def segment(self, upto_stage: Ordinal) -> list[Real]:
+        """Distinct reals first appearing below upto_stage, in appearance
+        order; refuses when truncation may hide earlier appearances."""
+        self.require_complete(upto_stage)
+        end = bisect_left(self.records, upto_stage, key=attrgetter("stage"))
+        return [rec.real for rec in self.records[:end]]
 
 
 def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceLog:
@@ -181,12 +188,51 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
                          len(results), budget)
 
 
+class Diagonal:
+    """The diagonal of a list of distinct reals, kept as the list changes.
+
+    `position` maps each listed real to its index k, and bit k of `word` is
+    1 - (k-th real).bit(k), so the diagonal differs from every listed real.
+    Adding a real already listed changes nothing, and replacing a listed real
+    by an unlisted one in place moves at most one bit."""
+
+    __slots__ = ("position", "word")
+
+    def __init__(self, reals=()):
+        self.position: dict[Real, int] = {}
+        self.word = 0
+        for r in reals:
+            self.add(r)
+
+    def __contains__(self, r: Real) -> bool:
+        return r in self.position
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def add(self, r: Real) -> None:
+        """List r last, unless it is listed already."""
+        if r not in self.position:
+            k = self.position[r] = len(self.position)
+            self.word |= (1 - r.bit(k)) << k
+
+    def replace(self, old: Real, new: Real) -> None:
+        """List the unlisted real `new` at the index of `old`."""
+        assert new not in self.position
+        k = self.position[new] = self.position.pop(old)
+        self.word ^= (old.bit(k) ^ new.bit(k)) << k
+
+    def real(self) -> Real:
+        """The diagonal itself, with a zero tail."""
+        return ZERO_REAL.flipped(self.word)
+
+
 def diagonal_against(reals) -> Real:
-    """A real differing from the k-th listed real at bit k, zero tail."""
-    reals = list(reals)
-    bits = tuple(1 - r.bit(k) for k, r in enumerate(reals))
-    out = Real(bits, (0,))
-    assert all(out != r for r in reals)
+    """A real differing from the k-th distinct listed real at bit k, zero
+    tail."""
+    diagonal = Diagonal(reals)
+    out = diagonal.real()
+    assert out not in diagonal
     return out
 
 

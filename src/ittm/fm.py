@@ -15,15 +15,20 @@ waiting.
 Witnesses are diagonalized against the appearance log and every active
 preserved query set (plus current witnesses and set members, so witnesses
 stay pairwise distinct), and the construction refuses rather than guess
-when the appearance log is truncated below the stage it needs.
+when the appearance log is truncated below the stage it needs.  The avoid
+list and its diagonal are kept across assignments: a new witness takes the
+old one's slot and moves one bit of the diagonal, and the list is rebuilt
+only when the stage, the restraints or the members have changed, or when
+the old witness is also listed from another source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .approx import (AppearanceLog, TruncatedLog, approximate_jump,
-                     diagonal_against, universal_run)
+from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
+                     universal_run)
 from .machine import Program, extend_to_oracle_tracks
 from .oracle import SetOracle, replay_queries, run_programs, run_with_oracle
 from .ordinal import Ordinal, ZERO as ZERO_ORD, successor
@@ -84,6 +89,7 @@ class FMState:
     appearance_log: AppearanceLog | None = None
     flags: list[str] = field(default_factory=list)
     oracle_programs: list[Program] = field(default_factory=list)
+    avoid: AvoidList | None = field(default=None, repr=False, compare=False)
 
     def side_rows(self, side: str) -> dict[int, list[Real]]:
         return self.a_rows if side == "A" else self.b_rows
@@ -95,47 +101,109 @@ class FMState:
     def side_oracle(self, side: str) -> SetOracle:
         return SetOracle(frozenset(self.members(side)), self.trim_bits)
 
+    def member_count(self) -> int:
+        return (sum(map(len, self.a_rows.values()))
+                + sum(map(len, self.b_rows.values())))
+
     def log(self, kind: str, **fields):
         rec = {"type": kind, "stage": self.stage.render()}
         rec.update(fields)
         self.events.append(rec)
 
 
+_WITNESS = attrgetter("witness")
+
+
+@dataclass
+class AvoidList:
+    """The avoid list of `fresh_witness` as a Diagonal, with what it was
+    built from.  The list is dedup(segment ++ preserved sets by owner ++
+    witnesses in requirement order ++ members of A then B); the sets only
+    grow, so their member count tells whether they changed."""
+    stage: Ordinal
+    restraints: dict[int, Restraint]
+    member_count: int
+    witnesses: list[Real | None]   # each requirement's, in requirement order
+    pinned: set[Real]              # members, and witnesses listed before
+                                   # their own slot: their slots are not theirs
+    last_slot: int                 # whose witness is listed last: -1 none,
+                                   # len(witnesses) a member
+    diagonal: Diagonal
+
+    def is_current(self, state: FMState) -> bool:
+        return (self.stage == state.stage
+                and self.restraints == state.restraints
+                and self.member_count == state.member_count()
+                and self.witnesses == list(map(_WITNESS, state.requirements)))
+
+    def write(self, i: int, old: Real | None, new: Real) -> bool:
+        """Hand requirement i the unlisted witness `new` in place of `old`.
+        False when that would move later entries, so the list must be
+        rebuilt."""
+        if old is None:
+            if self.last_slot > i:
+                return False
+            self.diagonal.add(new)
+            self.last_slot = i
+        elif old in self.pinned:
+            return False
+        else:
+            self.diagonal.replace(old, new)
+        self.witnesses[i] = new
+        return True
+
+
 def _oracle_ready(p: Program) -> Program:
     return extend_to_oracle_tracks(p) if p.track_count == 3 else p
+
+
+def _build_avoid(state: FMState, upto: Ordinal) -> AvoidList:
+    """The avoid list of `fresh_witness`, from scratch."""
+    diagonal = Diagonal(state.appearance_log.segment(upto))
+    for owner in sorted(state.restraints):
+        for r in state.restraints[owner].preserved:
+            diagonal.add(r)
+    members = state.members("A") + state.members("B")
+    pinned = set(members)
+    witnesses = list(map(_WITNESS, state.requirements))
+    last_slot = -1
+    for i, w in enumerate(witnesses):
+        if w in diagonal:
+            pinned.add(w)
+        elif w is not None:
+            diagonal.add(w)
+            last_slot = i
+    listed = len(diagonal)
+    for r in members:
+        diagonal.add(r)
+    if len(diagonal) > listed:
+        last_slot = len(witnesses)
+    return AvoidList(state.stage, dict(state.restraints), state.member_count(),
+                     witnesses, pinned, last_slot, diagonal)
 
 
 def fresh_witness(state: FMState, req: Requirement) -> Real:
     """Diagonal real avoiding the current appearance segment, every active
     preserved query set, current witnesses and both sets' members."""
-    avoid: list[Real] = []
-    seen: set[Real] = set()
-    def push(r: Real):
-        if r not in seen:
-            seen.add(r)
-            avoid.append(r)
+    upto = successor(state.stage)
     try:
-        segment = state.appearance_log.segment(successor(state.stage))
+        state.appearance_log.require_complete(upto)
     except TruncatedLog as exc:
         raise ConstructionRefusal(str(exc))
-    for r in segment:
-        push(r)
-    for owner in sorted(state.restraints):
-        for r in state.restraints[owner].preserved:
-            push(r)
-    for other in state.requirements:
-        if other.witness is not None:
-            push(other.witness)
-    for side in ("A", "B"):
-        for r in state.members(side):
-            push(r)
-    out = diagonal_against(avoid)
-    assert out not in seen
+    avoid = state.avoid
+    if avoid is None or not avoid.is_current(state):
+        avoid = state.avoid = _build_avoid(state, upto)
+    out = avoid.diagonal.real()
+    assert out not in avoid.diagonal
     return out
 
 
 def _assign_witness(state: FMState, req: Requirement):
-    req.witness = fresh_witness(state, req)
+    witness = fresh_witness(state, req)
+    if state.avoid is not None and not state.avoid.write(req.priority,
+                                                         req.witness, witness):
+        state.avoid = None
+    req.witness = witness
     req.lineage.append((state.stage.render(), req.witness.render()))
     state.log("witness", requirement=req.label(), priority=req.priority,
               witness=req.witness.render())
@@ -340,15 +408,20 @@ def check_event_log(state: FMState) -> list[str]:
 
 def check_witness_hygiene(state: FMState) -> list[str]:
     """Every witness assignment was absent from the then-current appearance
-    segment and every then-active preserved set (replayed from the log)."""
+    segment, every then-active preserved set, every then-current witness and
+    both sets' then-current members (replayed from the log)."""
     from .ordinal import parse_ordinal
     problems = []
     active_preserved: dict[int, set[str]] = {}
+    witnesses: dict[str, str] = {}     # requirement label -> current witness
+    members: set[str] = set()
     for ev in state.events:
         if ev["type"] == "restraint":
             active_preserved[ev["priority"]] = set(ev["preserved"])
         elif ev["type"] == "injury":
             active_preserved.pop(ev["priority"], None)
+        elif ev["type"] == "addition":
+            members.add(ev["real"])
         elif ev["type"] == "witness":
             stage = parse_ordinal(ev["stage"])
             witness = ev["witness"]
@@ -361,4 +434,11 @@ def check_witness_hygiene(state: FMState) -> list[str]:
                 if witness in preserved:
                     problems.append("witness %s lies in preserved set of %d"
                                     % (witness, owner))
+            if witness in witnesses.values():
+                problems.append("witness %s is already a current witness at %s"
+                                % (witness, ev["stage"]))
+            if witness in members:
+                problems.append("witness %s is already a member at %s"
+                                % (witness, ev["stage"]))
+            witnesses[ev["requirement"]] = witness
     return problems

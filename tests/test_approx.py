@@ -5,7 +5,7 @@ import pytest
 from conftest import (looper, nonzero_halter, oracle_bit_halter,
                       total_program, zero_halter)
 
-from ittm.approx import (TruncatedLog, approximate_jump,
+from ittm.approx import (Diagonal, TruncatedLog, approximate_jump,
                          diagonal_against, diagonalize_appearances,
                          eventually_written, is_limit_of, iterated_matrix,
                          join_rows, materialized_ranks, stabilization_stage,
@@ -14,7 +14,7 @@ from ittm.machine import Rule, extend_to_oracle_tracks, p_flip, p_halt, p_sweep
 from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
                           encode_order, from_int, pair_index, parse_ordinal)
-from ittm.reals import ZERO as ZERO_REAL, from_support, parse_real
+from ittm.reals import ZERO as ZERO_REAL, Real, from_support, parse_real
 from ittm.runner import BudgetPolicy
 
 B = BudgetPolicy(3, 64, 256)
@@ -124,6 +124,46 @@ def test_diagonal_examples():
     assert diagonal_against([]) == ZERO_REAL
     out = diagonal_against([parse_real("0(0)*"), parse_real("1(0)*")])
     assert out == parse_real("11(0)*")
+
+
+def test_diagonal_keeps_the_rule_under_adds_and_replacements():
+    import random
+    rng = random.Random(7)
+    pool = [Real(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9))),
+                 tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 4))))
+            for _ in range(400)]
+    diagonal, model = Diagonal(), []
+    for _ in range(600):
+        r = rng.choice(pool)
+        if model and r not in model and rng.random() < 0.4:
+            k = rng.randrange(len(model))
+            diagonal.replace(model[k], r)
+            model[k] = r
+        else:
+            diagonal.add(r)
+            if r not in model:
+                model.append(r)
+        assert diagonal.position == {r: k for k, r in enumerate(model)}
+        out = diagonal.real()
+        assert out == Real(tuple(1 - r.bit(k) for k, r in enumerate(model)), (0,))
+        assert out not in model
+    assert diagonal_against(model + model[:5]) == diagonal.real()
+
+
+def test_segment_is_the_prefix_below_the_stage():
+    from ittm.oracle import enumeration_slice
+    budget = BudgetPolicy(3, 64, 384)
+    log = universal_run(run_programs(enumeration_slice(120, 0, 3), budget), budget)
+    stages = sorted({rec.stage for rec in log.records})
+    probes = [ZERO_ORD, from_int(1), OMEGA, parse_ordinal("w*2")]
+    probes += stages + [cnf_add(st, from_int(1)) for st in stages]
+    for upto in probes:
+        if log.complete_below is not None and log.complete_below < upto:
+            with pytest.raises(TruncatedLog):
+                log.segment(upto)
+            continue
+        assert log.segment(upto) == [rec.real for rec in log.records
+                                     if rec.stage < upto]
 
 
 def test_diagonalize_appearances_absent_from_segment():

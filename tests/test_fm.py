@@ -2,16 +2,17 @@ import pytest
 
 from conftest import looper, nonzero_halter, query_probe, zero_halter
 
+import ittm.fm as fm
 from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, ConstructionRefusal, FMState,
                      Requirement, Restraint, WAITING, check_attention,
                      check_event_log, check_witness_hygiene, fm_construct,
                      fresh_witness, receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
-from ittm.approx import universal_run
-from ittm.oracle import run_programs
-from ittm.ordinal import ZERO as ZERO_ORD, from_int
+from ittm.approx import TruncatedLog, diagonal_against, universal_run
+from ittm.oracle import enumeration_slice, run_programs
+from ittm.ordinal import ZERO as ZERO_ORD, from_int, successor
 from ittm.reals import ZERO as ZERO_REAL, parse_real
-from ittm.runner import BudgetPolicy
+from ittm.runner import DEFAULT_BUDGET, BudgetPolicy
 
 B = BudgetPolicy(3, 96, 1024)
 
@@ -195,3 +196,191 @@ def test_injury_bound_holds():
     for req in state.requirements:
         allowed = sum(n for pr, n in attentions.items() if pr < req.priority)
         assert len(req.injuries) <= allowed
+
+
+# --- the kept avoid list against the from-scratch rule ------------------------
+
+CRITERION_6_PROGS = [query_probe(), zero_halter(), nonzero_halter(1),
+                     nonzero_halter(2), nonzero_halter(3), looper(0), looper(2)]
+CRITERION_6_BUDGET = BudgetPolicy(3, 128, 2048)
+
+
+def reference_avoid(state):
+    """The avoid list built from scratch, as every witness once was."""
+    avoid, seen = [], set()
+    def push(r):
+        if r not in seen:
+            seen.add(r)
+            avoid.append(r)
+    for r in state.appearance_log.segment(successor(state.stage)):
+        push(r)
+    for owner in sorted(state.restraints):
+        for r in state.restraints[owner].preserved:
+            push(r)
+    for other in state.requirements:
+        if other.witness is not None:
+            push(other.witness)
+    for side in ("A", "B"):
+        for r in state.members(side):
+            push(r)
+    return avoid
+
+
+def reference_fresh_witness(state, req):
+    try:
+        return diagonal_against(reference_avoid(state))
+    except TruncatedLog as exc:
+        raise ConstructionRefusal(str(exc))
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts the full rebuilds of the avoid list."""
+    counts = {"witnesses": 0, "rebuilds": 0}
+    build = fm._build_avoid
+    def counted(state, upto):
+        counts["rebuilds"] += 1
+        return build(state, upto)
+    monkeypatch.setattr(fm, "_build_avoid", counted)
+    return counts
+
+
+@pytest.fixture
+def checked_witnesses(counts, monkeypatch):
+    """Every fresh_witness call is compared with the from-scratch rule on the
+    same state, and counted."""
+    kept = fm.fresh_witness
+    def checked(state, req):
+        try:
+            expected = reference_fresh_witness(state, req)
+        except ConstructionRefusal as exc:
+            with pytest.raises(ConstructionRefusal) as kept_exc:
+                kept(state, req)
+            assert str(kept_exc.value) == str(exc)
+            raise
+        out = kept(state, req)
+        assert out == expected
+        counts["witnesses"] += 1
+        return out
+    monkeypatch.setattr(fm, "fresh_witness", checked)
+    return counts
+
+
+def _count(state, kind):
+    return sum(ev["type"] == kind for ev in state.events)
+
+
+@pytest.mark.parametrize("programs, budget", [
+    (CRITERION_6_PROGS, CRITERION_6_BUDGET),
+    (INJURY_PROGS, B),
+], ids=["criterion-6", "organic-injury"])
+def test_kept_avoid_list_matches_rebuild_through_injuries(checked_witnesses,
+                                                          programs, budget):
+    state, report = fm_construct(programs, budget)
+    assert report is not None and report["flags"] == []
+    assert _count(state, "injury") >= 1
+    # the query probe certifies non-empty preserved sets, and the injured
+    # requirement's old witness is a member when it is handed a new one, so
+    # the rebuild fallback runs between attentions
+    assert any(e["preserved"] for e in state.events if e["type"] == "restraint")
+    assert checked_witnesses["rebuilds"] > 1 + _count(state, "attention")
+    assert checked_witnesses["witnesses"] == _count(state, "witness")
+    assert check_witness_hygiene(state) == []
+
+
+@pytest.mark.parametrize("states, bound", [(0, 4), (0, 16), (0, 48), (1, 40)])
+def test_kept_avoid_list_matches_rebuild_on_enumerations(checked_witnesses,
+                                                         states, bound):
+    state, report = fm_construct(enumeration_slice(bound, states, 3))
+    assert report is not None
+    assert checked_witnesses["witnesses"] == _count(state, "witness") > 0
+    assert check_witness_hygiene(state) == []
+
+
+def test_kept_avoid_list_refuses_as_the_rebuild_did(checked_witnesses,
+                                                    monkeypatch):
+    progs = enumeration_slice(64, 0, 3)
+    state, report = fm_construct(progs)
+    assert report is None
+    assert state.flags[-1].startswith("refused: appearance log complete below")
+    monkeypatch.setattr(fm, "fresh_witness", reference_fresh_witness)
+    ref_state, ref_report = fm_construct(progs)
+    assert ref_report is None
+    assert state.flags == ref_state.flags
+    assert state.events == ref_state.events
+
+
+def test_kept_avoid_list_when_a_witness_appears_later(checked_witnesses):
+    # R_0's first witness is 1(0)*, which p_halt writes at stage 1, so once
+    # the stage moves on that witness is listed twice: in the segment and in
+    # its own slot, and replacing it must rebuild the list
+    state = empty_state([p_halt(), zero_halter(), p_flip()])
+    for req in state.requirements:
+        fm._assign_witness(state, req)
+    r0 = state.requirements[0]
+    assert r0.witness == parse_real("1(0)*")
+    assert r0.witness not in state.appearance_log.segment(from_int(1))
+    state.stage = from_int(3)
+    assert r0.witness in state.appearance_log.segment(from_int(4))
+    rebuilds = checked_witnesses["rebuilds"]
+    for req in state.requirements:
+        fm._assign_witness(state, req)
+    assert checked_witnesses["rebuilds"] == rebuilds + 2
+    assert checked_witnesses["witnesses"] == 2 * len(state.requirements)
+    assert check_witness_hygiene(state) == []
+
+
+def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
+    state = empty_state([zero_halter(), p_halt(), p_flip()])
+    # assigned last to first, every first witness but one lands before
+    # entries already listed
+    for req in reversed(state.requirements):
+        fm._assign_witness(state, req)
+    reqs = state.requirements
+    fm._assign_witness(state, reqs[5])
+    state.restraints[1] = Restraint(1, "A", ZERO_ORD,
+                                    (parse_real("(01)*"), reqs[3].witness), ())
+    fm._assign_witness(state, reqs[2])
+    state.side_rows("B").setdefault(0, []).append(parse_real("0101(1)*"))
+    fm._assign_witness(state, reqs[4])
+    # a witness that is also a member does not own its slot
+    state.side_rows("A").setdefault(1, []).append(reqs[2].witness)
+    fm._assign_witness(state, reqs[2])
+    fm._assign_witness(state, reqs[5])
+    reqs[0].witness = parse_real("11(0)*")
+    fm._assign_witness(state, reqs[4])
+    # nor does S_1's, which is also in the preserved set
+    fm._assign_witness(state, reqs[3])
+    fm._assign_witness(state, reqs[1])
+    assert checked_witnesses["witnesses"] == 14
+    assert checked_witnesses["rebuilds"] == 12
+    # a member listed after every witness slot
+    state = empty_state([zero_halter(), p_halt()])
+    state.side_rows("A")[0] = [parse_real("1(0)*")]
+    for req in state.requirements:
+        fm._assign_witness(state, req)
+    assert checked_witnesses["rebuilds"] == 16
+
+
+def test_avoid_list_rebuilds_only_per_attention(counts):
+    # fm --states 0 --bound 48: one build for the first assignments, then at
+    # most one per attention, where every witness once rebuilt the list
+    state, _report = fm_construct(enumeration_slice(48, 0, 3), DEFAULT_BUDGET)
+    assert _count(state, "witness") == 3528
+    assert counts["rebuilds"] <= 1 + _count(state, "attention") == 49
+
+
+def test_witness_hygiene_replays_distinctness():
+    state, _report = fm_construct(INJURY_PROGS, B)
+    assert check_witness_hygiene(state) == []
+    last = state.events[-1]["stage"]
+    member = next(e["real"] for e in state.events if e["type"] == "addition")
+    current = {e["requirement"]: e["witness"]
+               for e in state.events if e["type"] == "witness"}
+    state.events.append({"type": "witness", "stage": last, "requirement": "R_3",
+                         "priority": 6, "witness": member})
+    state.events.append({"type": "witness", "stage": last, "requirement": "S_3",
+                         "priority": 7, "witness": current["R_1"]})
+    problems = check_witness_hygiene(state)
+    assert any("already a member" in p for p in problems)
+    assert any("already a current witness" in p for p in problems)
