@@ -232,7 +232,8 @@ def diagonal_against(reals) -> Real:
     tail."""
     diagonal = Diagonal(reals)
     out = diagonal.real()
-    assert out not in diagonal
+    if out in diagonal:   # raised, not asserted, so `python -O` keeps it
+        raise AssertionError("the diagonal equals a listed real")
     return out
 
 
@@ -240,7 +241,8 @@ def diagonalize_appearances(log: AppearanceLog, upto_stage: Ordinal) -> Real:
     """A real provably absent from every tape below upto_stage."""
     seg = log.segment(upto_stage)
     out = diagonal_against(seg)
-    assert out not in set(seg)
+    if out in set(seg):
+        raise AssertionError("the diagonal appears below the stage")
     return out
 
 

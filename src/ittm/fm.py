@@ -194,7 +194,8 @@ def fresh_witness(state: FMState, req: Requirement) -> Real:
     if avoid is None or not avoid.is_current(state):
         avoid = state.avoid = _build_avoid(state, upto)
     out = avoid.diagonal.real()
-    assert out not in avoid.diagonal
+    if out in avoid.diagonal:   # raised, not asserted, so `python -O` keeps it
+        raise AssertionError("the witness equals a real it must avoid")
     return out
 
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 MOVES = ("L", "R", "S")
 
+# every read vector of a table, by track count
+READ_VECTORS = {n: tuple(itertools.product((0, 1), repeat=n)) for n in (3, 4)}
+
 TRACK_NAMES = ("input", "scratch", "output", "oracle")
 
 
@@ -83,25 +86,6 @@ class Program:
             seen.setdefault(rule.next_state, None)
         return list(seen)
 
-    def work_states(self) -> list[str]:
-        special = {self.start_state, self.limit_state, self.halt_state,
-                   self.query_state, self.yes_state, self.no_state}
-        return sorted(s for s in self.states() if s not in special)
-
-    def rule_states(self) -> list[str]:
-        """States that must carry a total rule set, in canonical order."""
-        out = []
-        for s in [self.start_state, self.limit_state] + self.work_states():
-            if s not in out and s != self.halt_state and s != self.query_state:
-                out.append(s)
-        for s in (self.yes_state, self.no_state):
-            if s is not None and s not in out and s != self.halt_state:
-                out.append(s)
-        return out
-
-    def read_vectors(self):
-        return itertools.product((0, 1), repeat=self.track_count)
-
     def __eq__(self, other):
         return isinstance(other, Program) and render_program(self) == render_program(other)
 
@@ -134,12 +118,23 @@ def render_program(p: Program) -> str:
     if p.no_state is not None:
         lines.append("no: %s" % p.no_state)
     key = _state_sort_key(p)
-    for (state, read), rule in sorted(
-            p.rules.items(), key=lambda kv: (key(kv[0][0]), kv[0][1])):
-        lines.append("%s %s -> %s %s %s" % (
-            state, "".join(map(str, read)),
-            rule.next_state, "".join(map(str, rule.write)), rule.move))
+    text = _VECTOR_TEXT
+    lines += ["%s %s -> %s %s %s" % (state, text[read], rule.next_state,
+                                     text[rule.write], rule.move)
+              for (state, read), rule in sorted(
+                  p.rules.items(), key=lambda kv: (key(kv[0][0]), kv[0][1]))]
     return "\n".join(lines) + "\n"
+
+
+class _VectorText(dict):
+    """Vector -> its text as a rule writes it; 0/1 vectors are made once."""
+
+    def __missing__(self, vector):
+        return "".join(map(str, vector))
+
+
+_VECTOR_TEXT = _VectorText((v, "".join(map(str, v)))
+                           for reads in READ_VECTORS.values() for v in reads)
 
 
 def parse_program(text: str) -> Program:
@@ -221,7 +216,10 @@ def validate(p: Program):
     protocol = [p.query_state, p.yes_state, p.no_state]
     if any(s is not None for s in protocol) and any(s is None for s in protocol):
         problems.append("query protocol incomplete: query/yes/no states must all be present or all absent")
+    named = set()   # every state a rule leaves from or goes to
     for (state, read), rule in p.rules.items():
+        named.add(state)
+        named.add(rule.next_state)
         if state == p.halt_state:
             problems.append("halt state %r has outgoing rule" % state)
         if state == p.query_state:
@@ -230,15 +228,25 @@ def validate(p: Program):
             problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
         if rule.move not in MOVES:
             problems.append("rule %s/%s has bad move %r" % (state, "".join(map(str, read)), rule.move))
-    rule_states = p.rule_states()
+    # the states that must carry a total rule set, in canonical order
+    special = {p.start_state, p.limit_state, p.halt_state,
+               p.query_state, p.yes_state, p.no_state}
+    rule_states = []
+    for s in [p.start_state, p.limit_state] + sorted(named - special):
+        if s not in rule_states and s != p.halt_state and s != p.query_state:
+            rule_states.append(s)
+    for s in (p.yes_state, p.no_state):
+        if s is not None and s not in rule_states and s != p.halt_state:
+            rule_states.append(s)
     # every state of a table either carries rules or is halt or query
     for state in rule_states + [p.halt_state, p.query_state]:
         if state is not None and not _is_token(state):
             problems.append("state name %r is not one token free of whitespace, "
                             "'#' and '->'" % (state,))
+    rules, reads = p.rules, READ_VECTORS[p.track_count]
     for state in rule_states:
-        for read in p.read_vectors():
-            if (state, read) not in p.rules:
+        for read in reads:
+            if (state, read) not in rules:
                 problems.append((state, read))
     return problems
 

@@ -93,10 +93,18 @@ ONE = Ordinal(((0, 1),))
 OMEGA = Ordinal(((1, 1),))
 
 
+# The finite ordinals below 256 are made once and shared, so a short run's
+# halting time and its stages are table entries, not new objects that every
+# full garbage collection walks again.
+_SMALL = [ZERO, ONE] + [_ordinal(((0, n),)) for n in range(2, 256)]
+
+
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are nonnegative")
-    return _ordinal(((0, n),)) if n else ZERO
+    if n < len(_SMALL):
+        return _SMALL[n]
+    return _ordinal(((0, n),))
 
 
 def omega_power(e: int, c: int = 1) -> Ordinal:

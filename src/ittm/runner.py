@@ -35,6 +35,17 @@ handed up through one frame per level in progress (origin, sub-block start
 keys, ever-one sets) until some level sees no recurrence yet, and the next
 block starts from the last limit.
 
+A finished run keeps only what its result needs, because callers keep many
+results (a survey, a jump, the universal dovetailer) and each full cyclic
+garbage collection walks every container still alive.  A halt's time is the
+block start's stage plus its step count and its output is one track of the
+last row, so the last snapshot is never built unless read; the output is the
+block's ever-one `Real` itself when the two are equal.  Small finite stages,
+`HaltAt` certificates and oracle-free start snapshots are shared, so a
+one-step halt keeps nine tracked objects: the result, its trace, the blocks
+and limits lists, the block summary, its ever-one tuple, one `Real`, and the
+`Snapshots` with its rows list.
+
 A run diverges provably when a limit snapshot recurs in the strong sense: an
 identical earlier limit snapshot such that no cell that is 0 in it was 1 at
 any stage in between.  Such a run repeats that whole span of stages forever,
@@ -45,6 +56,7 @@ sets that cell and the computation escapes with a genuinely new snapshot.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -122,6 +134,13 @@ class HaltAt:
     steps: int
 
 
+_HALTS = [HaltAt(n) for n in range(256)]   # shared, like ordinal.from_int's
+
+
+def _halt_at(steps: int) -> HaltAt:
+    return _HALTS[steps] if steps < len(_HALTS) else HaltAt(steps)
+
+
 @dataclass(frozen=True)
 class ExceededCert:
     steps: int
@@ -133,7 +152,7 @@ class BlockSummary:
     certificate: object
     ever_one: tuple[Real, ...]
     limit: Snapshot | None
-    explicit: Sequence[Snapshot]   # a Snapshots, or (start,) for a halted start
+    explicit: Snapshots
 
 
 @dataclass(frozen=True)
@@ -168,9 +187,9 @@ class RunResult:
     reason: str | None = None    # exceeded: "budget" | "ordinal-overflow"
 
     def __post_init__(self):
-        if self.outcome == "halted":
-            assert self.time is not None and not self.time.is_limit(), \
-                "halting times are never limit ordinals"
+        # raised, not asserted, so that `python -O` keeps the check
+        if self.outcome == "halted" and (self.time is None or self.time.is_limit()):
+            raise AssertionError("halting times are never limit ordinals")
 
     @property
     def halted(self):
@@ -182,12 +201,21 @@ def _oracle_kind(oracle):
 
 
 def initial_snapshot(p: Program, input_real: Real = ZERO_REAL, oracle=None) -> Snapshot:
+    if oracle is None:
+        return _start_snapshot(p.start_state, p.track_count, input_real)
     tracks = [input_real] + [ZERO_REAL] * (p.track_count - 1)
     if _oracle_kind(oracle) == "real":
         if p.track_count != 4:
             raise OracleProtocolError("real oracle needs a 4-track program")
         tracks[3] = oracle.real
     return Snapshot(p.start_state, 0, tuple(tracks), ZERO_ORD)
+
+
+@functools.lru_cache(maxsize=64)
+def _start_snapshot(state: str, track_count: int, input_real: Real) -> Snapshot:
+    """The oracle-free start, shared by every run that has it."""
+    return Snapshot(state, 0, (input_real,) + (ZERO_REAL,) * (track_count - 1),
+                    ZERO_ORD)
 
 
 def _step(s: Snapshot, p: Program, oracle=None, query_log=None):
@@ -258,6 +286,13 @@ class Snapshots(Sequence):
     def __iter__(self):
         return iter(self._all())
 
+    def track(self, k: int, t: int) -> Real:
+        """Track t of snapshot k, without building the snapshot."""
+        item = self._items[k]
+        if type(item) is tuple:
+            return self._items[0].tracks[t].flipped(item[2 + t])
+        return item.tracks[t]
+
     def _all(self) -> list:
         items, prev, prev_row = self._items, None, None
         for k, item in enumerate(items):
@@ -283,7 +318,8 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
     if start.state == p.halt_state:
-        return BlockSummary(start, HaltAt(0), start.tracks, None, (start,))
+        return BlockSummary(start, _halt_at(0), start.tracks, None,
+                            Snapshots(start, [start]))
     kind = _oracle_kind(oracle)
     tracks = start.tracks
     writable = range(3 if kind == "real" else len(tracks))  # oracle track is read-only
@@ -359,7 +395,7 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         row = (state, head, *delta)
         rows.append(row)
         if state == halt_state:
-            return summary(HaltAt(i), union(0))
+            return summary(_halt_at(i), union(0))
         mu = seen.setdefault(row, i)
         if mu != i:
             return summary(RepeatCert(mu, i - mu), union(0), union(mu))
@@ -451,9 +487,12 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
             trace.blocks.append(summary)
             cert = summary.certificate
             if isinstance(cert, HaltAt):
-                final = summary.explicit[-1]
-                return RunResult("halted", trace, time=final.stage,
-                                 output=final.tracks[2])
+                # the last row's stage and output track, without building
+                # its snapshot; the output shares the ever-one Real if equal
+                ever, out = summary.ever_one[2], summary.explicit.track(-1, 2)
+                return RunResult("halted", trace,
+                                 time=cnf_add(cur.stage, from_int(cert.steps)),
+                                 output=ever if out == ever else out)
             if isinstance(cert, ExceededCert):
                 return RunResult("exceeded", trace, reason="budget")
             lim, ever, level, origin = summary.limit, summary.ever_one, 1, cur

@@ -152,3 +152,90 @@ def test_comments_and_blank_lines_ignored():
     noisy = "# header comment\n\n" + text.replace(
         "start: start", "start: start  # the initial state")
     assert parse_program(noisy) == p_halt()
+
+
+def _two_pass_problems(p):
+    """`validate` as it was written before its one-pass form: the per-rule
+    checks, then the rule states from a second walk over every state, with
+    the read vectors made afresh for each state."""
+    problems = []
+    if p.limit_state == p.halt_state:
+        problems.append("limit state must be distinct from halt state")
+    protocol = [p.query_state, p.yes_state, p.no_state]
+    if any(s is not None for s in protocol) and any(s is None for s in protocol):
+        problems.append("query protocol incomplete: query/yes/no states must "
+                        "all be present or all absent")
+    for (state, read), rule in p.rules.items():
+        vec = "".join(map(str, read))
+        if state == p.halt_state:
+            problems.append("halt state %r has outgoing rule" % state)
+        if state == p.query_state:
+            problems.append("query state %r has outgoing rule (answers are "
+                            "oracle-driven)" % state)
+        if len(read) != p.track_count or len(rule.write) != p.track_count:
+            problems.append("rule %s/%s has wrong vector width" % (state, vec))
+        if rule.move not in ("L", "R", "S"):
+            problems.append("rule %s/%s has bad move %r" % (state, vec, rule.move))
+    states = [p.start_state, p.limit_state, p.halt_state] + [
+        s for s in (p.query_state, p.yes_state, p.no_state) if s is not None]
+    states += [st for st, _ in p.rules] + [r.next_state for r in p.rules.values()]
+    special = {p.start_state, p.limit_state, p.halt_state,
+               p.query_state, p.yes_state, p.no_state}
+    rule_states = []
+    for s in ([p.start_state, p.limit_state]
+              + sorted({s for s in states if s not in special})):
+        if s not in rule_states and s not in (p.halt_state, p.query_state):
+            rule_states.append(s)
+    for s in (p.yes_state, p.no_state):
+        if s is not None and s not in rule_states and s != p.halt_state:
+            rule_states.append(s)
+    for state in rule_states + [p.halt_state, p.query_state]:
+        if state is not None and not (state.split() == [state] and "#" not in state
+                                      and "->" not in state):
+            problems.append("state name %r is not one token free of whitespace, "
+                            "'#' and '->'" % (state,))
+    for state in rule_states:
+        for read in itertools.product((0, 1), repeat=p.track_count):
+            if (state, read) not in p.rules:
+                problems.append((state, read))
+    return problems
+
+
+def test_validate_reports_what_a_two_pass_check_reports_in_its_order():
+    from types import SimpleNamespace
+    from ittm.oracle import enumeration_slice
+    tables = []
+    for p in enumeration_slice(400, 2, 3) + enumeration_slice(100, 1, 4):
+        fields = dict(track_count=p.track_count, start_state="start",
+                      limit_state="limit", halt_state="halt", query_state=None,
+                      yes_state=None, no_state=None)
+        tables.append(dict(fields, rules=dict(p.rules)))
+        keys = sorted(p.rules)
+        # drop slots, add a halt rule, a bad move, a wrong width and odd
+        # names, mixed together
+        broken = {k: r for i, (k, r) in enumerate(sorted(p.rules.items()))
+                  if i % 3}
+        broken[("halt", keys[0][1])] = Rule((0,) * p.track_count, "X", "q x")
+        broken[("w#1", (0, 1))] = Rule((1,), "S", "limit")
+        tables.append(dict(fields, rules=broken))
+        tables.append(dict(fields, rules=broken, limit_state="halt",
+                           query_state="start", yes_state="y"))
+    for table in tables:
+        p = SimpleNamespace(**table)
+        assert validate(p) == _two_pass_problems(p)
+    assert any(len(_two_pass_problems(SimpleNamespace(**t))) > 20 for t in tables)
+
+
+def test_render_program_text_is_unchanged():
+    """Rule lines as joined digits, sorted by state class, name and read."""
+    from ittm.oracle import enumeration_slice
+    for p in enumeration_slice(500, 2, 3) + enumeration_slice(100, 1, 4) + [
+            p_flip(), p_sweep()]:
+        lines = render_program(p).splitlines()
+        order = {p.start_state: 0, p.limit_state: 1}
+        want = ["%s %s -> %s %s %s" % (st, "".join(map(str, read)), r.next_state,
+                                       "".join(map(str, r.write)), r.move)
+                for (st, read), r in sorted(
+                    p.rules.items(),
+                    key=lambda kv: (order.get(kv[0][0], 2), kv[0][0], kv[0][1]))]
+        assert lines[4:] == want

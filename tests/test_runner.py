@@ -1,5 +1,8 @@
 import collections
+import gc
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from conftest import looper, query_probe, total_program, zero_halter
 
 from ittm import ordinal, reals
-from ittm.machine import Rule, p_flip, p_flip_lh, p_halt, p_sweep, parse_program
+from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
+                          parse_program)
 from ittm.ordinal import OMEGA, cnf_add, from_int, parse_ordinal
 from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
                          run_with_oracle)
@@ -294,6 +298,107 @@ def test_run_transfinite_micro_facts():
     r = run_transfinite(p_flip(), ZERO_REAL, B)
     assert r.outcome == "loops"
     assert r.loop.first == OMEGA and r.loop.second == parse_ordinal("w*2")
+
+
+def _check_halt_against_last_snapshot(res):
+    """A halt's time and output are read off the last row of its last block
+    without building that snapshot; they must be the snapshot's stage and
+    output track, and the block's ever-one the fold over all its snapshots."""
+    assert res.outcome == "halted"
+    last = res.trace.blocks[-1]
+    assert isinstance(last.certificate, HaltAt)
+    assert len(last.explicit) == last.certificate.steps + 1
+    final = last.explicit[-1]
+    assert res.time == final.stage and res.output == final.tracks[2]
+    assert last.ever_one == _fold(last.explicit)
+
+
+def test_halting_time_and_output_are_the_last_snapshot():
+    budget = BudgetPolicy(3, 256, 256)
+    halted = 0
+    for p in enumeration_slice(5000, 2, 3):
+        res = run_transfinite(p, ZERO_REAL, budget)
+        if res.outcome == "halted":
+            _check_halt_against_last_snapshot(res)
+            halted += 1
+    assert halted > 4900
+    odd = parse_real("1(10)*")
+    for p in enumeration_slice(300, 2, 3):
+        res = run_transfinite(p, odd, budget)
+        if res.outcome == "halted":
+            _check_halt_against_last_snapshot(res)
+    # a start state that is the halt state halts at the block start
+    halt_first = Program(3, "halt", "limit", "halt", {
+        ("limit", r): Rule(r, "S", "halt")
+        for r in itertools.product((0, 1), repeat=3)})
+    res = run_transfinite(halt_first, odd, budget)
+    assert res.trace.blocks[-1].certificate == HaltAt(0)
+    assert res.time == from_int(0) and res.output == ZERO_REAL
+    _check_halt_against_last_snapshot(res)
+    # halts one step after a limit of level 1, 2 and 3
+    for p, depth, input_real, time in (
+            (p_flip_lh(), 3, ZERO_REAL, "w*1+1"),
+            (omega_squared_clocker(), 3, ZERO_REAL, "w^2*1+1"),
+            (omega_cubed_clocker(), 4, ZERO_REAL, "w^3*1+1"),
+            (omega_cubed_clocker(), 4, odd, "w^3*1+1")):
+        res = run_transfinite(p, input_real, BudgetPolicy(depth, 64, 64))
+        assert res.time == parse_ordinal(time)
+        _check_halt_against_last_snapshot(res)
+    # a read-only oracle track
+    oracle = RealOracle(Real(tuple(int(k * k % 7 < 3) for k in range(200)),
+                             (1, 0, 0)))
+    progs = enumeration_slice(300, 0, 4)
+    results = run_programs(progs, budget, oracle)
+    assert sum(res.outcome == "halted" for res in results) > 250
+    for res in results:
+        if res.outcome == "halted":
+            _check_halt_against_last_snapshot(res)
+
+
+def test_a_kept_one_step_halt_holds_at_most_nine_tracked_objects():
+    """Every full garbage collection walks every tracked object still alive,
+    so a kept result holds only what it needs: the result, its trace, the
+    blocks and limits lists, the block summary, its ever-one tuple, one Real
+    for the output (the ever-one's own) and the lazy snapshots with their
+    rows.  Its time, certificate and start snapshot are shared."""
+    p = p_halt()
+    run_transfinite(p, ZERO_REAL, B)
+    gc.collect()
+    before = gc.get_objects()   # holds them, so no new object reuses an id
+    seen = set(map(id, before))
+    res = run_transfinite(p, ZERO_REAL, B)
+    gc.collect()
+    after = gc.get_objects()
+    kept = [obj for obj in after
+            if id(obj) not in seen and obj is not before and obj is not seen]
+    assert len(kept) <= 9, [repr(obj)[:60] for obj in kept]
+    assert res.output is res.trace.blocks[0].ever_one[2]
+
+
+def test_soundness_checks_survive_python_O():
+    """The checks are raised, not asserted, so `python -O` keeps them."""
+    script = "\n".join([
+        "from ittm import approx",
+        "from ittm.ordinal import OMEGA",
+        "from ittm.reals import ZERO",
+        "from ittm.runner import RunResult, RunTrace",
+        "assert False, 'asserts are on'",
+        "try:",
+        "    RunResult('halted', RunTrace(), time=OMEGA, output=ZERO)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+        "approx.Diagonal.real = lambda self: ZERO",
+        "try:",
+        "    approx.diagonal_against([ZERO])",
+        "except AssertionError as exc:",
+        "    print(exc)"])
+    src = str(Path(ordinal.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={"PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["halting times are never limit ordinals",
+                                        "the diagonal equals a listed real"]
 
 
 def test_clockable_time_examples():
