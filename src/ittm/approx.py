@@ -218,7 +218,8 @@ class Diagonal:
 
     def replace(self, old: Real, new: Real) -> None:
         """List the unlisted real `new` at the index of `old`."""
-        assert new not in self.position
+        if new in self.position:   # raised, not asserted, so `python -O` keeps it
+            raise AssertionError("the replacement is listed already")
         k = self.position[new] = self.position.pop(old)
         self.word ^= (old.bit(k) ^ new.bit(k)) << k
 
@@ -430,7 +431,7 @@ def approximate_jump(results: list[RunResult], budget: BudgetPolicy
 class ErasureEntry:
     stage: Ordinal
     rank: Ordinal
-    cause: str          # "lower-row-change" | "limit-of-erasures"
+    cause: str          # always "lower-row-change"
 
 
 @dataclass(frozen=True)
@@ -466,18 +467,6 @@ class JumpMatrix:
         return pairs
 
 
-def is_limit_of(stages, sigma: Ordinal) -> bool:
-    """Whether sigma is a limit of the given stage set (sup of the part
-    strictly below equals sigma).  A finite set strictly below sigma has a
-    maximum below sigma, so at desk scale this holds only vacuously."""
-    if not sigma.is_limit():
-        return False
-    below = [s for s in stages if s < sigma]
-    if not below:
-        return False
-    return max(below) == sigma
-
-
 def materialized_ranks(alpha: Ordinal, cap: int) -> tuple[list[Ordinal], bool]:
     """Ascending ranks below alpha the desk construction materializes:
     each omega-run of successors is cut at `cap`.  Second result says
@@ -499,6 +488,22 @@ def materialized_ranks(alpha: Ordinal, cap: int) -> tuple[list[Ordinal], bool]:
     if base < alpha:
         partial = True
     return ranks, partial
+
+
+# Bits a limit row may span.  A limit row pair-codes every row below it, the
+# lower limit rows too, so widths compound up the order (row w*4 of w*5 would
+# span about 75 million bits); a wider join stops the replay.
+LIMIT_ROW_CAP = 1 << 24
+
+
+def join_size(rows: dict[Ordinal, Real], lam: Ordinal) -> int:
+    """Bits `join_rows(rows, lam)` spans, computed without building it."""
+    size = 0
+    for beta, row in rows.items():
+        bound = row.support_bound()
+        if beta < lam and bound:
+            size = max(size, pair_index(element_of(beta), bound - 1) + 1)
+    return size
 
 
 def join_rows(rows: dict[Ordinal, Real], lam: Ordinal) -> Real:
@@ -525,7 +530,9 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     All rows run simultaneously against the current approximation below
     them; a new halt in row r updates that row at its exact stage and erases
     every materialized row above r, whose approximations restart against the
-    updated lower rows.  Event ties break by (stage, rank, program).
+    updated lower rows.  Event ties break by (stage, rank, program).  A limit
+    row wider than LIMIT_ROW_CAP bits stops the replay, and the matrix keeps
+    only the ranks below it.
     """
     progs = list(programs)
     alpha = y.ordinal
@@ -534,7 +541,6 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     rows: dict[Ordinal, Real] = {r: ZERO_REAL for r in ranks}
     change_log: list[ChangeEntry] = []
     erasure_log: list[ErasureEntry] = []
-    erased: dict[Ordinal, list[Ordinal]] = {r: [] for r in ranks}  # stages, per rank
     stabilization: dict[Ordinal, Ordinal] = {r: ZERO_ORD for r in ranks}
 
     jump_cache: dict[Real, tuple[tuple[Ordinal, int], ...]] = {}
@@ -545,30 +551,16 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
             jump_cache[oracle_real] = stream.events
         return jump_cache[oracle_real]
 
-    def pred(rank: Ordinal) -> Ordinal | None:
-        if not rank.is_successor():
-            return None
-        terms = list(rank.terms)
-        e, c = terms[-1]
-        terms[-1] = (e, c - 1)
-        if terms[-1][1] == 0:
-            terms.pop()
-        return Ordinal(tuple(terms))
-
+    # the successor ranks run on from 0 or a limit, so a successor rank's
+    # predecessor is the rank listed before it
     runs: dict[Ordinal, dict] = {}
-    def restart(rank: Ordinal, stage: Ordinal):
-        below = pred(rank)
-        runs[rank] = {"start": stage, "events": jump_events(rows[below]), "idx": 0}
+    def restart(i: int, stage: Ordinal):
+        runs[ranks[i]] = {"start": stage, "events": jump_events(rows[ranks[i - 1]]),
+                          "idx": 0}
 
-    def refresh_limits():
-        for r in ranks:
-            if r.is_limit():
-                rows[r] = join_rows(rows, r)
-
-    for r in ranks:
+    for i, r in enumerate(ranks):
         if r.is_successor():
-            restart(r, ZERO_ORD)
-    refresh_limits()
+            restart(i, ZERO_ORD)
 
     processed = 0
     while processed < budget.per_level_budget:
@@ -587,50 +579,49 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
         rows[rank] = rows[rank].with_bit(pid, 1)
         change_log.append(ChangeEntry(stage, rank, pid))
         stabilization[rank] = stage
-        above = [q for q in ranks if rank < q]
-        for q in above:
-            rows[q] = ZERO_REAL
+        # erase upwards: each limit row joins only rows below it, which are
+        # final by the time it is reached; limit rows below rank keep theirs
+        cut = None
+        for i in range(ranks.index(rank) + 1, len(ranks)):
+            q = ranks[i]
+            if q.is_limit():
+                if join_size(rows, q) > LIMIT_ROW_CAP:
+                    cut = i
+                    break
+                rows[q] = join_rows(rows, q)
+            else:
+                rows[q] = ZERO_REAL
+                restart(i, stage)
             erasure_log.append(ErasureEntry(stage, q, "lower-row-change"))
             stabilization[q] = stage
-        refresh_limits()
-        for q in above:
-            if q.is_successor():
-                restart(q, stage)
-            # second erasure rule: a row is also erased at any stage that
-            # is a limit of its previous erasure stages; finitely many desk
-            # events never produce such a limit, but check anyway
-            if is_limit_of(erased[q], stage):
-                erasure_log.append(ErasureEntry(stage, q, "limit-of-erasures"))
-                erased[q].append(stage)
-            erased[q].append(stage)
+        if cut is not None:
+            reasons.append("limit-row-too-large")
+            del ranks[cut:]
+            break
         processed += 1
     else:
         reasons.append("event-budget")
 
-    refresh_limits()
-    return JumpMatrix(y, tuple(ranks), rows, tuple(change_log),
-                      tuple(erasure_log), stabilization,
+    return JumpMatrix(y, tuple(ranks), {r: rows[r] for r in ranks},
+                      tuple(change_log), tuple(erasure_log),
+                      {r: stabilization[r] for r in ranks},
                       bool(reasons), tuple(reasons), len(progs), budget)
 
 
 def validate_erasures(matrix: JumpMatrix) -> list[str]:
-    """Justify every erasure entry from the logs alone, per the two rules."""
+    """Justify every erasure entry from the logs alone: a row is erased only
+    at a stage where a lower row changes.  The other rule, erasure at a limit
+    of earlier erasures, never fires: a finite erasure log has a maximum
+    below any stage."""
     problems = []
     lowest = {}    # change stage -> lowest rank changed at it
     for ch in matrix.change_log:
         if ch.stage not in lowest or ch.rank < lowest[ch.stage]:
             lowest[ch.stage] = ch.rank
-    past = {}      # rank -> stages of the erasures so far at that rank
     for k, entry in enumerate(matrix.erasure_log):
-        if entry.cause == "lower-row-change":
-            if not (entry.stage in lowest and lowest[entry.stage] < entry.rank):
-                problems.append("erasure %d at %s lacks a same-stage lower-row change"
-                                % (k, entry.stage.render()))
-        elif entry.cause == "limit-of-erasures":
-            if not is_limit_of(past.get(entry.rank, ()), entry.stage):
-                problems.append("erasure %d at %s is not a limit of prior erasures"
-                                % (k, entry.stage.render()))
-        else:
+        if entry.cause != "lower-row-change":
             problems.append("erasure %d has unknown cause %r" % (k, entry.cause))
-        past.setdefault(entry.rank, []).append(entry.stage)
+        elif not (entry.stage in lowest and lowest[entry.stage] < entry.rank):
+            problems.append("erasure %d at %s lacks a same-stage lower-row change"
+                            % (k, entry.stage.render()))
     return problems

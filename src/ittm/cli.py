@@ -42,6 +42,14 @@ def _write_text(path: str, text: str):
         raise UsageError("cannot write output: %s" % exc)
 
 
+def _emit(path: str | None, text: str):
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _budget(args) -> BudgetPolicy:
     default = 4096
     env = os.environ.get("ITTM_DEFAULT_BUDGET")
@@ -110,6 +118,21 @@ def _result_line(res) -> str:
     return "EXCEEDED reason=%s" % res.reason
 
 
+def _outcome(res, doc: dict) -> dict:
+    """doc plus the run's outcome and what it found: time and output, the
+    loop stages, or the reason it stopped."""
+    doc["outcome"] = res.outcome
+    if res.outcome == "halted":
+        doc["time"] = res.time.render()
+        doc["output"] = res.output.render()
+    elif res.outcome == "loops":
+        doc["loop"] = {"first": res.loop.first.render(),
+                       "second": res.loop.second.render()}
+    else:
+        doc["reason"] = res.reason
+    return doc
+
+
 def _run_result(args):
     program = _load_program(args.program)
     budget = _budget(args)
@@ -130,16 +153,7 @@ def _run_result(args):
 def cmd_run(args) -> int:
     res = _run_result(args)
     if args.format == "json":
-        doc = {"schema": SCHEMA, "outcome": res.outcome}
-        if res.outcome == "halted":
-            doc["time"] = res.time.render()
-            doc["output"] = res.output.render()
-        elif res.outcome == "loops":
-            doc["loop"] = {"first": res.loop.first.render(),
-                           "second": res.loop.second.render()}
-        else:
-            doc["reason"] = res.reason
-        sys.stdout.write(_json_line(doc))
+        sys.stdout.write(_json_line(_outcome(res, {"schema": SCHEMA})))
     else:
         print(_result_line(res))
     return 1 if res.outcome == "exceeded" else 0
@@ -165,16 +179,9 @@ def cmd_trace(args) -> int:
         lines.append(_json_line({"schema": SCHEMA, "kind": "limit",
                                  "level": level, "stage": snap.stage.render(),
                                  "digest": snap.digest()}))
-    outcome = {"schema": SCHEMA, "kind": "outcome", "outcome": res.outcome}
-    if res.outcome == "halted":
-        outcome["time"] = res.time.render()
-        outcome["output"] = res.output.render()
-    elif res.outcome == "loops":
-        outcome["loop"] = {"first": res.loop.first.render(),
-                           "second": res.loop.second.render(),
-                           "snapshot": res.loop.snapshot_digest}
-    else:
-        outcome["reason"] = res.reason
+    outcome = _outcome(res, {"schema": SCHEMA, "kind": "outcome"})
+    if res.outcome == "loops":
+        outcome["loop"]["snapshot"] = res.loop.snapshot_digest
     lines.append(_json_line(outcome))
     _write_text(args.out, "".join(lines))
     print(_result_line(res))
@@ -204,11 +211,7 @@ def cmd_survey(args) -> int:
                             "digest": a.digest} for a in log.records],
            "truncated": log.truncated,
            "complete_below": log.complete_below.render() if log.complete_below else None}
-    text = _json_line(doc)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _json_line(doc))
     return 1 if log.truncated else 0
 
 
@@ -225,11 +228,7 @@ def cmd_jump(args) -> int:
            "halting_real": jr.halting_real().render()}
     if oracle is not None and oracle.kind == "real":
         doc["joined"] = jr.joined().render()
-    text = _json_line(doc)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _json_line(doc))
     return 0
 
 
@@ -258,11 +257,7 @@ def cmd_matrix(args) -> int:
            "partial": matrix.partial,
            "partial_reasons": list(matrix.partial_reasons),
            "erasure_problems": problems}
-    text = _json_line(doc)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _json_line(doc))
     return 1 if matrix.partial or problems else 0
 
 
@@ -276,10 +271,7 @@ def cmd_fm(args) -> int:
     if report is None:
         print("REFUSED flags=%s" % ",".join(state.flags), file=sys.stderr)
         return 1
-    if args.report:
-        _write_text(args.report, _json_line(report))
-    else:
-        sys.stdout.write(_json_line(report))
+    _emit(args.report, _json_line(report))
     return 1 if state.flags else 0
 
 

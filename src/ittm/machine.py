@@ -25,8 +25,6 @@ MOVES = ("L", "R", "S")
 # every read vector of a table, by track count
 READ_VECTORS = {n: tuple(itertools.product((0, 1), repeat=n)) for n in (3, 4)}
 
-TRACK_NAMES = ("input", "scratch", "output", "oracle")
-
 
 class ProgramError(Exception):
     pass

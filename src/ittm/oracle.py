@@ -106,7 +106,9 @@ def enumerate_programs(max_work_states: int, tracks: int = 3):
                 continue
             options = _option_list(work, tracks)
             default = options[0]
-            assert default == default_rule("halt", tracks)
+            # raised, not asserted, so that `python -O` keeps the check
+            if default != default_rule("halt", tracks):
+                raise AssertionError("the first option is not the default rule")
             extra = options[1:]
             states = ("start", "limit") + _WORK_NAMES[:work]
             for combo in itertools.combinations(range(len(slots)), k):

@@ -174,7 +174,6 @@ class RunTrace:
     blocks: list = field(default_factory=list)
     limits: list = field(default_factory=list)   # (level, Snapshot) for levels >= 2
     final_limit: Snapshot | None = None
-    budget: BudgetPolicy = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -459,7 +458,7 @@ def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
 def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
                     budget: BudgetPolicy = DEFAULT_BUDGET,
                     oracle=None, query_log=None) -> RunResult:
-    trace = RunTrace(budget=budget)
+    trace = RunTrace()
     registry = {}   # limit snapshot key -> (stage, number of blocks before it)
     n_tracks = p.track_count
 

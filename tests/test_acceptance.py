@@ -159,7 +159,7 @@ def test_criterion_5_matrix_invariants():
         matrix = iterated_matrix(code, MATRIX_PROGRAMS, MATRIX_BUDGET, row_cap=5)
         assert validate_erasures(matrix) == [], alpha.render()
         for entry in matrix.erasure_log:
-            assert entry.cause in ("lower-row-change", "limit-of-erasures")
+            assert entry.cause == "lower-row-change"
         for lo, hi in matrix.successor_pairs():
             results = run_programs(MATRIX_PROGRAMS, MATRIX_BUDGET,
                                    RealOracle(matrix.rows[lo]))

@@ -8,8 +8,12 @@ import pytest
 
 import ittm
 
+from ittm import approx
+from ittm.approx import LIMIT_ROW_CAP, join_rows, join_size
 from ittm.cli import main
 from ittm.machine import p_flip, p_flip_lh, p_halt, render_program
+from ittm.ordinal import parse_ordinal
+from ittm.reals import parse_real
 
 
 @pytest.fixture
@@ -120,6 +124,38 @@ def test_matrix_cli_total_for_finite_order(tmp_path):
                  "--budget", "48", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert not doc["partial"] and doc["ranks"] == ["0", "1"]
+
+
+def test_matrix_cli_refuses_a_limit_row_too_large(tmp_path):
+    # row w*4 of w*5 would span about 75 million bits: the replay stops
+    # before building it, without raising, and keeps only the ranks below it
+    out = tmp_path / "matrix.json"
+    assert main(["matrix", "--order", "w*5", "--states", "0", "--bound", "4",
+                 "--budget", "16", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert "limit-row-too-large" in doc["partial_reasons"]
+    assert doc["erasure_problems"] == []
+    rows = {parse_ordinal(r): parse_real(doc["rows"][r]) for r in doc["ranks"]}
+    assert max(rows) < parse_ordinal("w*4")
+    limits = [lam for lam in rows if lam.is_limit()]
+    assert len(limits) == 3
+    for lam in limits:
+        assert rows[lam] == join_rows(rows, lam)
+        assert join_size(rows, lam) == rows[lam].support_bound() <= LIMIT_ROW_CAP
+
+
+def test_matrix_cli_joins_only_the_limit_rows_an_event_changes(monkeypatch,
+                                                               capsys):
+    calls = []
+    def counting(rows, lam):
+        calls.append(lam)
+        return join_rows(rows, lam)
+    monkeypatch.setattr(approx, "join_rows", counting)
+    # the matrix command of the benchmark's cli-mix workload
+    assert main(["matrix", "--order", "w*2", "--states", "0",
+                 "--bound", "20"]) == 1
+    assert json.loads(capsys.readouterr().out)["erasure_problems"] == []
+    assert 0 < len(calls) <= 140
 
 
 def test_fm_cli(tmp_path):

@@ -198,10 +198,8 @@ VALUES = {
     "--states": ("0", "1", "2", "4", "9", "x"),
     "--tracks": ("3", "4", "5"),
     "--rows": ("0", "1", "3", "-1"),
-    # no order at or above w^2: their limit rows join pair-coded reals
-    # millions of bits long, and a matrix run exhausts memory
-    "--order": ("0", "1", "3", "w", "w*2", "w*1+1", "w^x", "", "+", "-1",
-                "w+w"),
+    "--order": ("0", "1", "3", "w", "w*2", "w*1+1", "w*5", "w*8", "w^2",
+                "w^2*2+w+1", "w^x", "", "+", "-1", "w+w"),
     "--trim-bits": ("0", "1", "8", "-1"),
     "--oracle": PATHS,
     "--oracle-real": ("(0)*", "1(01)*", "1(0", "", "2"),

@@ -378,13 +378,23 @@ def test_a_kept_one_step_halt_holds_at_most_nine_tracked_objects():
 def test_soundness_checks_survive_python_O():
     """The checks are raised, not asserted, so `python -O` keeps them."""
     script = "\n".join([
-        "from ittm import approx",
+        "from ittm import approx, oracle",
         "from ittm.ordinal import OMEGA",
-        "from ittm.reals import ZERO",
+        "from ittm.reals import ZERO, parse_real",
         "from ittm.runner import RunResult, RunTrace",
+        "ONE = parse_real('1(0)*')",
         "assert False, 'asserts are on'",
         "try:",
         "    RunResult('halted', RunTrace(), time=OMEGA, output=ZERO)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+        "try:",
+        "    approx.Diagonal([ZERO, ONE]).replace(ZERO, ONE)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+        "oracle.default_rule = lambda state, tracks: None",
+        "try:",
+        "    next(oracle.enumerate_programs(0))",
         "except AssertionError as exc:",
         "    print(exc)",
         "approx.Diagonal.real = lambda self: ZERO",
@@ -398,6 +408,8 @@ def test_soundness_checks_survive_python_O():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["halting times are never limit ordinals",
+                                        "the replacement is listed already",
+                                        "the first option is not the default rule",
                                         "the diagonal equals a listed real"]
 
 
