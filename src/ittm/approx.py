@@ -28,8 +28,8 @@ from .ordinal import (Ordinal, OrderCode, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
 from .oracle import RealOracle, run_programs
 from .reals import Real, ZERO as ZERO_REAL, from_support
-from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, ExceededCert,
-                     RepeatCert, RunResult, TranslationCert, run_transfinite)
+from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, RepeatCert,
+                     RunResult, TranslationCert, run_transfinite)
 
 
 class TruncatedLog(Exception):
@@ -42,39 +42,45 @@ def _digest(r: Real) -> str:
 
 # --- per-program content streams -------------------------------------------
 
-def _wake(block: BlockSummary, k: int, i: int) -> tuple[Real, ...]:
-    """Track contents at relative step mu + k*pi + i (k >= 1, 0 <= i < pi)
-    of a translation block: the window snapshot at mu + i moved k*shift
-    cells right from its mu head position on, with the limit's frozen
-    cells below."""
+def _wake(block: BlockSummary, k: int, i: int, t: int) -> Real:
+    """Track t at relative step mu + k*pi + i (k >= 1, 0 <= i < pi) of a
+    translation block: the window snapshot at mu + i moved k*shift cells
+    right from its mu head position on, with the limit's frozen cells
+    below."""
     cert = block.certificate
     h0 = block.explicit[cert.mu].head
-    return tuple(lim.splice(h0 + k * cert.shift, cur.suffix(h0))
-                 for lim, cur in zip(block.limit.tracks,
-                                     block.explicit[cert.mu + i].tracks))
+    return block.limit.tracks[t].splice(
+        h0 + k * cert.shift, block.explicit[cert.mu + i].tracks[t].suffix(h0))
+
+
+def _absorbed(block: BlockSummary, t: int) -> bool:
+    """Whether track t is stationary past a translation block's window: the
+    first wake cycle equals the window, and then so does every later one.
+    Otherwise every cycle changes the track."""
+    mu = block.certificate.mu
+    return all(_wake(block, 1, i, t) == block.explicit[mu + i].tracks[t]
+               for i in range(block.certificate.pi))
 
 
 def _translation_tail(block: BlockSummary, cap: int):
     """Contents of the stages past the certified window of a translation
     block, as (relative step, per-track contents).  Yields nothing when the
-    wake is absorbed by the background (the stream is stationary); otherwise
-    the stream is genuinely infinite and is cut at `cap` with a flag."""
+    wake is absorbed by the background on every track (the stream is
+    stationary); otherwise the stream is genuinely infinite and is cut at
+    `cap` steps with a (relative step, None) marker."""
     mu, pi = block.certificate.mu, block.certificate.pi
-    if all(_wake(block, 1, i) == block.explicit[mu + i].tracks for i in range(pi)):
-        return  # wake absorbed by the background: the stream is stationary
-    emitted = 0
-    k = 1
-    while True:
-        for i in range(pi):
-            rel = mu + k * pi + i
-            if rel <= mu + pi:
-                continue
-            if emitted >= cap:
-                yield (rel, None)  # truncation marker
-                return
-            yield (rel, _wake(block, k, i))
-            emitted += 1
-        k += 1
+    moving = [t for t in range(len(block.limit.tracks))
+              if not _absorbed(block, t)]
+    if not moving:
+        return
+    first = mu + pi + 1
+    for rel in range(first, first + cap):
+        k, i = divmod(rel - mu, pi)
+        tracks = list(block.explicit[mu + i].tracks)
+        for t in moving:
+            tracks[t] = _wake(block, k, i, t)
+        yield (rel, tuple(tracks))
+    yield (first + cap, None)
 
 
 def _program_content_events(res: RunResult, cap: int):
@@ -83,40 +89,15 @@ def _program_content_events(res: RunResult, cap: int):
     events = []
     horizon = None
     last = {}
-    def emit(stage, tracks):
-        for t, content in enumerate(tracks):
-            if last.get(t) != content:
-                last[t] = content
-                events.append((stage, t, content))
-    for block in res.trace.blocks:
-        base = block.start.stage
-        for snap in block.explicit:
-            emit(snap.stage, snap.tracks)
-        cert = block.certificate
-        if isinstance(cert, ExceededCert):
-            horizon = cnf_add(base, from_int(len(block.explicit)))
-            break
-        if isinstance(cert, TranslationCert):
-            cut = None
-            for rel, tracks in _translation_tail(block, cap):
-                if tracks is None:
-                    cut = cnf_add(base, from_int(rel))
-                    break
-                emit(cnf_add(base, from_int(rel)), tracks)
-            if cut is not None:
-                horizon = cut
-                break
-        if block.limit is not None:
-            emit(block.limit.stage, block.limit.tracks)
-    if res.trace.final_limit is not None and horizon is None:
-        emit(res.trace.final_limit.stage, res.trace.final_limit.tracks)
-    if horizon is None and res.outcome == "exceeded":
-        # budget ran out above block level: every block was certified, so
-        # stages through the last block limit are covered and nothing later
-        last = res.trace.blocks[-1]
-        covered = last.limit.stage if last.limit is not None else \
-            cnf_add(last.start.stage, from_int(len(last.explicit) - 1))
-        horizon = successor(covered)
+    for item in _history(res, lambda tracks: tracks,
+                         lambda block: _translation_tail(block, cap)):
+        if item[0] == "cut":
+            horizon = item[1]
+        elif item[0] == "set":
+            for t, content in enumerate(item[2]):
+                if last.get(t) != content:
+                    last[t] = content
+                    events.append((item[1], t, content))
     return events, horizon
 
 
@@ -137,8 +118,6 @@ class AppearanceLog:
     first_appearance: dict[Real, int]
     truncated: bool
     complete_below: Ordinal | None   # None: covers every stage it claims
-    bound: int
-    budget: BudgetPolicy
 
     def require_complete(self, upto_stage: Ordinal) -> None:
         """Refuse when truncation may hide appearances below upto_stage."""
@@ -184,8 +163,7 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
     if cap_stage is not None:
         bounds.append(cap_stage)
     complete_below = min(bounds) if bounds else None
-    return AppearanceLog(records, first, truncated, complete_below,
-                         len(results), budget)
+    return AppearanceLog(records, first, truncated, complete_below)
 
 
 class Diagonal:
@@ -253,9 +231,10 @@ def _history(res: RunResult, read, wake_changes):
     """Change history of one value read off the run's track tuples:
     ("set", stage, value) changes plus ("osc", block_start_stage,
     limit_stage) markers for blocks whose certified cycle changes the value
-    cofinally below the block limit.  `wake_changes(block)` gives the
-    (relative step, value) changes past a translation block's window, or
-    None when they never stop."""
+    cofinally below the block limit, ended by ("cut", stage) at the first
+    stage the history does not cover, if any.  `wake_changes(block)` gives
+    the (relative step, value) changes past a translation block's window,
+    or None when they never stop; a None value cuts the history there."""
     items = []
     value = None
     def set_at(stage, v):
@@ -281,11 +260,24 @@ def _history(res: RunResult, read, wake_changes):
             value = None
         else:
             for rel, v in changes:
+                if v is None:
+                    items.append(("cut", cnf_add(base, from_int(rel))))
+                    return items
                 set_at(cnf_add(base, from_int(rel)), v)
         if block.limit is not None:
             set_at(block.limit.stage, read(block.limit.tracks))
     if res.trace.final_limit is not None:
         set_at(res.trace.final_limit.stage, read(res.trace.final_limit.tracks))
+    if res.outcome == "exceeded":
+        # every block but an exceeded last one is certified, so the stages
+        # through the last block limit, or the last snapshot of a block
+        # without one, are covered and nothing later
+        cut = ZERO_ORD
+        if res.trace.blocks:
+            last = res.trace.blocks[-1]
+            cut = successor(last.limit.stage) if last.limit is not None else \
+                cnf_add(last.start.stage, from_int(len(last.explicit)))
+        items.append(("cut", cut))
     return items
 
 
@@ -295,23 +287,16 @@ def _cell_items(res: RunResult, track: int, cell: int):
         # the cell freezes at its limit value once the head range passes
         # it, which takes at most cell // shift + 1 cycles past the window
         mu, pi = block.certificate.mu, block.certificate.pi
-        return [(mu + k * pi + i, _wake(block, k, i)[track].bit(cell))
+        return [(mu + k * pi + i, _wake(block, k, i, track).bit(cell))
                 for k in range(1, cell // block.certificate.shift + 2)
                 for i in range(pi) if k > 1 or i > 0]
     return _history(res, lambda tracks: tracks[track].bit(cell), wake_changes)
 
 
 def _track_items(res: RunResult, track: int):
-    """History of one whole-track content.  Past a translation block's
-    window the track is stationary iff the first wake cycle equals the
-    window; otherwise every cycle changes it."""
-    def wake_changes(block):
-        mu, pi = block.certificate.mu, block.certificate.pi
-        if all(_wake(block, 1, i)[track] == block.explicit[mu + i].tracks[track]
-               for i in range(pi)):
-            return []
-        return None
-    return _history(res, lambda tracks: tracks[track], wake_changes)
+    """History of one whole-track content."""
+    return _history(res, lambda tracks: tracks[track],
+                    lambda block: [] if _absorbed(block, track) else None)
 
 
 def _settle(items, res: RunResult):
@@ -327,14 +312,8 @@ def _settle(items, res: RunResult):
                 return ("unstable", None, None)
     if not items:
         return ("stable", ZERO_ORD, None)
-    last = items[-1]
-    if last[0] == "osc":
-        # oscillation settles exactly at the block limit; the limit value is
-        # recorded by a following set item, so a trailing osc cannot happen
-        # for a certified run, but guard anyway
-        return ("unstable", None, None)
-    stage = last[1]
-    value = last[2]
+    # every osc item is followed by its block limit's set item
+    _kind, stage, value = items[-1]
     return ("stable", stage, value)
 
 
@@ -383,8 +362,6 @@ class ApproximationStream:
     events: tuple[tuple[Ordinal, int], ...]
     exceeded: frozenset[int]
     diverges: frozenset[int]
-    bound: int
-    budget: BudgetPolicy
 
     def snapshot_at(self, sigma: Ordinal) -> frozenset[int]:
         """Programs halted by stage sigma."""
@@ -421,8 +398,7 @@ def approximate_jump(results: list[RunResult], budget: BudgetPolicy
         else:
             exceeded.add(pid)
     events = tuple(sorted(pending, key=lambda e: (e[0], e[1])))
-    return ApproximationStream(events, frozenset(exceeded), frozenset(diverges),
-                               len(results), budget)
+    return ApproximationStream(events, frozenset(exceeded), frozenset(diverges))
 
 
 # --- the iterated-jump injury matrix ----------------------------------------
@@ -443,7 +419,6 @@ class ChangeEntry:
 
 @dataclass
 class JumpMatrix:
-    code: OrderCode
     ranks: tuple[Ordinal, ...]
     rows: dict[Ordinal, Real]
     change_log: tuple[ChangeEntry, ...]
@@ -452,7 +427,6 @@ class JumpMatrix:
     partial: bool
     partial_reasons: tuple[str, ...]
     bound: int
-    budget: BudgetPolicy
 
     def limit_ranks(self):
         return [r for r in self.ranks if r.is_limit()]
@@ -602,10 +576,10 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     else:
         reasons.append("event-budget")
 
-    return JumpMatrix(y, tuple(ranks), {r: rows[r] for r in ranks},
+    return JumpMatrix(tuple(ranks), {r: rows[r] for r in ranks},
                       tuple(change_log), tuple(erasure_log),
                       {r: stabilization[r] for r in ranks},
-                      bool(reasons), tuple(reasons), len(progs), budget)
+                      bool(reasons), tuple(reasons), len(progs))
 
 
 def validate_erasures(matrix: JumpMatrix) -> list[str]:

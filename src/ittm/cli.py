@@ -19,8 +19,9 @@ from .oracle import (ENUM_WORK_CAP, RealOracle, SetOracle, enumeration_slice,
                      jump_lightface, run_programs, run_with_oracle)
 from .ordinal import BudgetOrdinalOverflow, encode_order, parse_ordinal
 from .reals import ZERO as ZERO_REAL, parse_real
-from .runner import (BudgetPolicy, ExceededCert, HaltAt, OracleProtocolError,
-                     RepeatCert, TranslationCert, run_transfinite)
+from .runner import (BudgetPolicy, DEFAULT_BUDGET, ExceededCert, HaltAt,
+                     OracleProtocolError, RepeatCert, TranslationCert,
+                     run_transfinite)
 
 SCHEMA = 1
 _STATES = range(ENUM_WORK_CAP + 1)
@@ -60,7 +61,8 @@ def _budget(args) -> BudgetPolicy:
             raise UsageError("ITTM_DEFAULT_BUDGET must be an integer")
     per_level = args.budget if args.budget is not None else default
     try:
-        return BudgetPolicy(args.depth, per_level, args.cap)
+        return BudgetPolicy(args.depth, per_level,
+                            getattr(args, "cap", DEFAULT_BUDGET.appearance_cap))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -287,8 +289,6 @@ def _add_budget_args(sp):
     sp.add_argument("--budget", type=int, default=None,
                     help="per-level step/block budget B (default 4096 or "
                          "ITTM_DEFAULT_BUDGET)")
-    sp.add_argument("--cap", type=int, default=512,
-                    help="appearance log cap")
 
 
 def _add_oracle_args(sp):
@@ -327,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--bound", type=_natural, default=256)
     survey.add_argument("--out")
     _add_budget_args(survey)
+    survey.add_argument("--cap", type=int, default=512, help="appearance log cap")
     survey.set_defaults(fn=cmd_survey)
 
     jump = sub.add_parser("jump", help="budgeted halting set of the enumeration")
@@ -356,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--events", help="event JSONL path")
     fm.add_argument("--report", help="report JSON path")
     _add_budget_args(fm)
+    fm.add_argument("--cap", type=int, default=512, help="appearance log cap")
     fm.set_defaults(fn=cmd_fm)
     return ap
 

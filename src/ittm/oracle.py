@@ -182,7 +182,6 @@ class JumpResult:
     exceeded: frozenset[int]
     diverges: frozenset[int]
     bound: int
-    budget: BudgetPolicy
     oracle: object | None
 
     def halted_set(self) -> frozenset[int]:
@@ -212,15 +211,13 @@ def jump_lightface(programs, oracle=None, budget: BudgetPolicy = DEFAULT_BUDGET
         else:
             exceeded.add(pid)
     return JumpResult(tuple(halted), frozenset(exceeded), frozenset(diverges),
-                      len(results), budget, oracle)
+                      len(results), oracle)
 
 
 @dataclass(frozen=True)
 class BoldfaceResult:
     halted: tuple[tuple[int, Real, Ordinal], ...]
     pair_set: frozenset[int]
-    bound: int
-    budget: BudgetPolicy
 
 
 def jump_boldface(programs, inputs: Sequence[Real], oracle=None,
@@ -238,4 +235,4 @@ def jump_boldface(programs, inputs: Sequence[Real], oracle=None,
             if res.outcome == "halted":
                 halted.append((pid, x, res.time))
                 pairs.add(pair_index(pid, xi))
-    return BoldfaceResult(tuple(halted), frozenset(pairs), len(progs), budget)
+    return BoldfaceResult(tuple(halted), frozenset(pairs))

@@ -203,12 +203,12 @@ class Real:
 ZERO = _real(0, 0, 0, 1)
 
 
-def from_support(ones, width: int = 0) -> Real:
+def from_support(ones) -> Real:
     """Finite-support real: 1 exactly at the given indices."""
     word = 0
     for i in set(ones):
         word |= 1 << i
-    return _canonical(word, max(word.bit_length(), width), 0, 1)
+    return _canonical(word, word.bit_length(), 0, 1)
 
 
 def parse_real(text: str) -> Real:

@@ -13,9 +13,11 @@ from ittm.approx import (Diagonal, TruncatedLog, approximate_jump,
 from ittm.machine import Rule, extend_to_oracle_tracks, p_flip, p_halt, p_sweep
 from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
-                          encode_order, from_int, pair_index, parse_ordinal)
+                          encode_order, from_int, pair_index, parse_ordinal,
+                          successor)
 from ittm.reals import ZERO as ZERO_REAL, Real, from_support, parse_real
-from ittm.runner import BudgetPolicy
+from ittm.runner import (BudgetPolicy, ExceededCert, TranslationCert,
+                         run_transfinite)
 
 B = BudgetPolicy(3, 64, 256)
 
@@ -112,10 +114,122 @@ def test_translation_wake_matches_stepping():
             trail.append(step(trail[-1], p))
         for k in range(1, 9):
             for i in range(cert.pi):
-                assert _wake(blk, k, i) == trail[cert.mu + k * cert.pi + i].tracks
+                tracks = trail[cert.mu + k * cert.pi + i].tracks
+                for t, track in enumerate(tracks):
+                    assert _wake(blk, k, i, t) == track
     cert = run_block(initial_snapshot(dipping_drifter()), dipping_drifter(),
                      B).certificate
     assert cert.mu > 0 and cert.pi == 4 and cert.shift == 2
+
+
+def reference_wake(block, k, i):
+    """All tracks at relative step mu + k*pi + i of a translation block, as
+    the content stream read them before it became a history."""
+    cert = block.certificate
+    h0 = block.explicit[cert.mu].head
+    return tuple(lim.splice(h0 + k * cert.shift, cur.suffix(h0))
+                 for lim, cur in zip(block.limit.tracks,
+                                     block.explicit[cert.mu + i].tracks))
+
+
+def reference_translation_tail(block, cap):
+    mu, pi = block.certificate.mu, block.certificate.pi
+    if all(reference_wake(block, 1, i) == block.explicit[mu + i].tracks
+           for i in range(pi)):
+        return
+    emitted = 0
+    k = 1
+    while True:
+        for i in range(pi):
+            rel = mu + k * pi + i
+            if rel <= mu + pi:
+                continue
+            if emitted >= cap:
+                yield (rel, None)
+                return
+            yield (rel, reference_wake(block, k, i))
+            emitted += 1
+        k += 1
+
+
+def reference_content_events(res, cap):
+    """The content stream's own walk over the blocks, kept to check the
+    history walker against.  It needs at least one block."""
+    events = []
+    horizon = None
+    last = {}
+    def emit(stage, tracks):
+        for t, content in enumerate(tracks):
+            if last.get(t) != content:
+                last[t] = content
+                events.append((stage, t, content))
+    for block in res.trace.blocks:
+        base = block.start.stage
+        for snap in block.explicit:
+            emit(snap.stage, snap.tracks)
+        cert = block.certificate
+        if isinstance(cert, ExceededCert):
+            horizon = cnf_add(base, from_int(len(block.explicit)))
+            break
+        if isinstance(cert, TranslationCert):
+            cut = None
+            for rel, tracks in reference_translation_tail(block, cap):
+                if tracks is None:
+                    cut = cnf_add(base, from_int(rel))
+                    break
+                emit(cnf_add(base, from_int(rel)), tracks)
+            if cut is not None:
+                horizon = cut
+                break
+        if block.limit is not None:
+            emit(block.limit.stage, block.limit.tracks)
+    if res.trace.final_limit is not None and horizon is None:
+        emit(res.trace.final_limit.stage, res.trace.final_limit.tracks)
+    if horizon is None and res.outcome == "exceeded":
+        last = res.trace.blocks[-1]
+        covered = last.limit.stage if last.limit is not None else \
+            cnf_add(last.start.stage, from_int(len(last.explicit) - 1))
+        horizon = successor(covered)
+    return events, horizon
+
+
+def binary_counter():
+    """Adds one to a binary counter on the scratch track in every block, so
+    no block start recurs and the run exceeds its budget above block level."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        i, s, o = read
+        for st in ("start", "limit", "carry"):
+            overrides[(st, read)] = Rule((i, 0, o), "R", "carry") if s else \
+                Rule((i, 1, o), "S", "idle")
+        overrides[("idle", read)] = Rule(read, "S", "idle")
+    return total_program(3, overrides)
+
+
+def test_content_events_match_the_reference_walker():
+    from ittm.approx import _program_content_events
+    from ittm.oracle import enumeration_slice
+    runs = [run_transfinite(p, x, BudgetPolicy(3, 256, 64))
+            for x in (ZERO_REAL, parse_real("1(10)*"))
+            for p in enumeration_slice(3000, 2, 3)]
+    runs += [run_transfinite(p, ZERO_REAL, B) for p in (p_sweep(), dipping_drifter())]
+    exceeded = run_transfinite(nonzero_halter(12), ZERO_REAL, BudgetPolicy(3, 4, 64))
+    assert isinstance(exceeded.trace.blocks[-1].certificate, ExceededCert)
+    above = run_transfinite(binary_counter(), ZERO_REAL, BudgetPolicy(3, 8, 16))
+    assert above.outcome == "exceeded" and above.trace.blocks[-1].limit is not None
+    runs += [exceeded, above]
+    horizons = 0
+    for cap in (1, 7, 64):
+        for res in runs:
+            got = _program_content_events(res, cap)
+            assert got == reference_content_events(res, cap)
+            horizons += got[1] is not None
+    assert horizons > 3 * 10  # each cap cuts some streams short
+    # a run that overflows the ordinal range in its first block has no
+    # blocks, so its stream covers nothing
+    empty = run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))
+    assert empty.outcome == "exceeded" and empty.trace.blocks == []
+    assert _program_content_events(empty, 7) == ([], ZERO_ORD)
 
 
 # --- diagonalization ---------------------------------------------------------

@@ -210,12 +210,29 @@ def _cli(argv):
     ["jump", "--oracle-real", "(0)*"],
     ["matrix", "--order", "3", "--states", "0", "--bound", "3", "--rows", "-1"],
     ["fm", "--states", "0", "--bound", "4", "--trim-bits", "-1"],
+    ["jump", "--states", "0", "--bound", "4", "--cap", "5"],
 ])
 def test_bad_arguments_are_usage_errors(halt_file, argv):
     proc = _cli([a.replace("{halt}", halt_file) for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+def test_depth_one_empty_trace_is_a_refusal():
+    # program 48's first block reaches w = w^1, so its run overflows the
+    # ordinal range before any block is recorded: the log covers nothing
+    argv = ["--depth", "1", "--states", "0", "--bound", "60", "--budget", "16"]
+    proc = _cli(["survey"] + argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["truncated"] is True and doc["complete_below"] == "0"
+    proc = _cli(["fm"] + argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    flags = proc.stderr.partition("REFUSED flags=")[2].split(",")
+    assert any(flag.startswith("refused") for flag in flags)
 
 
 def test_deep_depth_climbs_levels_without_recursion(halt_file):

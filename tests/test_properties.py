@@ -211,16 +211,16 @@ VALUES = {
     "--report": OUTPUTS,
     "--log": OUTPUTS,
 }
-COMMON = ("--budget", "--depth", "--cap")
+COMMON = ("--budget", "--depth")
 ORACLE = ("--oracle", "--oracle-real", "--trim-bits")
 ENUMERATION = ("--bound", "--states", "--tracks")
 FLAGS = {
     "run": COMMON + ORACLE + ("--input", "--format"),
     "trace": COMMON + ORACLE + ("--input", "--out", "--full-snapshots"),
-    "survey": COMMON + ENUMERATION + ("--out",),
+    "survey": COMMON + ENUMERATION + ("--cap", "--out"),
     "jump": COMMON + ORACLE + ENUMERATION + ("--out",),
     "matrix": COMMON + ("--bound", "--states", "--order", "--rows", "--log", "--out"),
-    "fm": COMMON + ENUMERATION + ("--trim-bits", "--events", "--report"),
+    "fm": COMMON + ENUMERATION + ("--cap", "--trim-bits", "--events", "--report"),
 }
 STRAYS = ("--prefix-bits", "--wat", "--help", "-", "--format")
 
@@ -263,6 +263,8 @@ def cli_files(tmp_path_factory):
 @given(argv=argvs())
 @example(argv=["run", "{binary}"])
 @example(argv=["survey", "--bound", "1", "--out", "{nowhere}"])
+@example(argv=["survey", "--depth", "1", "--states", "0", "--bound", "60",
+               "--budget", "16"])
 def test_cli_exit_code_is_0_1_or_2(cli_files, argv):
     argv = [a.format(**cli_files) if a.startswith("{") else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), \
