@@ -382,8 +382,7 @@ class ApproximationStream:
         return from_support(self.final())
 
 
-def approximate_jump(results: list[RunResult], budget: BudgetPolicy
-                     ) -> ApproximationStream:
+def approximate_jump(results: list[RunResult]) -> ApproximationStream:
     """Exact event stream of budgeted halts, ordered by (stage, program).
 
     Bookkeeping is kept separate from jump_lightface so that agreement of
@@ -521,7 +520,7 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     def jump_events(oracle_real: Real):
         if oracle_real not in jump_cache:
             results = run_programs(progs, budget, RealOracle(oracle_real))
-            stream = approximate_jump(results, budget)
+            stream = approximate_jump(results)
             jump_cache[oracle_real] = stream.events
         return jump_cache[oracle_real]
 

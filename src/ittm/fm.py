@@ -281,7 +281,7 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
     for pid in range(len(progs)):
         state.requirements.append(Requirement("R", pid, 2 * pid))
         state.requirements.append(Requirement("S", pid, 2 * pid + 1))
-    background = approximate_jump(results, budget)
+    background = approximate_jump(results)
     try:
         for req in state.requirements:
             _assign_witness(state, req)

@@ -37,14 +37,24 @@ block starts from the last limit.
 
 A finished run keeps only what its result needs, because callers keep many
 results (a survey, a jump, the universal dovetailer) and each full cyclic
-garbage collection walks every container still alive.  A halt's time is the
-block start's stage plus its step count and its output is one track of the
-last row, so the last snapshot is never built unless read; the output is the
-block's ever-one `Real` itself when the two are equal.  Small finite stages,
-`HaltAt` certificates and oracle-free start snapshots are shared, so a
-one-step halt keeps nine tracked objects: the result, its trace, the blocks
-and limits lists, the block summary, its ever-one tuple, one `Real`, and the
-`Snapshots` with its rows list.
+garbage collection walks every container still alive.  Enumerated programs
+halt in few distinct ways, so a block that steps to a halt is looked up, after
+stepping, in a weak-valued table keyed by its rows: the start snapshot, stage
+included, then one row per step.  Equal blocks share one `BlockSummary`, with
+its ever-one tuple, its `Real`s and its rows, and an entry lives only while
+some result holds its block.  The key is exact because a halting block's
+certificate, ever-one sets and every snapshot are functions of its start and
+rows, and stepping, with its query log, has already happened.  Repeat and
+translation blocks are not shared: their limits also depend on the program's
+limit state and the budget's depth.  A halt's time is the block start's stage
+plus its step count and its output is one track of the last row, so the last
+snapshot is never built unless read; the output is the block's ever-one
+`Real` itself when the two are equal.  Small finite stages, `HaltAt`
+certificates, oracle-free start snapshots and the empty limits tuple are
+shared too, so a kept one-step halt whose block another result already holds
+adds three tracked objects: the result, its trace and the blocks list.  A new
+block adds five more: the summary, its ever-one tuple, one `Real`, its rows
+and the table's weak reference.
 
 A run diverges provably when a limit snapshot recurs in the strong sense: an
 identical earlier limit snapshot such that no cell that is 0 in it was 1 at
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -146,13 +157,36 @@ class ExceededCert:
     steps: int
 
 
+class _WeakReferable:
+    """A `__weakref__` slot for a slotted dataclass (`weakref_slot` needs
+    Python 3.11)."""
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class BlockSummary:
-    start: Snapshot
+class BlockSummary(_WeakReferable):
     certificate: object
     ever_one: tuple[Real, ...]
     limit: Snapshot | None
-    explicit: Snapshots
+    rows: tuple     # the start snapshot, then (state, head, *deltas) per step
+    _explicit: Snapshots | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    @property
+    def start(self) -> Snapshot:
+        return self.rows[0]
+
+    @property
+    def explicit(self) -> Snapshots:
+        """The block's snapshots, built from its rows on the first read."""
+        if self._explicit is None:
+            object.__setattr__(self, "_explicit", Snapshots(self.rows))
+        return self._explicit
+
+
+# halting blocks by rows, shared while some result holds them
+_HALTED: weakref.WeakValueDictionary[tuple, BlockSummary] = \
+    weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -172,7 +206,7 @@ class LoopCert:
 @dataclass
 class RunTrace:
     blocks: list = field(default_factory=list)
-    limits: list = field(default_factory=list)   # (level, Snapshot) for levels >= 2
+    limits: tuple = ()   # (level, Snapshot) for levels >= 2
     final_limit: Snapshot | None = None
 
 
@@ -256,20 +290,18 @@ def step(s: Snapshot, p: Program, oracle=None, query_log=None) -> Snapshot:
 class Snapshots(Sequence):
     """A block's snapshots, built from its rows when read.
 
-    Row k is (state, head, *deltas): snapshot k has that state and head, the
-    start tracks with each track's delta cells flipped, and stage
-    start.stage + k.  Each entry is its row until read and its snapshot
-    after, so built rows are dropped; entry 0 is the start itself.  An index
-    read builds one snapshot; a slice or an iteration builds the rest, once,
-    and consecutive snapshots share the `Real` of every track whose delta
-    did not change.
+    Entry 0 of `rows` is the start itself, and row k > 0 is (state, head,
+    *deltas): snapshot k has that state and head, the start tracks with each
+    track's delta cells flipped, and stage start.stage + k.  Each entry is
+    its row until read and its snapshot after.  An index read builds one
+    snapshot; a slice or an iteration builds the rest, once, and consecutive
+    snapshots share the `Real` of every track whose delta did not change.
     """
 
     __slots__ = ("_items",)
 
-    def __init__(self, start: Snapshot, rows: list):
-        rows[0] = start
-        self._items = rows
+    def __init__(self, rows: tuple):
+        self._items = list(rows)
 
     def __len__(self):
         return len(self._items)
@@ -284,13 +316,6 @@ class Snapshots(Sequence):
 
     def __iter__(self):
         return iter(self._all())
-
-    def track(self, k: int, t: int) -> Real:
-        """Track t of snapshot k, without building the snapshot."""
-        item = self._items[k]
-        if type(item) is tuple:
-            return self._items[0].tracks[t].flipped(item[2 + t])
-        return item.tracks[t]
 
     def _all(self) -> list:
         items, prev, prev_row = self._items, None, None
@@ -317,8 +342,7 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
     if start.state == p.halt_state:
-        return BlockSummary(start, _halt_at(0), start.tracks, None,
-                            Snapshots(start, [start]))
+        return BlockSummary(_halt_at(0), start.tracks, None, (start,))
     kind = _oracle_kind(oracle)
     tracks = start.tracks
     writable = range(3 if kind == "real" else len(tracks))  # oracle track is read-only
@@ -353,7 +377,7 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         if limit_tracks is not None:
             lim = Snapshot(p.limit_state, 0, limit_tracks,
                            limit_step(start.stage, 1, budget.depth))
-        return BlockSummary(start, cert, ever, lim, Snapshots(start, rows))
+        return BlockSummary(cert, ever, lim, (start, *rows[1:]))
 
     for i in range(1, budget.per_level_budget + 1):
         clamped = False
@@ -394,7 +418,12 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         row = (state, head, *delta)
         rows.append(row)
         if state == halt_state:
-            return summary(_halt_at(i), union(0))
+            key = (start, *rows[1:])
+            block = _HALTED.get(key)
+            if block is None:
+                block = _HALTED[key] = BlockSummary(_halt_at(i), union(0),
+                                                    None, key)
+            return block
         mu = seen.setdefault(row, i)
         if mu != i:
             return summary(RepeatCert(mu, i - mu), union(0), union(mu))
@@ -488,7 +517,9 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
             if isinstance(cert, HaltAt):
                 # the last row's stage and output track, without building
                 # its snapshot; the output shares the ever-one Real if equal
-                ever, out = summary.ever_one[2], summary.explicit.track(-1, 2)
+                ever, out = summary.ever_one[2], summary.start.tracks[2]
+                if cert.steps:
+                    out = out.flipped(summary.rows[-1][4])
                 return RunResult("halted", trace,
                                  time=cnf_add(cur.stage, from_int(cert.steps)),
                                  output=ever if out == ever else out)
@@ -503,7 +534,7 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
                 key = lim.key()
                 registry[key] = (lim.stage, len(trace.blocks))
                 if level > 1:
-                    trace.limits.append((level, lim))
+                    trace.limits += ((level, lim),)
                 if level + 1 not in frames:
                     frames[level + 1] = (origin, {origin.key(): 0}, [])
                 origin, starts, evers = frames[level + 1]

@@ -130,8 +130,7 @@ def test_criterion_4_jump_coherence(survey):
     base = survey["programs"]
     for bound in list(range(JUMP_EXHAUSTIVE_BOUND + 1)) + list(JUMP_SPOT_BOUNDS):
         progs = base[:bound]
-        stream = approximate_jump(run_programs(progs, SURVEY_BUDGET),
-                                  SURVEY_BUDGET)
+        stream = approximate_jump(run_programs(progs, SURVEY_BUDGET))
         snaps = stream.snapshots()
         for (st1, h1), (st2, h2) in zip(snaps, snaps[1:]):
             assert st1 <= st2 and h1 <= h2
@@ -163,7 +162,7 @@ def test_criterion_5_matrix_invariants():
         for lo, hi in matrix.successor_pairs():
             results = run_programs(MATRIX_PROGRAMS, MATRIX_BUDGET,
                                    RealOracle(matrix.rows[lo]))
-            redo = approximate_jump(results, MATRIX_BUDGET)
+            redo = approximate_jump(results)
             assert matrix.rows[hi] == redo.final_real(), (alpha.render(), hi.render())
         for lam in matrix.limit_ranks():
             expect = set()

@@ -340,23 +340,23 @@ def test_eventually_written_examples():
 # --- the approximation stream ------------------------------------------------
 
 def test_approximate_jump_examples():
-    stream = approximate_jump(run_programs([p_halt(), p_flip()], B), B)
+    stream = approximate_jump(run_programs([p_halt(), p_flip()], B))
     assert stream.events == ((from_int(1), 0),)
     assert stream.snapshot_at(ZERO_ORD) == frozenset()
     assert stream.snapshot_at(from_int(2)) == frozenset({0})
     assert stream.final() == frozenset({0})
 
-    assert approximate_jump(run_programs([], B), B).events == ()
+    assert approximate_jump(run_programs([], B)).events == ()
 
     with_loop = approximate_jump(
-        run_programs([p_halt(), p_flip(), looper(1)], B), B)
+        run_programs([p_halt(), p_flip(), looper(1)], B))
     assert with_loop.events == stream.events
 
 
 def test_stream_monotone_and_matches_jump():
     from ittm.oracle import jump_lightface
     progs = [zero_halter(), nonzero_halter(2), p_flip(), p_halt()]
-    stream = approximate_jump(run_programs(progs, B), B)
+    stream = approximate_jump(run_programs(progs, B))
     snaps = stream.snapshots()
     for (st1, h1), (st2, h2) in zip(snaps, snaps[1:]):
         assert st1 <= st2 and h1 <= h2
@@ -379,7 +379,7 @@ def test_matrix_code_one_single_zero_row():
 def test_matrix_code_two_row_one_is_the_jump():
     progs = [extend_to_oracle_tracks(p_halt()), extend_to_oracle_tracks(p_flip())]
     m = iterated_matrix(encode_order(from_int(2), 64), progs, B)
-    jump = approximate_jump(run_programs(progs, B, RealOracle(ZERO_REAL)), B)
+    jump = approximate_jump(run_programs(progs, B, RealOracle(ZERO_REAL)))
     assert m.rows[from_int(1)] == jump.final_real()
     assert m.rows[from_int(1)] == parse_real("1(0)*")
 
@@ -401,7 +401,7 @@ def test_matrix_successor_rows_recheck():
     m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
     for lo, hi in m.successor_pairs():
         redo = approximate_jump(
-            run_programs(MATRIX_PROGS, B, RealOracle(m.rows[lo])), B)
+            run_programs(MATRIX_PROGS, B, RealOracle(m.rows[lo])))
         assert m.rows[hi] == redo.final_real()
 
 

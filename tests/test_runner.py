@@ -3,22 +3,23 @@ import gc
 import itertools
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import looper, query_probe, total_program, zero_halter
 
-from ittm import ordinal, reals
+from ittm import ordinal, reals, runner
 from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
                           parse_program)
-from ittm.ordinal import OMEGA, cnf_add, from_int, parse_ordinal
+from ittm.ordinal import OMEGA, ZERO as ZERO_ORD, cnf_add, from_int, parse_ordinal
 from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
                          run_with_oracle)
 from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
                         parse_real, shift_union)
 from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
-                         StepFromHalt, TranslationCert, clockable_time,
+                         Snapshot, StepFromHalt, TranslationCert, clockable_time,
                          initial_snapshot, run_block, run_transfinite, step,
                          verify_certificate)
 
@@ -280,7 +281,7 @@ def test_level_two_block_budget_exhaustion_is_exceeded():
     p = total_program(3, overrides)
     res = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 8, 16))
     assert res.outcome == "exceeded" and res.reason == "budget"
-    assert len(res.trace.blocks) == 8 and res.trace.limits == []
+    assert len(res.trace.blocks) == 8 and res.trace.limits == ()
     assert all(isinstance(b.certificate, RepeatCert) for b in res.trace.blocks)
     counts = [b.limit.tracks[1] for b in res.trace.blocks]
     assert counts == [from_support(k for k in range(4) if n >> k & 1)
@@ -373,6 +374,114 @@ def test_a_kept_one_step_halt_holds_at_most_nine_tracked_objects():
             if id(obj) not in seen and obj is not before and obj is not seen]
     assert len(kept) <= 9, [repr(obj)[:60] for obj in kept]
     assert res.output is res.trace.blocks[0].ever_one[2]
+
+
+def _tracked_objects_made_by(make):
+    """The collector-tracked objects that `make()` leaves alive, and its
+    return value."""
+    gc.collect()
+    before = gc.get_objects()   # holds them, so no new object reuses an id
+    seen = set(map(id, before))
+    made = make()
+    gc.collect()
+    after = gc.get_objects()
+    return [obj for obj in after if id(obj) not in seen and
+            obj is not before and obj is not seen and obj is not made], made
+
+
+def test_a_second_equal_halt_adds_at_most_three_tracked_objects():
+    """An equal halting block is shared, so the second result adds only
+    itself, its trace and its blocks list."""
+    p = p_halt()
+    first = run_transfinite(p, ZERO_REAL, B)
+    kept, second = _tracked_objects_made_by(lambda: run_transfinite(p, ZERO_REAL, B))
+    assert len(kept) <= 3, [repr(obj)[:60] for obj in kept]
+    assert second.trace.blocks[0] is first.trace.blocks[0]
+
+
+def test_the_halting_block_table_empties_when_its_results_are_dropped(monkeypatch):
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(runner, "_HALTED", table)
+    progs = enumeration_slice(500, 2, 3)
+    results = [run_transfinite(p, ZERO_REAL, B) for p in progs]
+    assert 0 < len(table) < sum(res.outcome == "halted" for res in results)
+    del results
+    gc.collect()
+    assert len(table) == 0
+
+
+def test_kept_survey_results_hold_at_most_three_and_a_half_tracked_objects_each():
+    budget = BudgetPolicy(3, 256, 256)
+    progs = enumeration_slice(5000, 2, 3)
+    for p in progs:   # fills the shared small ordinals, HaltAts and starts
+        run_transfinite(p, ZERO_REAL, budget)
+    kept, results = _tracked_objects_made_by(
+        lambda: [run_transfinite(p, ZERO_REAL, budget) for p in progs])
+    assert len(kept) <= 3.5 * len(results)
+
+
+def _check_shared_blocks_against_fresh_ones(p, res, budget, oracle=None):
+    """Each halting block equals the block that `run_block` steps from its
+    start with the table emptied: every field, and every snapshot read by
+    index, negative index and iteration.  Returns the halting blocks."""
+    halts = [blk for blk in res.trace.blocks if isinstance(blk.certificate, HaltAt)]
+    for blk in halts:
+        table = runner._HALTED
+        runner._HALTED = weakref.WeakValueDictionary()
+        try:
+            fresh = run_block(blk.start, p, budget, oracle)
+        finally:
+            runner._HALTED = table
+        assert fresh is not blk
+        assert (fresh.start, fresh.certificate, fresh.ever_one, fresh.limit,
+                fresh.rows) == (blk.start, blk.certificate, blk.ever_one,
+                                blk.limit, blk.rows)
+        snaps = list(fresh.explicit)
+        n = len(snaps)
+        assert len(blk.explicit) == n
+        assert [blk.explicit[k] for k in range(-n, 0)] == snaps
+        assert [blk.explicit[k] for k in range(n)] == snaps
+        assert list(blk.explicit) == snaps
+    return halts
+
+
+def test_shared_halting_blocks_equal_blocks_stepped_with_an_empty_table():
+    budget = BudgetPolicy(3, 256, 256)
+    for input_real in (ZERO_REAL, parse_real("1(10)*")):
+        halts = []
+        for p in enumeration_slice(3000, 2, 3):
+            halts += _check_shared_blocks_against_fresh_ones(
+                p, run_transfinite(p, input_real, budget), budget)
+        assert len({id(blk) for blk in halts}) < len(halts) / 10
+    # a read-only oracle track with a long prefix
+    oracle = RealOracle(Real(tuple(int(k * k % 13 < 6) for k in range(3000)),
+                             (0, 1)))
+    halts = []
+    for p in enumeration_slice(300, 0, 4):
+        res = run_programs([p], budget, oracle)[0]
+        halts += _check_shared_blocks_against_fresh_ones(p, res, budget, oracle)
+    assert len({id(blk) for blk in halts}) < len(halts)
+    # a run whose block comes from the table still logs its own queries
+    one, one_one = from_support([0]), from_support([0, 1])
+    for members in (frozenset(), frozenset({one}), frozenset({one, one_one})):
+        oracle = SetOracle(members)
+        runs = [run_with_oracle(query_probe(), ZERO_REAL, oracle, budget)
+                for _ in range(2)]
+        assert runs[1][0].trace.blocks[-1] is runs[0][0].trace.blocks[-1]
+        for res, log in runs:
+            stepped, _ = _check_explicit_against_stepping(query_probe(), res,
+                                                          budget, oracle)
+            assert list(log) == stepped and len(stepped) == 2
+            _check_shared_blocks_against_fresh_ones(query_probe(), res, budget,
+                                                    oracle)
+    # the same tapes at stage 0 and at w are different blocks
+    p = p_halt()
+    tracks = initial_snapshot(p).tracks
+    at_0, at_w = (run_block(Snapshot(p.start_state, 0, tracks, stage), p, budget)
+                  for stage in (ZERO_ORD, OMEGA))
+    assert at_0 is not at_w and at_0.rows[1:] == at_w.rows[1:]
+    assert at_0.explicit[-1].stage == from_int(1)
+    assert at_w.explicit[-1].stage == parse_ordinal("w*1+1")
 
 
 def test_soundness_checks_survive_python_O():
