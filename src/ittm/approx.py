@@ -13,7 +13,10 @@ contents below the block's limit, either forever (each cycle extends the
 content) or not at all (the cycle is absorbed by the periodic background).
 One cycle comparison decides which, so content streams are enumerated
 exactly up to the appearance cap and truncation is always flagged with the
-first stage the log no longer covers.
+first stage the log no longer covers.  One dovetail builds each distinct
+wake once, shared by every moving track whose wake reads the same limit
+track, head, shift and window, and it sorts only first appearances: one pass
+keeps each real's earliest event before the distinct reals are ordered.
 """
 
 from __future__ import annotations
@@ -62,35 +65,53 @@ def _absorbed(block: BlockSummary, t: int) -> bool:
                for i in range(block.certificate.pi))
 
 
-def _translation_tail(block: BlockSummary, cap: int):
+def _wake_list(block: BlockSummary, t: int, cap: int, wakes: dict) -> list[Real]:
+    """Track t at the `cap` relative steps past a translation block's window:
+    entry j is `_wake(block, k, i, t)` with k*pi + i = pi + 1 + j.  The list
+    is built once per distinct wake in `wakes`, keyed by everything `_wake`
+    reads: the limit track, h0, the shift and the window suffixes from h0.
+    Blocks and tracks with equal keys share the list, whatever their mu."""
+    cert = block.certificate
+    h0 = block.explicit[cert.mu].head
+    key = (block.limit.tracks[t], h0, cert.shift,
+           tuple(block.explicit[cert.mu + i].tracks[t].suffix(h0)
+                 for i in range(cert.pi)))
+    wake = wakes.get(key)
+    if wake is None:
+        wake = wakes[key] = [_wake(block, *divmod(cert.pi + 1 + j, cert.pi), t)
+                             for j in range(cap)]
+    return wake
+
+
+def _translation_tail(block: BlockSummary, cap: int, wakes: dict):
     """Contents of the stages past the certified window of a translation
     block, as (relative step, per-track contents).  Yields nothing when the
     wake is absorbed by the background on every track (the stream is
     stationary); otherwise the stream is genuinely infinite and is cut at
-    `cap` steps with a (relative step, None) marker."""
+    `cap` steps with a (relative step, None) marker.  `wakes` shares the
+    moving tracks' wake lists across blocks (see `_wake_list`)."""
     mu, pi = block.certificate.mu, block.certificate.pi
-    moving = [t for t in range(len(block.limit.tracks))
-              if not _absorbed(block, t)]
+    moving = [(t, _wake_list(block, t, cap, wakes))
+              for t in range(len(block.limit.tracks)) if not _absorbed(block, t)]
     if not moving:
         return
     first = mu + pi + 1
-    for rel in range(first, first + cap):
-        k, i = divmod(rel - mu, pi)
-        tracks = list(block.explicit[mu + i].tracks)
-        for t in moving:
-            tracks[t] = _wake(block, k, i, t)
-        yield (rel, tuple(tracks))
+    for j in range(cap):
+        tracks = list(block.explicit[mu + (j + 1) % pi].tracks)
+        for t, wake in moving:
+            tracks[t] = wake[j]
+        yield (first + j, tuple(tracks))
     yield (first + cap, None)
 
 
-def _program_content_events(res: RunResult, cap: int):
+def _program_content_events(res: RunResult, cap: int, wakes: dict):
     """(stage, track, Real) stream of content changes, plus the first stage
     the stream no longer covers (None when it covers the whole run)."""
     events = []
     horizon = None
     last = {}
     for item in _history(res, lambda tracks: tracks,
-                         lambda block: _translation_tail(block, cap)):
+                         lambda block: _translation_tail(block, cap, wakes)):
         if item[0] == "cut":
             horizon = item[1]
         elif item[0] == "set":
@@ -115,7 +136,6 @@ class Appearance:
 @dataclass
 class AppearanceLog:
     records: list[Appearance]        # in stage order
-    first_appearance: dict[Real, int]
     truncated: bool
     complete_below: Ordinal | None   # None: covers every stage it claims
 
@@ -138,32 +158,29 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
     """Dovetail the runs of every program on input all-zero, one step per
     master stage, logging each new distinct track content at its first
     appearance."""
-    merged = []
+    cap = budget.appearance_cap
+    wakes: dict = {}
+    first: dict[Real, tuple[Ordinal, int, int]] = {}
     horizons = []
     for pid, res in enumerate(results):
-        events, horizon = _program_content_events(res, budget.appearance_cap)
-        merged.extend((stage, pid, t, real) for stage, t, real in events)
+        events, horizon = _program_content_events(res, cap, wakes)
+        for stage, t, real in events:
+            # programs come in order and a program's events in stage order,
+            # so a later event is earlier in (stage, program, track) only
+            # at a smaller stage
+            seen = first.get(real)
+            if seen is None or stage < seen[0]:
+                first[real] = (stage, pid, t)
         if horizon is not None:
             horizons.append(horizon)
-    merged.sort(key=lambda e: (e[0], e[1], e[2]))
-    records: list[Appearance] = []
-    first: dict[Real, int] = {}
+    order = sorted(first.items(), key=lambda e: e[1])
+    records = [Appearance(stage, pid, t, real, _digest(real))
+               for real, (stage, pid, t) in order[:cap]]
+    if len(order) > cap:
+        horizons.append(order[cap][1][0])
     truncated = bool(horizons)
-    cap_stage = None
-    for stage, pid, t, real in merged:
-        if real in first:
-            continue
-        if len(records) >= budget.appearance_cap:
-            truncated = True
-            cap_stage = stage
-            break
-        first[real] = len(records)
-        records.append(Appearance(stage, pid, t, real, _digest(real)))
-    bounds = list(horizons)
-    if cap_stage is not None:
-        bounds.append(cap_stage)
-    complete_below = min(bounds) if bounds else None
-    return AppearanceLog(records, first, truncated, complete_below)
+    complete_below = min(horizons) if horizons else None
+    return AppearanceLog(records, truncated, complete_below)
 
 
 class Diagonal:
@@ -482,7 +499,7 @@ def join_size(rows: dict[Ordinal, Real], lam: Ordinal) -> int:
 def join_rows(rows: dict[Ordinal, Real], lam: Ordinal) -> Real:
     """The organized sum of the rows below a limit rank: bit <n, m> is on
     iff element n has a materialized rank below lam whose row has bit m."""
-    ones = set()
+    ones = []
     for beta, row in rows.items():
         if not (beta < lam):
             continue
@@ -490,9 +507,11 @@ def join_rows(rows: dict[Ordinal, Real], lam: Ordinal) -> Real:
         bound = row.support_bound()
         if bound is None:
             raise ValueError("matrix rows must have finite support")
-        for m in range(bound):
-            if row.bit(m):
-                ones.add(pair_index(n, m))
+        text = bin(row.window(0, bound))[:1:-1]   # bit m is text[m]
+        m = text.find("1")
+        while m >= 0:
+            ones.append(pair_index(n, m))
+            m = text.find("1", m + 1)
     return from_support(ones)
 
 

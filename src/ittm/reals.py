@@ -205,10 +205,16 @@ ZERO = _real(0, 0, 0, 1)
 
 def from_support(ones) -> Real:
     """Finite-support real: 1 exactly at the given indices."""
-    word = 0
-    for i in set(ones):
-        word |= 1 << i
-    return _canonical(word, word.bit_length(), 0, 1)
+    ones = list(ones)
+    if not ones:
+        return ZERO
+    if min(ones) < 0:
+        raise ValueError("support indices are naturals")
+    buf = bytearray((max(ones) >> 3) + 1)
+    for i in ones:
+        buf[i >> 3] |= 1 << (i & 7)
+    word = int.from_bytes(buf, "little")
+    return _real(word, word.bit_length(), 0, 1)
 
 
 def parse_real(text: str) -> Real:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -80,8 +81,6 @@ def test_first_appearance_order_is_by_stage():
     log = universal_run(run_programs([nonzero_halter(2), p_halt()], B), B)
     stages = [a.stage for a in log.records]
     assert stages == sorted(stages)
-    firsts = list(log.first_appearance.values())
-    assert firsts == sorted(firsts)
 
 
 def dipping_drifter():
@@ -193,6 +192,41 @@ def reference_content_events(res, cap):
     return events, horizon
 
 
+def reference_universal_run(results, budget):
+    """The dovetailer before it shared wakes: every program's events from
+    the reference walker, all sorted by (stage, program, track), seen reals
+    skipped."""
+    merged = []
+    horizons = []
+    for pid, res in enumerate(results):
+        if res.trace.blocks:
+            events, horizon = reference_content_events(res, budget.appearance_cap)
+        else:
+            events, horizon = [], ZERO_ORD
+        merged.extend((stage, pid, t, real) for stage, t, real in events)
+        if horizon is not None:
+            horizons.append(horizon)
+    merged.sort(key=lambda e: (e[0], e[1], e[2]))
+    records = []
+    seen = set()
+    truncated = bool(horizons)
+    cap_stage = None
+    for stage, pid, t, real in merged:
+        if real in seen:
+            continue
+        if len(records) >= budget.appearance_cap:
+            truncated = True
+            cap_stage = stage
+            break
+        seen.add(real)
+        records.append((stage, pid, t, real,
+                        hashlib.sha256(real.render().encode()).hexdigest()[:12]))
+    bounds = list(horizons)
+    if cap_stage is not None:
+        bounds.append(cap_stage)
+    return records, truncated, min(bounds) if bounds else None
+
+
 def binary_counter():
     """Adds one to a binary counter on the scratch track in every block, so
     no block start recurs and the run exceeds its budget above block level."""
@@ -220,8 +254,9 @@ def test_content_events_match_the_reference_walker():
     runs += [exceeded, above]
     horizons = 0
     for cap in (1, 7, 64):
+        wakes = {}
         for res in runs:
-            got = _program_content_events(res, cap)
+            got = _program_content_events(res, cap, wakes)
             assert got == reference_content_events(res, cap)
             horizons += got[1] is not None
     assert horizons > 3 * 10  # each cap cuts some streams short
@@ -229,7 +264,63 @@ def test_content_events_match_the_reference_walker():
     # blocks, so its stream covers nothing
     empty = run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))
     assert empty.outcome == "exceeded" and empty.trace.blocks == []
-    assert _program_content_events(empty, 7) == ([], ZERO_ORD)
+    assert _program_content_events(empty, 7, {}) == ([], ZERO_ORD)
+
+
+def cycler(track, cycle, lead=()):
+    """Runs the (write, move) steps of `lead` once and then those of `cycle`
+    forever, whatever it reads: write 1 sets `track` under the head, write 0
+    leaves it.  The limit state stays put, so the run loops at w."""
+    steps = list(lead) + list(cycle)
+    names = ["start"] + ["c%d" % k for k in range(1, len(steps))]
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        overrides[("limit", read)] = Rule(read, "S", "limit")
+        for k, (write, move) in enumerate(steps):
+            nxt = k + 1 if k + 1 < len(steps) else len(lead)
+            tracks = tuple(1 if t == track and write else b
+                           for t, b in enumerate(read))
+            overrides[(names[k], read)] = Rule(tracks, move, names[nxt])
+    return total_program(3, overrides)
+
+
+def test_universal_run_matches_the_reference_dovetailer():
+    from ittm.oracle import enumeration_slice
+    budget = BudgetPolicy(3, 256, 64)
+    progs = enumeration_slice(3000, 2, 3)
+    lists = [run_programs(progs, budget, input_real=x)
+             for x in (ZERO_REAL, parse_real("1(10)*"))]
+    lists.append(run_programs([p_sweep(), dipping_drifter()], B))
+    lists.append(run_programs(enumeration_slice(300, 2, 4), budget))
+    # equal wakes on the scratch and output tracks, in either order, and
+    # wakes that differ only in h0, only in the shift, or only in the last
+    # window suffix
+    sweep = [(1, "R")]
+    lists.append(run_programs([cycler(1, sweep), cycler(2, sweep),
+                               cycler(1, sweep, lead=sweep)], B))
+    lists.append(run_programs([cycler(2, sweep, lead=sweep), cycler(2, sweep),
+                               cycler(1, sweep)], B))
+    stay_first = cycler(1, [(1, "S"), (0, "R")])
+    lists.append(run_programs([stay_first, cycler(1, [(1, "R"), (1, "R")])], B))
+    lists.append(run_programs([cycler(1, [(0, "S"), (1, "R")]), stay_first], B))
+    exceeded = run_transfinite(nonzero_halter(12), ZERO_REAL, BudgetPolicy(3, 4, 64))
+    lists.append([exceeded, run_transfinite(p_sweep(), ZERO_REAL, B)])
+    lists.append([])
+    for cap in (1, 7, 64, 512):
+        policy = BudgetPolicy(3, 256, cap)
+        for results in lists:
+            log = universal_run(results, policy)
+            got = [(a.stage, a.program, a.track, a.real, a.digest)
+                   for a in log.records]
+            assert (got, log.truncated, log.complete_below) == \
+                reference_universal_run(results, policy)
+    # the appearance cap cuts a sweep below its wake horizon, and an
+    # exceeded run cuts the log below the cap stage
+    capped = universal_run(lists[2][:1], BudgetPolicy(3, 256, 7))
+    assert capped.truncated and capped.complete_below == from_int(7)
+    assert len(capped.records) == 7
+    both = universal_run(lists[-2], BudgetPolicy(3, 256, 7))
+    assert both.truncated and both.complete_below < from_int(7)
 
 
 # --- diagonalization ---------------------------------------------------------
@@ -421,6 +512,36 @@ def test_matrix_limit_row_is_the_join():
                 expect.add(pair_index(n, mbit))
     assert m.rows[lam] == from_support(expect)
     assert m.rows[lam] == join_rows(m.rows, lam)
+
+
+def reference_join(rows, lam):
+    """The organized sum by testing every bit of every row below lam."""
+    word = 0
+    for beta, row in rows.items():
+        if beta < lam:
+            for m in range(row.support_bound()):
+                if row.bit(m):
+                    word |= 1 << pair_index(element_of(beta), m)
+    return parse_real(format(word, "b")[::-1])
+
+
+def test_join_rows_matches_the_per_bit_join_on_sparse_rows():
+    import random
+    rng = random.Random(12)
+    ranks = [parse_ordinal(t) for t in
+             ("0", "1", "2", "7", "w", "w+1", "w+5", "w*2", "w*2+3", "w*3")]
+    limits = [OMEGA, parse_ordinal("w*2"), parse_ordinal("w*3"),
+              parse_ordinal("w*4")]
+    for _ in range(25):
+        rows = {}
+        for r in ranks:
+            width = rng.choice((0, 1, 8, 70, 900))
+            ones = rng.sample(range(width), min(width, rng.randint(0, 6)))
+            rows[r] = from_support(ones)
+        for lam in limits:
+            assert join_rows(rows, lam) == reference_join(rows, lam)
+    with pytest.raises(ValueError):
+        join_rows({ZERO_ORD: parse_real("(1)*")}, OMEGA)
 
 
 def test_matrix_stabilization_stages():

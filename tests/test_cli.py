@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -156,6 +157,42 @@ def test_matrix_cli_joins_only_the_limit_rows_an_event_changes(monkeypatch,
                  "--bound", "20"]) == 1
     assert json.loads(capsys.readouterr().out)["erasure_problems"] == []
     assert 0 < len(calls) <= 140
+
+
+def test_survey_cli_builds_each_wake_once(monkeypatch, capsys):
+    # the survey command of the benchmark's cli-mix workload: its 24 moving
+    # tracks share one wake, which costs 512 splices once, not per track
+    from ittm.reals import Real
+    splice = Real.splice
+    calls = []
+    def counting(self, n, rest):
+        calls.append(n)
+        return splice(self, n, rest)
+    monkeypatch.setattr(Real, "splice", counting)
+    assert main(["survey", "--states", "2", "--bound", "2000"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["programs"]) == 2000
+    assert 0 < len(calls) <= 600
+
+
+# exit codes and stdout sha256 of the benchmark's cli-mix commands, as
+# recorded in perfbench/reference/seed.json
+CLI_MIX = [
+    (["survey", "--states", "2", "--bound", "2000"], 1,
+     "1d45f1efa086f89c7bffa3b6e31df85cf3e6944859e6aa52f8184fbc70253779"),
+    (["jump", "--states", "2", "--bound", "2000"], 0,
+     "d6ef36d7dc7272cc3d7c2a87b2b5d5c1477d937f6c23c25907265b0633a98801"),
+    (["matrix", "--order", "w*2", "--states", "0", "--bound", "20"], 1,
+     "7a36a2d09219f0d5c035b5a51ce02f6beeaba4b0c97245e45de01e19d1004435"),
+    (["fm", "--states", "0", "--bound", "48"], 1,
+     "e325d26389cd951308333e740fb9c485616eab1e5c424ec639721fcced483e3a"),
+]
+
+
+def test_cli_mix_commands_keep_their_bytes(capsys):
+    for argv, code, digest in CLI_MIX:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_fm_cli(tmp_path):
