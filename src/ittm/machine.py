@@ -46,14 +46,14 @@ class TotalityError(ProgramError):
         super().__init__("missing rules for: %s%s" % (shown, more))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     write: tuple[int, ...]
     move: str
     next_state: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Program:
     track_count: int
     start_state: str

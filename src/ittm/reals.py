@@ -98,6 +98,8 @@ class Real:
         return _to_bits(self._t, self._nt)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Real):
             return NotImplemented
         return (self._np == other._np and self._nt == other._nt
@@ -125,14 +127,14 @@ class Real:
         return (self._t >> k | self._t << (self._nt - k)) & _mask(self._nt)
 
     def window(self, start: int, n: int) -> int:
-        """Bits start .. start+n-1 as an int."""
-        if not self._t:
-            return self._p >> start & _mask(n)
+        """Bits start .. start+n-1 as an int.  A window that ends inside the
+        prefix is masked before it is shifted, so it copies start+n bits of
+        the prefix, not all of it."""
         if start >= self._np:
-            return _repeat(self._phase(start), self._nt, n)
+            return _repeat(self._phase(start), self._nt, n) if self._t else 0
         held = self._np - start
-        if n <= held:
-            return self._p >> start & _mask(n)
+        if n <= held or not self._t:
+            return (self._p & _mask(start + n)) >> start
         return self._p >> start | _repeat(self._t, self._nt, n - held) << held
 
     def flipped(self, mask: int) -> "Real":

@@ -38,23 +38,43 @@ block starts from the last limit.
 A finished run keeps only what its result needs, because callers keep many
 results (a survey, a jump, the universal dovetailer) and each full cyclic
 garbage collection walks every container still alive.  Enumerated programs
-halt in few distinct ways, so a block that steps to a halt is looked up, after
-stepping, in a weak-valued table keyed by its rows: the start snapshot, stage
-included, then one row per step.  Equal blocks share one `BlockSummary`, with
-its ever-one tuple, its `Real`s and its rows, and an entry lives only while
-some result holds its block.  The key is exact because a halting block's
-certificate, ever-one sets and every snapshot are functions of its start and
-rows, and stepping, with its query log, has already happened.  Repeat and
-translation blocks are not shared: their limits also depend on the program's
-limit state and the budget's depth.  A halt's time is the block start's stage
-plus its step count and its output is one track of the last row, so the last
-snapshot is never built unless read; the output is the block's ever-one
-`Real` itself when the two are equal.  Small finite stages, `HaltAt`
-certificates, oracle-free start snapshots and the empty limits tuple are
-shared too, so a kept one-step halt whose block another result already holds
-adds three tracked objects: the result, its trace and the blocks list.  A new
-block adds five more: the summary, its ever-one tuple, one `Real`, its rows
-and the table's weak reference.
+end their blocks in few distinct ways, so a block that steps to a halt or to
+a limit certificate is looked up, after stepping and before any union or
+limit is built, in a weak-valued table.  A halt is keyed by its rows: the
+start snapshot, stage included, then one row per step.  A repeat or
+translation block is keyed by its rows, the program's limit state (the
+limit snapshot's state) and the budget's depth (`limit_step` overflows at a
+depth the key must not hide).  Equal blocks share one `BlockSummary`, with
+its ever-one tuple, its `Real`s, its limit and its rows, and an entry lives
+only while some result holds its block.  Stepping, with its query log, has
+already happened, and an `ExceededCert` block is never shared.
+
+The key is exact.  A halt's certificate, ever-one sets and snapshots, and a
+repeat's first repeated row and limsup, are functions of the start and the
+rows.  A translation's certificate also depends on its candidate list, which
+an edge clamp clears and the rows do not record: a step that stays at cell 0
+and one clamped there leave equal rows.  Two blocks with equal rows that
+both end in a translation at step k still find the same candidate.  Their
+lists gain the same rows (new head maxima) and lose the same rows (the head
+falling below them), and a clamp empties a list, so at every step one list
+is a tail of the other.  At a record row every cell from the head on is
+still the start tape, so a candidate j matches a row i iff both have the
+same state and the start's suffixes from their heads are equal, a
+transitive relation.  Say the blocks matched j < j'.  Lists are scanned
+lowest first, so the second list lacks j and is a tail of the first, and j'
+is on both.  Then j matches j', j was on the first list at step j', and the
+first block would have stopped there.  A change to how candidates are kept
+or chosen must check this again.
+
+A halt's time is the block start's stage plus its step count and its output
+is one track of the last row, so the last snapshot is never built unless
+read; the output is the block's ever-one `Real` itself when the two are
+equal.  Small finite stages, `HaltAt` certificates, oracle-free start
+snapshots and the empty limits tuple are shared too, so a kept one-step halt
+whose block another result already holds adds three tracked objects: the
+result, its trace and the blocks list.  A new block adds five more: the
+summary, its ever-one tuple, one `Real`, its rows and the table's weak
+reference.
 
 A run diverges provably when a limit snapshot recurs in the strong sense: an
 identical earlier limit snapshot such that no cell that is 0 in it was 1 at
@@ -184,8 +204,8 @@ class BlockSummary(_WeakReferable):
         return self._explicit
 
 
-# halting blocks by rows, shared while some result holds them
-_HALTED: weakref.WeakValueDictionary[tuple, BlockSummary] = \
+# certified blocks by key (see `run_block`), shared while some result holds them
+_BLOCKS: weakref.WeakValueDictionary[tuple, BlockSummary] = \
     weakref.WeakValueDictionary()
 
 
@@ -203,14 +223,14 @@ class LoopCert:
     snapshot_digest: str
 
 
-@dataclass
+@dataclass(slots=True)
 class RunTrace:
     blocks: list = field(default_factory=list)
     limits: tuple = ()   # (level, Snapshot) for levels >= 2
     final_limit: Snapshot | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     outcome: str                 # "halted" | "loops" | "exceeded"
     trace: RunTrace
@@ -372,12 +392,28 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         return tuple([t.flipped(dj ^ o & ~(c ^ d ^ dj)) for t, c, d, dj, o in
                       zip(tracks, cur, delta, rows[j][2:], on)])
 
-    def summary(cert, ever, limit_tracks=None):
-        lim = None
-        if limit_tracks is not None:
-            lim = Snapshot(p.limit_state, 0, limit_tracks,
-                           limit_step(start.stage, 1, budget.depth))
-        return BlockSummary(cert, ever, lim, (start, *rows[1:]))
+    def held(cert):
+        """The block held under this block's key, or a new one ending in
+        `cert`, held from now on.  A halt is keyed by its rows alone; a limit
+        also by the program's limit state and the budget's depth."""
+        body = (start, *rows[1:])
+        key = body if type(cert) is HaltAt else (body, p.limit_state, budget.depth)
+        block = _BLOCKS.get(key)
+        if block is None:
+            ever, lim = union(0), None
+            if type(cert) is RepeatCert:
+                lim = union(cert.mu)
+            elif type(cert) is TranslationCert:
+                h0, d = rows[cert.mu][1], cert.shift
+                ever = tuple(or_real(w, shift_union(c, h0, d))
+                             for w, c in zip(ever, union(cert.mu)))
+                lim = tuple(t.flipped(dn).cycled(h0, d)
+                            for t, dn in zip(tracks, delta))
+            if lim is not None:
+                lim = Snapshot(p.limit_state, 0, lim,
+                               limit_step(start.stage, 1, budget.depth))
+            block = _BLOCKS[key] = BlockSummary(cert, ever, lim, body)
+        return block
 
     for i in range(1, budget.per_level_budget + 1):
         clamped = False
@@ -418,15 +454,10 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         row = (state, head, *delta)
         rows.append(row)
         if state == halt_state:
-            key = (start, *rows[1:])
-            block = _HALTED.get(key)
-            if block is None:
-                block = _HALTED[key] = BlockSummary(_halt_at(i), union(0),
-                                                    None, key)
-            return block
+            return held(_halt_at(i))
         mu = seen.setdefault(row, i)
         if mu != i:
-            return summary(RepeatCert(mu, i - mu), union(0), union(mu))
+            return held(RepeatCert(mu, i - mu))
         if clamped:
             records.clear()
         while records and rows[records[-1]][1] > head:
@@ -438,16 +469,11 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
                 if rec[0] == state and all(
                         t.flips_agree(h0 + d, dn, h0, dj)
                         for t, dn, dj in zip(tracks, delta, rec[2:])):
-                    cycle, whole = union(j), union(0)
-                    return summary(
-                        TranslationCert(j, i - j, d),
-                        tuple(or_real(w, shift_union(c, h0, d))
-                              for w, c in zip(whole, cycle)),
-                        tuple(t.flipped(dn).cycled(h0, d)
-                              for t, dn in zip(tracks, delta)))
+                    return held(TranslationCert(j, i - j, d))
             records.append(i)
             max_head = head
-    return summary(ExceededCert(budget.per_level_budget), union(0))
+    return BlockSummary(ExceededCert(budget.per_level_budget), union(0),
+                        None, (start, *rows[1:]))
 
 
 def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:

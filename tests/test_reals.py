@@ -210,6 +210,9 @@ def test_with_bit_suffix_and_truncated_match_the_model(m, i, v, k):
     phase = max(k, len(r.prefix))
     truncated = (bits[:k], bits[phase: phase + len(r.tail)])
     assert_denotes(r.truncated(k), model_bits(truncated, horizon(truncated)))
+    # a window from k, i bits wide: inside, across or past the prefix
+    window = model_bits(m, k + i)[k:]
+    assert r.window(k, i) == sum(x << j for j, x in enumerate(window))
 
 
 @PROPERTY

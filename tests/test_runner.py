@@ -401,7 +401,7 @@ def test_a_second_equal_halt_adds_at_most_three_tracked_objects():
 
 def test_the_halting_block_table_empties_when_its_results_are_dropped(monkeypatch):
     table = weakref.WeakValueDictionary()
-    monkeypatch.setattr(runner, "_HALTED", table)
+    monkeypatch.setattr(runner, "_BLOCKS", table)
     progs = enumeration_slice(500, 2, 3)
     results = [run_transfinite(p, ZERO_REAL, B) for p in progs]
     assert 0 < len(table) < sum(res.outcome == "halted" for res in results)
@@ -421,46 +421,52 @@ def test_kept_survey_results_hold_at_most_three_and_a_half_tracked_objects_each(
 
 
 def _check_shared_blocks_against_fresh_ones(p, res, budget, oracle=None):
-    """Each halting block equals the block that `run_block` steps from its
+    """Each certified block equals the block that `run_block` steps from its
     start with the table emptied: every field, and every snapshot read by
-    index, negative index and iteration.  Returns the halting blocks."""
-    halts = [blk for blk in res.trace.blocks if isinstance(blk.certificate, HaltAt)]
-    for blk in halts:
-        table = runner._HALTED
-        runner._HALTED = weakref.WeakValueDictionary()
+    index, negative index and iteration.  Its certificate re-checks.  Returns
+    the certified blocks."""
+    certified = [blk for blk in res.trace.blocks
+                 if not isinstance(blk.certificate, ExceededCert)]
+    for blk in certified:
+        table = runner._BLOCKS
+        runner._BLOCKS = weakref.WeakValueDictionary()
         try:
             fresh = run_block(blk.start, p, budget, oracle)
         finally:
-            runner._HALTED = table
+            runner._BLOCKS = table
         assert fresh is not blk
         assert (fresh.start, fresh.certificate, fresh.ever_one, fresh.limit,
                 fresh.rows) == (blk.start, blk.certificate, blk.ever_one,
                                 blk.limit, blk.rows)
+        assert verify_certificate(p, blk.start, blk.certificate, oracle)
         snaps = list(fresh.explicit)
         n = len(snaps)
         assert len(blk.explicit) == n
         assert [blk.explicit[k] for k in range(-n, 0)] == snaps
         assert [blk.explicit[k] for k in range(n)] == snaps
         assert list(blk.explicit) == snaps
-    return halts
+    return certified
 
 
 def test_shared_halting_blocks_equal_blocks_stepped_with_an_empty_table():
     budget = BudgetPolicy(3, 256, 256)
     for input_real in (ZERO_REAL, parse_real("1(10)*")):
-        halts = []
+        certified = []
         for p in enumeration_slice(3000, 2, 3):
-            halts += _check_shared_blocks_against_fresh_ones(
+            certified += _check_shared_blocks_against_fresh_ones(
                 p, run_transfinite(p, input_real, budget), budget)
-        assert len({id(blk) for blk in halts}) < len(halts) / 10
+        assert len({id(blk) for blk in certified}) < len(certified) / 10
+        limits = [blk for blk in certified if blk.limit is not None]
+        assert len({id(blk) for blk in limits}) < len(limits) / 2
     # a read-only oracle track with a long prefix
     oracle = RealOracle(Real(tuple(int(k * k % 13 < 6) for k in range(3000)),
                              (0, 1)))
-    halts = []
+    certified = []
     for p in enumeration_slice(300, 0, 4):
         res = run_programs([p], budget, oracle)[0]
-        halts += _check_shared_blocks_against_fresh_ones(p, res, budget, oracle)
-    assert len({id(blk) for blk in halts}) < len(halts)
+        certified += _check_shared_blocks_against_fresh_ones(p, res, budget,
+                                                             oracle)
+    assert len({id(blk) for blk in certified}) < len(certified)
     # a run whose block comes from the table still logs its own queries
     one, one_one = from_support([0]), from_support([0, 1])
     for members in (frozenset(), frozenset({one}), frozenset({one, one_one})):
@@ -482,6 +488,94 @@ def test_shared_halting_blocks_equal_blocks_stepped_with_an_empty_table():
     assert at_0 is not at_w and at_0.rows[1:] == at_w.rows[1:]
     assert at_0.explicit[-1].stage == from_int(1)
     assert at_w.explicit[-1].stage == parse_ordinal("w*1+1")
+
+
+def test_a_limit_block_is_not_shared_across_depths():
+    """`limit_step` overflows at depth 1, so a block held at depth 3 must not
+    turn a depth-1 run into a limit."""
+    p = p_sweep()
+    deep = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 64, 64))
+    assert deep.trace.blocks[0].limit is not None
+    shallow = run_transfinite(p, ZERO_REAL, BudgetPolicy(1, 64, 64))
+    assert (shallow.outcome, shallow.reason) == ("exceeded", "ordinal-overflow")
+    assert shallow.trace.blocks == []
+    again = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 64, 64))
+    assert again.trace.blocks[0] is deep.trace.blocks[0]
+
+
+def _renamed(p: Program, old: str, new: str) -> Program:
+    def name(state):
+        return new if state == old else state
+    return Program(track_count=p.track_count, start_state=name(p.start_state),
+                   limit_state=name(p.limit_state), halt_state=name(p.halt_state),
+                   rules={(name(st), read): Rule(r.write, r.move, name(r.next_state))
+                          for (st, read), r in p.rules.items()})
+
+
+def test_programs_that_differ_in_the_limit_state_name_share_no_limit_block():
+    budget = BudgetPolicy(3, 64, 64)
+    for make in (p_sweep, p_flip):
+        p = make()
+        q = _renamed(p, "limit", "omega")
+        first, second = (run_block(initial_snapshot(prog), prog, budget)
+                         for prog in (p, q))
+        assert first.rows == second.rows and first is not second
+        assert first.certificate == second.certificate
+        assert (first.limit.state, second.limit.state) == ("limit", "omega")
+        assert run_block(initial_snapshot(q), q, budget) is second
+    # a halting block reads no limit state, so it is shared
+    p = p_halt()
+    q = _renamed(p, "limit", "omega")
+    assert run_block(initial_snapshot(q), q, budget) is \
+        run_block(initial_snapshot(p), p, budget)
+
+
+def test_a_clamp_that_leaves_the_rows_unchanged_keeps_the_translation():
+    """Staying at cell 0 and being clamped there leave equal rows, though a
+    clamp clears the translation candidates.  Both blocks find the same
+    certificate, so the held one is right for either program."""
+    reads = list(itertools.product((0, 1), repeat=3))
+    def drifter(move):
+        # write scratch 1 and stay at cell 0 (S) or be clamped there (L),
+        # then march right: row 0 is a candidate only without the clamp
+        return total_program(3, {
+            ("start", (0, 0, 0)): Rule((0, 1, 0), move, "a"),
+            **{("a", r): Rule(r, "R", "b") for r in reads},
+            **{("b", r): Rule(r, "R", "b") for r in reads}})
+    budget = BudgetPolicy(3, 64, 64)
+    staying, clamped = drifter("S"), drifter("L")
+    start = initial_snapshot(staying)
+    assert start == initial_snapshot(clamped)
+    for first, second in ((staying, clamped), (clamped, staying)):
+        fresh = {}
+        for p in (first, second):
+            table = runner._BLOCKS
+            runner._BLOCKS = weakref.WeakValueDictionary()
+            try:
+                fresh[p] = run_block(start, p, budget)
+            finally:
+                runner._BLOCKS = table
+        held = run_block(start, first, budget)
+        assert run_block(start, second, budget) is held
+        for p in (first, second):
+            assert fresh[p] is not held
+            assert (fresh[p].certificate, fresh[p].ever_one, fresh[p].limit,
+                    fresh[p].rows) == (held.certificate, held.ever_one,
+                                       held.limit, held.rows)
+            assert verify_certificate(p, start, held.certificate)
+        assert held.certificate == TranslationCert(2, 1, 1)
+        del held
+
+
+def test_kept_survey_results_share_their_limit_blocks():
+    # the first 5,000 programs make only 30 limit blocks; 12,000 make 685
+    budget = BudgetPolicy(3, 256, 256)
+    results = [run_transfinite(p, ZERO_REAL, budget)
+               for p in enumeration_slice(12000, 2, 3)]
+    limits = [blk for res in results for blk in res.trace.blocks
+              if blk.limit is not None]
+    assert len(limits) > 500
+    assert len({id(blk) for blk in limits}) < len(limits) / 10
 
 
 def test_soundness_checks_survive_python_O():
