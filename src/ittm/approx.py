@@ -162,7 +162,14 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
     wakes: dict = {}
     first: dict[Real, tuple[Ordinal, int, int]] = {}
     horizons = []
+    # a result object met again (a shared one-block halt) is skipped: its
+    # events, at the same stages from a later program, replace no first
+    # appearance, and its horizon leaves min(horizons) as it is
+    read = set()
     for pid, res in enumerate(results):
+        if id(res) in read:
+            continue
+        read.add(id(res))
         events, horizon = _program_content_events(res, cap, wakes)
         for stage, t, real in events:
             # programs come in order and a program's events in stage order,
@@ -259,7 +266,7 @@ def _history(res: RunResult, read, wake_changes):
         if v != value:
             items.append(("set", stage, v))
             value = v
-    for block in res.trace.blocks:
+    for block in res.blocks:
         base = block.start.stage
         for snap in block.explicit:
             set_at(snap.stage, read(snap.tracks))
@@ -283,15 +290,15 @@ def _history(res: RunResult, read, wake_changes):
                 set_at(cnf_add(base, from_int(rel)), v)
         if block.limit is not None:
             set_at(block.limit.stage, read(block.limit.tracks))
-    if res.trace.final_limit is not None:
-        set_at(res.trace.final_limit.stage, read(res.trace.final_limit.tracks))
+    if res.final_limit is not None:
+        set_at(res.final_limit.stage, read(res.final_limit.tracks))
     if res.outcome == "exceeded":
         # every block but an exceeded last one is certified, so the stages
         # through the last block limit, or the last snapshot of a block
         # without one, are covered and nothing later
         cut = ZERO_ORD
-        if res.trace.blocks:
-            last = res.trace.blocks[-1]
+        if res.blocks:
+            last = res.blocks[-1]
             cut = successor(last.limit.stage) if last.limit is not None else \
                 cnf_add(last.start.stage, from_int(len(last.explicit)))
         items.append(("cut", cut))

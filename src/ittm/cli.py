@@ -164,7 +164,7 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     res = _run_result(args)
     lines = []
-    for block in res.trace.blocks:
+    for block in res.blocks:
         rec = {"schema": SCHEMA, "kind": "block",
                "stage": block.start.stage.render(),
                "certificate": _cert_json(block.certificate),
@@ -177,7 +177,7 @@ def cmd_trace(args) -> int:
                  "tracks": [t.render() for t in s.tracks]}
                 for s in block.explicit]
         lines.append(_json_line(rec))
-    for level, snap in res.trace.limits:
+    for level, snap in res.limits:
         lines.append(_json_line({"schema": SCHEMA, "kind": "limit",
                                  "level": level, "stage": snap.stage.render(),
                                  "digest": snap.digest()}))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 MOVES = ("L", "R", "S")
@@ -53,18 +54,66 @@ class Rule:
     next_state: str
 
 
+class RuleTable(Mapping):
+    """A transition table, (state, read) -> Rule, read like a dict.
+
+    The keys live in `slots`, a dict from key to position that every table
+    with the same keys in the same order shares, and the rules in the tuple
+    `rules`.  A program keeps a 16-slot table in 216 bytes where a dict takes
+    632, which matters to callers that hold tens of thousands of programs.
+    `items()` is one pass over the pairs."""
+
+    __slots__ = ("slots", "rules")
+
+    def __init__(self, slots: dict, rules: tuple):
+        self.slots = slots
+        self.rules = rules
+
+    @classmethod
+    def of(cls, table: Mapping) -> RuleTable:
+        return cls(_slots(tuple(table)), tuple(table.values()))
+
+    def __getitem__(self, key) -> Rule:
+        return self.rules[self.slots[key]]
+
+    def __contains__(self, key) -> bool:
+        return key in self.slots
+
+    def __iter__(self):
+        return iter(self.slots)
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def keys(self):
+        return self.slots.keys()
+
+    def values(self) -> tuple:
+        return self.rules
+
+    def items(self):
+        return zip(self.slots, self.rules)
+
+
+@functools.lru_cache(maxsize=64)
+def _slots(keys: tuple) -> dict:
+    return {key: i for i, key in enumerate(keys)}
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Program:
     track_count: int
     start_state: str
     limit_state: str
     halt_state: str
-    rules: dict[tuple[str, tuple[int, ...]], Rule]
+    rules: RuleTable    # made from any mapping (state, read) -> Rule
     query_state: str | None = None
     yes_state: str | None = None
     no_state: str | None = None
 
     def __post_init__(self):
+        if type(self.rules) is not RuleTable:
+            object.__setattr__(self, "rules", RuleTable.of(self.rules))
         problems = validate(self)
         if problems:
             missing = [m for m in problems if isinstance(m, tuple)]
@@ -241,7 +290,7 @@ def validate(p: Program):
         if state is not None and not _is_token(state):
             problems.append("state name %r is not one token free of whitespace, "
                             "'#' and '->'" % (state,))
-    rules, reads = p.rules, READ_VECTORS[p.track_count]
+    rules, reads = p.rules.keys(), READ_VECTORS[p.track_count]
     for state in rule_states:
         for read in reads:
             if (state, read) not in rules:
@@ -268,20 +317,28 @@ def default_rule(p_halt_state: str, tracks: int) -> Rule:
 
 
 @functools.cache
-def _default_table(states: tuple[str, ...], tracks: int):
+def _default_table(states: tuple[str, ...], tracks: int) -> RuleTable:
     rule = default_rule("halt", tracks)
-    return {(st, read): rule for st in states
-            for read in itertools.product((0, 1), repeat=tracks)}
+    return RuleTable.of({(st, read): rule for st in states
+                         for read in READ_VECTORS[tracks]})
 
 
 def total_program(tracks: int, overrides, states=("start", "limit"),
                   **special) -> Program:
     """Program over start/limit/halt: `overrides`, and the default rule in
     every other slot of `states` and of the overrides' states.  The default
-    table is made once per (states, tracks); each program gets a copy."""
+    table is made once per (states, tracks), and each program shares its
+    slots."""
     extra = sorted({st for st, _ in overrides} - set(states) - {"halt"})
-    rules = dict(_default_table(tuple(states) + tuple(extra), tracks))
-    rules.update(overrides)
+    default = _default_table(tuple(states) + tuple(extra), tracks)
+    slots, rules = default.slots, list(default.rules)
+    try:
+        for key, rule in overrides.items():
+            rules[slots[key]] = rule
+    except KeyError:   # a halt-state or misshapen key, for validate to report
+        rules = {**default, **overrides}
+    else:
+        rules = RuleTable(slots, tuple(rules))
     return Program(track_count=tracks, start_state="start", limit_state="limit",
                    halt_state="halt", rules=rules, **special)
 

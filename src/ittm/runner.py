@@ -66,15 +66,27 @@ is on both.  Then j matches j', j was on the first list at step j', and the
 first block would have stopped there.  A change to how candidates are kept
 or chosen must check this again.
 
-A halt's time is the block start's stage plus its step count and its output
-is one track of the last row, so the last snapshot is never built unless
-read; the output is the block's ever-one `Real` itself when the two are
-equal.  Small finite stages, `HaltAt` certificates, oracle-free start
-snapshots and the empty limits tuple are shared too, so a kept one-step halt
-whose block another result already holds adds three tracked objects: the
-result, its trace and the blocks list.  A new block adds five more: the
-summary, its ever-one tuple, one `Real`, its rows and the table's weak
-reference.
+A result is one frozen object: the blocks tuple, built when the run ends,
+the limits above level 1 and, for a loop, the recurring limit.  A halt's
+time is the block start's stage plus its step count and its output is one
+track of the last row, so the last snapshot is never built unless read; the
+output is the block's ever-one `Real` itself when the two are equal.
+
+A run whose first block halts shares its whole result through that block,
+which keeps a weak reference to the result it first made.  This is exact:
+such a result has blocks (block,), no limits and no final limit, its time is
+the start's stage (part of the block key) plus the block's step count, and
+its output is read off the block's last row and ever-one set, so every field
+is a function of the held block.  A halt after a limit is never shared: its
+blocks tuple records the blocks before it, which its last block does not.
+The result holds its block and the block only a weak reference to the
+result, so no cycle forms, and dropping the last result frees both by
+reference counting alone.  Small finite stages, `HaltAt` certificates,
+oracle-free start snapshots and the empty limits tuple are shared too, so a
+kept one-block halt whose block holds a live result adds no tracked object.
+A new one adds three: the result, its blocks tuple and the block's weak
+reference to it.  A new block adds five more: the summary, its ever-one
+tuple, one `Real`, its rows and the table's weak reference.
 
 A run diverges provably when a limit snapshot recurs in the strong sense: an
 identical earlier limit snapshot such that no cell that is 0 in it was 1 at
@@ -191,6 +203,9 @@ class BlockSummary(_WeakReferable):
     rows: tuple     # the start snapshot, then (state, head, *deltas) per step
     _explicit: Snapshots | None = field(default=None, init=False, repr=False,
                                         compare=False)
+    # a weak reference to the result of the one-block halt that ends here
+    _result: weakref.ref | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def start(self) -> Snapshot:
@@ -223,17 +238,12 @@ class LoopCert:
     snapshot_digest: str
 
 
-@dataclass(slots=True)
-class RunTrace:
-    blocks: list = field(default_factory=list)
-    limits: tuple = ()   # (level, Snapshot) for levels >= 2
-    final_limit: Snapshot | None = None
-
-
 @dataclass(frozen=True, slots=True)
-class RunResult:
+class RunResult(_WeakReferable):
     outcome: str                 # "halted" | "loops" | "exceeded"
-    trace: RunTrace
+    blocks: tuple                # BlockSummary per block, in run order
+    limits: tuple = ()           # (level, Snapshot) for levels >= 2
+    final_limit: Snapshot | None = None   # loops: the recurring limit
     time: Ordinal | None = None
     output: Real | None = None
     loop: LoopCert | None = None
@@ -247,6 +257,11 @@ class RunResult:
     @property
     def halted(self):
         return self.outcome == "halted"
+
+    @property
+    def trace(self) -> RunResult:
+        """The result itself, for readers of `res.trace.blocks`."""
+        return self
 
 
 def _oracle_kind(oracle):
@@ -366,7 +381,8 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
     kind = _oracle_kind(oracle)
     tracks = start.tracks
     writable = range(3 if kind == "real" else len(tracks))  # oracle track is read-only
-    rules, halt_state, query_state = p.rules, p.halt_state, p.query_state
+    slots, rules = p.rules.slots, p.rules.rules
+    halt_state, query_state = p.halt_state, p.query_state
     state, head = start.state, start.head
     # cur[t]: cells 0 .. width-1 of track t now; delta[t]: cells flipped since
     # the start; ups: (step, track, cell) for each cell turned to 1
@@ -433,7 +449,7 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
                        for c, t in zip(cur, tracks)]
                 width += grow
             read = tuple([c >> head & 1 for c in cur])
-            rule = rules[state, read]
+            rule = rules[slots[state, read]]
             write = rule.write
             for t in writable:
                 bit = write[t]
@@ -510,10 +526,36 @@ def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
     raise ValueError("unknown certificate %r" % (cert,))
 
 
+def _halt_output(block: BlockSummary) -> Real:
+    """The output track of a halting block's last row, without building its
+    snapshot; the block's ever-one Real itself when the two are equal."""
+    ever, out = block.ever_one[2], block.start.tracks[2]
+    if block.certificate.steps:
+        out = out.flipped(block.rows[-1][4])
+    return ever if out == ever else out
+
+
+def _halted(blocks: list, limits: tuple) -> RunResult:
+    """The result of a run whose last block halts.  A one-block halt's result
+    is held through its block (see the module docstring)."""
+    block = blocks[-1]
+    one = len(blocks) == 1
+    res = block._result() if one and block._result is not None else None
+    if res is None:
+        res = RunResult("halted", tuple(blocks), limits,
+                        time=cnf_add(block.start.stage,
+                                     from_int(block.certificate.steps)),
+                        output=_halt_output(block))
+        if one:
+            object.__setattr__(block, "_result", weakref.ref(res))
+    return res
+
+
 def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
                     budget: BudgetPolicy = DEFAULT_BUDGET,
                     oracle=None, query_log=None) -> RunResult:
-    trace = RunTrace()
+    blocks = []
+    limits = ()     # shared and empty until a level-2 limit
     registry = {}   # limit snapshot key -> (stage, number of blocks before it)
     n_tracks = p.track_count
 
@@ -525,7 +567,7 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
             return None
         first, n = hit
         for t in range(n_tracks):
-            ever = or_all(b.ever_one[t] for b in trace.blocks[n:])
+            ever = or_all(b.ever_one[t] for b in blocks[n:])
             if not and_not(ever, snap.tracks[t]).is_zero():
                 return None
         return LoopCert(first, snap.stage, snap.digest())
@@ -538,36 +580,31 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
     try:
         while True:
             summary = run_block(cur, p, budget, oracle, query_log)
-            trace.blocks.append(summary)
+            blocks.append(summary)
             cert = summary.certificate
             if isinstance(cert, HaltAt):
-                # the last row's stage and output track, without building
-                # its snapshot; the output shares the ever-one Real if equal
-                ever, out = summary.ever_one[2], summary.start.tracks[2]
-                if cert.steps:
-                    out = out.flipped(summary.rows[-1][4])
-                return RunResult("halted", trace,
-                                 time=cnf_add(cur.stage, from_int(cert.steps)),
-                                 output=ever if out == ever else out)
+                return _halted(blocks, limits)
             if isinstance(cert, ExceededCert):
-                return RunResult("exceeded", trace, reason="budget")
+                return RunResult("exceeded", tuple(blocks), limits,
+                                 reason="budget")
             lim, ever, level, origin = summary.limit, summary.ever_one, 1, cur
             while True:   # hand the level-`level` limit up
                 loop = check_loops(lim)
                 if loop is not None:
-                    trace.final_limit = lim
-                    return RunResult("loops", trace, loop=loop)
+                    return RunResult("loops", tuple(blocks), limits, lim,
+                                     loop=loop)
                 key = lim.key()
-                registry[key] = (lim.stage, len(trace.blocks))
+                registry[key] = (lim.stage, len(blocks))
                 if level > 1:
-                    trace.limits += ((level, lim),)
+                    limits += ((level, lim),)
                 if level + 1 not in frames:
                     frames[level + 1] = (origin, {origin.key(): 0}, [])
                 origin, starts, evers = frames[level + 1]
                 evers.append(ever)
                 if key not in starts:
                     if len(evers) == budget.per_level_budget:
-                        return RunResult("exceeded", trace, reason="budget")
+                        return RunResult("exceeded", tuple(blocks), limits,
+                                         reason="budget")
                     starts[key] = len(evers)
                     break
                 i = starts[key]
@@ -579,7 +616,8 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
                 ever = tuple(or_all(e[t] for e in evers) for t in range(n_tracks))
             cur = lim
     except BudgetOrdinalOverflow:
-        return RunResult("exceeded", trace, reason="ordinal-overflow")
+        return RunResult("exceeded", tuple(blocks), limits,
+                         reason="ordinal-overflow")
 
 
 @dataclass(frozen=True)

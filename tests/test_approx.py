@@ -263,7 +263,7 @@ def test_content_events_match_the_reference_walker():
     # a run that overflows the ordinal range in its first block has no
     # blocks, so its stream covers nothing
     empty = run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))
-    assert empty.outcome == "exceeded" and empty.trace.blocks == []
+    assert empty.outcome == "exceeded" and empty.trace.blocks == ()
     assert _program_content_events(empty, 7, {}) == ([], ZERO_ORD)
 
 

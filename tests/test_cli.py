@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,43 @@ def test_cli_mix_commands_keep_their_bytes(capsys):
         assert main(argv) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# exit code, stdout sha256 and trace-file sha256 of `run --format json` and
+# `trace --full-snapshots` on a one-block halt, a halt after a limit and a
+# hard-set program that exceeds its budget
+RUN_AND_TRACE = {
+    "P_halt": ("64", 0, "422cbbbab999fe827421743e831ad7099b1d38d3621b5f935694ff0e8570962f",
+               "26a86891c33c133c267468241481cfddb95bacbc20b00ef8b2943ac27419779a",
+               "b56d2a39faa59fc593a1ffb803f44bff5629d5a010abbe7364e64a10d3d6445a"),
+    "P_flip_lh": ("64", 0, "1d49e953760bee3236a8678d6b165c2ad120fd7dcb74b64fcacb57aa4a74827d",
+                  "3a5615d5e412b8ea6c5c4f3c7f7c24927a022f3feb04747d29576187aae24b72",
+                  "107237d98378cd8c4360ebc5f90b5e5ab189212806408615c77fefc500c0ed30"),
+    "10825": ("1024", 1, "890dff9b9fad6b4d6994fe371a4bcf545fcc16e174d9daf16231506e78554444",
+              "253873c71b312559248d2a2299c9f65b33277d69b9f20c194cf4da9714599198",
+              "8744e71f364d4c2dd0b7603de3660f41c00d45a89b42f7c44a42d191f5ba602d"),
+}
+
+
+def test_run_and_trace_keep_their_bytes(tmp_path, capsys):
+    files = {"10825": str(Path(__file__).resolve().parents[1] / "perfbench" /
+                          "hard_set" / "10825.itm")}
+    for name, p in (("P_halt", p_halt()), ("P_flip_lh", p_flip_lh())):
+        files[name] = str(tmp_path / (name + ".itm"))
+        Path(files[name]).write_text(render_program(p))
+    out = tmp_path / "trace.jsonl"
+    for name, (budget, code, run_digest, stdout_digest, trace_digest) in \
+            RUN_AND_TRACE.items():
+        assert main(["run", files[name], "--budget", budget,
+                     "--format", "json"]) == code, name
+        run_out = capsys.readouterr().out
+        assert main(["trace", files[name], "--budget", budget,
+                     "--full-snapshots", "--out", str(out)]) == code, name
+        trace_out = capsys.readouterr().out
+        assert [hashlib.sha256(data).hexdigest() for data in
+                (run_out.encode("utf-8"), trace_out.encode("utf-8"),
+                 out.read_bytes())] == [run_digest, stdout_digest,
+                                        trace_digest], name
 
 
 def test_fm_cli(tmp_path):

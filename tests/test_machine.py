@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -239,3 +240,42 @@ def test_render_program_text_is_unchanged():
                     p.rules.items(),
                     key=lambda kv: (order.get(kv[0][0], 2), kv[0][0], kv[0][1]))]
         assert lines[4:] == want
+
+
+def test_rule_tables_read_like_the_dicts_they_are_made_from():
+    p = parse_program(MINIMAL)
+    source = {}
+    for line in MINIMAL.splitlines()[4:]:
+        state, read, _, nxt, write, move = line.split()
+        source[(state, tuple(map(int, read)))] = Rule(tuple(map(int, write)),
+                                                      move, nxt)
+    for table in (p.rules, extend_to_oracle_tracks(p).rules):
+        made = dict(table)
+        assert table == made and len(table) == len(made)
+        assert list(table) == list(made) and list(table.keys()) == list(made)
+        assert list(table.items()) == list(made.items())
+        assert list(table.values()) == list(made.values())
+        assert all(key in table and table[key] is rule and table.get(key) is rule
+                   for key, rule in made.items())
+    assert p.rules == source and ("h", (0, 0, 0)) not in p.rules
+    with pytest.raises(KeyError):
+        p.rules[("h", (0, 0, 0))]
+
+
+def test_enumerated_programs_share_their_table_slots():
+    from ittm.oracle import enumeration_slice
+    programs = enumeration_slice(3000, 2, 3)
+    # one slots dict per set of rule-carrying states: no work state, one, two
+    assert len({id(p.rules.slots) for p in programs}) == 3
+    for p in programs[:50]:
+        own = sys.getsizeof(p.rules) + sys.getsizeof(p.rules.rules)
+        assert own < sys.getsizeof(dict(p.rules)) / 2
+
+
+def test_total_program_reports_keys_outside_its_states():
+    halt_rule = {("halt", (0, 0, 0)): default_rule("halt", 3)}
+    with pytest.raises(ProgramError, match="halt state 'halt' has outgoing rule"):
+        total_program(3, halt_rule)
+    narrow = {("start", (0, 0)): Rule((0, 0), "S", "halt")}
+    with pytest.raises(ProgramError, match="wrong vector width"):
+        total_program(3, narrow)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import itertools
 import subprocess
@@ -19,9 +20,9 @@ from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
 from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
                         parse_real, shift_union)
 from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
-                         Snapshot, StepFromHalt, TranslationCert, clockable_time,
-                         initial_snapshot, run_block, run_transfinite, step,
-                         verify_certificate)
+                         RunResult, Snapshot, StepFromHalt, TranslationCert,
+                         clockable_time, initial_snapshot, run_block,
+                         run_transfinite, step, verify_certificate)
 
 B = BudgetPolicy(3, 64, 256)
 # an acceptance-survey program that no budget up to 4096 certifies
@@ -358,10 +359,11 @@ def test_halting_time_and_output_are_the_last_snapshot():
 
 def test_a_kept_one_step_halt_holds_at_most_nine_tracked_objects():
     """Every full garbage collection walks every tracked object still alive,
-    so a kept result holds only what it needs: the result, its trace, the
-    blocks and limits lists, the block summary, its ever-one tuple, one Real
-    for the output (the ever-one's own) and the lazy snapshots with their
-    rows.  Its time, certificate and start snapshot are shared."""
+    so a kept result holds only what it needs: the result, its blocks tuple,
+    the block summary, its ever-one tuple, one Real for the output (the
+    ever-one's own), its rows, the table's weak reference to the block and
+    the block's to the result.  Its time, certificate and start snapshot are
+    shared."""
     p = p_halt()
     run_transfinite(p, ZERO_REAL, B)
     gc.collect()
@@ -389,14 +391,13 @@ def _tracked_objects_made_by(make):
             obj is not before and obj is not seen and obj is not made], made
 
 
-def test_a_second_equal_halt_adds_at_most_three_tracked_objects():
-    """An equal halting block is shared, so the second result adds only
-    itself, its trace and its blocks list."""
+def test_a_second_equal_halt_adds_no_tracked_object():
+    """An equal one-block halt shares the whole result through its block."""
     p = p_halt()
     first = run_transfinite(p, ZERO_REAL, B)
     kept, second = _tracked_objects_made_by(lambda: run_transfinite(p, ZERO_REAL, B))
-    assert len(kept) <= 3, [repr(obj)[:60] for obj in kept]
-    assert second.trace.blocks[0] is first.trace.blocks[0]
+    assert len(kept) == 0, [repr(obj)[:60] for obj in kept]
+    assert second is first
 
 
 def test_the_halting_block_table_empties_when_its_results_are_dropped(monkeypatch):
@@ -410,14 +411,142 @@ def test_the_halting_block_table_empties_when_its_results_are_dropped(monkeypatc
     assert len(table) == 0
 
 
-def test_kept_survey_results_hold_at_most_three_and_a_half_tracked_objects_each():
+def test_kept_survey_results_hold_at_most_half_a_tracked_object_each():
     budget = BudgetPolicy(3, 256, 256)
     progs = enumeration_slice(5000, 2, 3)
     for p in progs:   # fills the shared small ordinals, HaltAts and starts
         run_transfinite(p, ZERO_REAL, budget)
     kept, results = _tracked_objects_made_by(
         lambda: [run_transfinite(p, ZERO_REAL, budget) for p in progs])
-    assert len(kept) <= 3.5 * len(results)
+    assert len(kept) <= 0.5 * len(results)
+
+
+def test_dropped_results_free_their_blocks_without_the_collector(monkeypatch):
+    """A block holds its one-block halt's result only weakly, so no cycle
+    forms: dropping the results empties the table by reference counting."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(runner, "_BLOCKS", table)
+    budget = BudgetPolicy(3, 256, 256)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = [run_transfinite(p, ZERO_REAL, budget)
+                   for p in enumeration_slice(12000, 2, 3)]
+        # loops, halts after a limit, and each way a run exceeds its budget
+        results += [run_transfinite(p_flip(), ZERO_REAL, budget),
+                    run_transfinite(p_sweep(), ZERO_REAL, budget),
+                    run_transfinite(p_flip_lh(), ZERO_REAL, budget),
+                    run_transfinite(omega_squared_clocker(), ZERO_REAL, budget),
+                    run_transfinite(looper(6), ZERO_REAL, BudgetPolicy(3, 4, 64)),
+                    run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))]
+        assert {(res.outcome, res.reason) for res in results} == {
+            ("halted", None), ("loops", None), ("exceeded", "budget"),
+            ("exceeded", "ordinal-overflow")}
+        assert len(table) > 0
+        del results
+        assert len(table) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _rerun_with_an_empty_table(p, input_real, budget, oracle=None):
+    table = runner._BLOCKS
+    runner._BLOCKS = weakref.WeakValueDictionary()
+    try:
+        if oracle is None:
+            return run_transfinite(p, input_real, budget)
+        return run_with_oracle(p, input_real, oracle, budget)[0]
+    finally:
+        runner._BLOCKS = table
+
+
+def _check_result_against_a_fresh_run(p, res, input_real, budget, oracle=None):
+    """Every field of `res` equals the field of a run made with the block
+    table emptied, which shares nothing with it."""
+    fresh = _rerun_with_an_empty_table(p, input_real, budget, oracle)
+    assert fresh is not res
+    for f in dataclasses.fields(RunResult):
+        assert getattr(fresh, f.name) == getattr(res, f.name), f.name
+    assert res.trace is res
+
+
+def test_shared_halting_results_equal_results_run_with_an_empty_table():
+    budget = BudgetPolicy(3, 256, 256)
+    for input_real in (ZERO_REAL, parse_real("1(10)*")):
+        results = []
+        for p in enumeration_slice(3000, 2, 3):
+            res = run_transfinite(p, input_real, budget)
+            results.append(res)
+            if res.halted:
+                _check_result_against_a_fresh_run(p, res, input_real, budget)
+        one_block = [res for res in results
+                     if res.halted and len(res.blocks) == 1]
+        assert len({id(res) for res in one_block}) < len(one_block) / 10
+        for res in one_block:
+            assert (res.blocks[0]._result(), res.limits, res.final_limit) == \
+                (res, (), None)
+    # a read-only oracle track with a long prefix
+    oracle = RealOracle(Real(tuple(int(k * k % 13 < 6) for k in range(3000)),
+                             (0, 1)))
+    results = []
+    for p in enumeration_slice(300, 0, 4):
+        res = run_programs([p], budget, oracle)[0]
+        results.append(res)
+        if res.halted:
+            _check_result_against_a_fresh_run(p, res, ZERO_REAL, budget, oracle)
+    one_block = [res for res in results if res.halted and len(res.blocks) == 1]
+    assert len({id(res) for res in one_block}) < len(one_block)
+
+
+def test_a_shared_halting_result_keeps_each_run_its_own_query_log():
+    budget = BudgetPolicy(3, 64, 256)
+    one, one_one = from_support([0]), from_support([0, 1])
+    for members in (frozenset(), frozenset({one}), frozenset({one, one_one})):
+        oracle = SetOracle(members)
+        runs = [run_with_oracle(query_probe(), ZERO_REAL, oracle, budget)
+                for _ in range(2)]
+        assert runs[1][0] is runs[0][0] and runs[1][1] is not runs[0][1]
+        for res, log in runs:
+            stepped, _ = _check_explicit_against_stepping(query_probe(), res,
+                                                          budget, oracle)
+            assert list(log) == stepped and len(stepped) == 2
+            _check_result_against_a_fresh_run(query_probe(), res, ZERO_REAL,
+                                              budget, oracle)
+
+
+def test_results_that_are_not_one_block_halts_are_never_shared():
+    from conftest import nonzero_halter
+    from test_approx import binary_counter
+    odd = parse_real("1(10)*")
+    cases = [(p_flip_lh(), ZERO_REAL, B, "halted"),              # after a limit
+             (omega_squared_clocker(), ZERO_REAL, B, "halted"),
+             (p_flip(), ZERO_REAL, B, "loops"),
+             (p_sweep(), ZERO_REAL, B, "loops"),
+             (nonzero_halter(12), ZERO_REAL, BudgetPolicy(3, 4, 64), "exceeded"),
+             (binary_counter(), ZERO_REAL, BudgetPolicy(3, 8, 16), "exceeded"),
+             (p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64), "exceeded")]
+    for p, input_real, budget, outcome in cases:
+        first, second = (run_transfinite(p, input_real, budget) for _ in range(2))
+        assert first.outcome == outcome
+        assert second is not first and second == first
+        assert first.blocks == () or first.blocks[-1]._result is None
+        _check_result_against_a_fresh_run(p, second, input_real, budget)
+    # the same table from another input, or against another oracle real
+    p = p_halt()
+    at_zero, at_odd = (run_transfinite(p, x, B) for x in (ZERO_REAL, odd))
+    assert at_zero.blocks[0] is not at_odd.blocks[0] and at_zero != at_odd
+    for res, x in ((at_zero, ZERO_REAL), (at_odd, odd)):
+        assert run_transfinite(p, x, B) is res
+        _check_result_against_a_fresh_run(p, res, x, B)
+    p = enumeration_slice(1, 0, 4)[0]
+    oracles = [RealOracle(Real((bit,), (0,))) for bit in (0, 1)]
+    runs = [run_with_oracle(p, ZERO_REAL, o, B)[0] for o in oracles]
+    assert all(res.halted and len(res.blocks) == 1 for res in runs)
+    assert runs[0] is not runs[1]
+    assert runs[0].blocks[0].start != runs[1].blocks[0].start
+    for res, o in zip(runs, oracles):
+        _check_result_against_a_fresh_run(p, res, ZERO_REAL, B, o)
 
 
 def _check_shared_blocks_against_fresh_ones(p, res, budget, oracle=None):
@@ -498,7 +627,7 @@ def test_a_limit_block_is_not_shared_across_depths():
     assert deep.trace.blocks[0].limit is not None
     shallow = run_transfinite(p, ZERO_REAL, BudgetPolicy(1, 64, 64))
     assert (shallow.outcome, shallow.reason) == ("exceeded", "ordinal-overflow")
-    assert shallow.trace.blocks == []
+    assert shallow.trace.blocks == ()
     again = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 64, 64))
     assert again.trace.blocks[0] is deep.trace.blocks[0]
 
@@ -584,11 +713,11 @@ def test_soundness_checks_survive_python_O():
         "from ittm import approx, oracle",
         "from ittm.ordinal import OMEGA",
         "from ittm.reals import ZERO, parse_real",
-        "from ittm.runner import RunResult, RunTrace",
+        "from ittm.runner import RunResult",
         "ONE = parse_real('1(0)*')",
         "assert False, 'asserts are on'",
         "try:",
-        "    RunResult('halted', RunTrace(), time=OMEGA, output=ZERO)",
+        "    RunResult('halted', (), time=OMEGA, output=ZERO)",
         "except AssertionError as exc:",
         "    print(exc)",
         "try:",
@@ -629,9 +758,9 @@ def test_clockable_time_examples():
 
 
 def test_halted_time_never_limit():
-    from ittm.runner import RunResult, RunTrace
+    from ittm.runner import RunResult
     with pytest.raises(AssertionError):
-        RunResult("halted", RunTrace(), time=OMEGA, output=ZERO_REAL)
+        RunResult("halted", (), time=OMEGA, output=ZERO_REAL)
 
 
 def test_loop_strong_sense_rejects_escaping_snapshot():
