@@ -153,14 +153,12 @@ class Real:
             raise ValueError("bit value must be 0 or 1")
         return self.flipped((self.bit(n) ^ value) << n)
 
-    def flips_agree(self, a: int, da: int, b: int, db: int) -> bool:
-        """Whether self.flipped(da).suffix(a) == self.flipped(db).suffix(b),
-        decided on ints: past the flips and the prefix both reads run through
-        the primitive tail, which agree iff a and b are a whole number of
-        tail periods apart."""
-        n = max(da.bit_length() - a, db.bit_length() - b, self._np - min(a, b), 0)
-        return ((a - b) % self._nt == 0
-                and self.window(a, n) ^ da >> a == self.window(b, n) ^ db >> b)
+    def prefix_and_period(self) -> tuple[int, int]:
+        """(N, P), the canonical prefix length and the primitive tail period:
+        self.suffix(a) == self.suffix(b) iff a == b, or a, b >= N and
+        a % P == b % P.  Past N a suffix is a rotation of the primitive tail,
+        and a suffix from a < N has canonical prefix N - a > 0."""
+        return self._np, self._nt
 
     def cycled(self, n: int, d: int) -> "Real":
         """The first n bits of self, then its next d bits repeated forever."""

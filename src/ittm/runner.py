@@ -24,8 +24,8 @@ rows are: the row is the exact repeat key, with no canonical form.  The
 per-track union of the rows j .. i that both rules need is row j's tracks
 plus every cell a later step turned to 1, one `Real.flipped` per track; the
 read-only oracle track keeps delta 0 and is never rebuilt.  The snapshots of
-a block are built from its rows only when they are read (`Snapshots`), and
-`verify_certificate` re-checks each certificate by stepping on `Real`s.
+a block are built from its rows on the first read of `BlockSummary.explicit`,
+and `verify_certificate` re-checks each certificate by stepping on `Real`s.
 
 Limits of limits reuse the same idea one level up: block-start snapshots
 recur, and a cell is 1 at the w^k-limit iff it is 1 somewhere inside
@@ -58,13 +58,17 @@ both end in a translation at step k still find the same candidate.  Their
 lists gain the same rows (new head maxima) and lose the same rows (the head
 falling below them), and a clamp empties a list, so at every step one list
 is a tail of the other.  At a record row every cell from the head on is
-still the start tape, so a candidate j matches a row i iff both have the
-same state and the start's suffixes from their heads are equal, a
-transitive relation.  Say the blocks matched j < j'.  Lists are scanned
-lowest first, so the second list lacks j and is a tail of the first, and j'
-is on both.  Then j matches j', j was on the first list at step j', and the
-first block would have stopped there.  A change to how candidates are kept
-or chosen must check this again.
+still the start tape, so two record rows match iff they have the same state
+and the start's suffixes from their heads are equal.  By
+`Real.prefix_and_period` that holds iff both heads are at least `floor`, the
+largest canonical prefix length of the start's tracks, and both rows have
+the same key (state, head % `period`), with `period` the lcm of the tracks'
+tail periods: an equivalence fixed by the start.  A list holds at most one
+row per key, as a second would have matched the first and ended the block,
+so `run_block` keeps the last row of each key and checks that it is still
+on the list.  Say the blocks took j and j', the second list being a tail of
+the first.  Then j' is on the first list with the key of j, so j' = j.  A
+change to how candidates are kept or chosen must check this again.
 
 A result is one frozen object: the blocks tuple, built when the run ends,
 the limits above level 1 and, for a loop, the recurring limit.  A halt's
@@ -101,8 +105,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import weakref
-from collections.abc import Sequence
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import lcm
 
 from .machine import Program
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, cnf_add, from_int, successor,
@@ -201,8 +206,8 @@ class BlockSummary(_WeakReferable):
     ever_one: tuple[Real, ...]
     limit: Snapshot | None
     rows: tuple     # the start snapshot, then (state, head, *deltas) per step
-    _explicit: Snapshots | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _explicit: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
     # a weak reference to the result of the one-block halt that ends here
     _result: weakref.ref | None = field(default=None, init=False, repr=False,
                                         compare=False)
@@ -212,10 +217,22 @@ class BlockSummary(_WeakReferable):
         return self.rows[0]
 
     @property
-    def explicit(self) -> Snapshots:
-        """The block's snapshots, built from its rows on the first read."""
+    def explicit(self) -> tuple[Snapshot, ...]:
+        """The block's snapshots, built from its rows on the first read.
+        Snapshot k > 0 has row k's state and head, the start tracks with row
+        k's deltas flipped, and stage start.stage + k.  Consecutive snapshots
+        share the `Real` of every track whose delta did not change."""
         if self._explicit is None:
-            object.__setattr__(self, "_explicit", Snapshots(self.rows))
+            start = self.rows[0]
+            snaps, prev = [start], (0,) * len(start.tracks)
+            for k, (state, head, *deltas) in enumerate(self.rows[1:], 1):
+                tracks = tuple([pt if pd == d else t.flipped(d) for t, pt, pd, d
+                                in zip(start.tracks, snaps[-1].tracks, prev,
+                                       deltas)])
+                snaps.append(Snapshot(state, head, tracks,
+                                      cnf_add(start.stage, from_int(k))))
+                prev = deltas
+            object.__setattr__(self, "_explicit", tuple(snaps))
         return self._explicit
 
 
@@ -322,57 +339,6 @@ def step(s: Snapshot, p: Program, oracle=None, query_log=None) -> Snapshot:
     return _step(s, p, oracle, query_log)[0]
 
 
-class Snapshots(Sequence):
-    """A block's snapshots, built from its rows when read.
-
-    Entry 0 of `rows` is the start itself, and row k > 0 is (state, head,
-    *deltas): snapshot k has that state and head, the start tracks with each
-    track's delta cells flipped, and stage start.stage + k.  Each entry is
-    its row until read and its snapshot after.  An index read builds one
-    snapshot; a slice or an iteration builds the rest, once, and consecutive
-    snapshots share the `Real` of every track whose delta did not change.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, rows: tuple):
-        self._items = list(rows)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self._all()[k])
-        item = self._items[k]
-        if type(item) is tuple:
-            item = self._items[k] = self._build(k % len(self._items), item)
-        return item
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def _all(self) -> list:
-        items, prev, prev_row = self._items, None, None
-        for k, item in enumerate(items):
-            row = item if type(item) is tuple else None
-            if row is not None:
-                item = items[k] = self._build(k, row, prev, prev_row)
-            prev, prev_row = item, row
-        return items
-
-    def _build(self, k: int, row: tuple, prev: Snapshot | None = None,
-               prev_row: tuple | None = None) -> Snapshot:
-        start = self._items[0]
-        tracks = start.tracks
-        if prev_row is None:
-            tracks = tuple([t.flipped(d) for t, d in zip(tracks, row[2:])])
-        else:
-            tracks = tuple([pt if pd == d else t.flipped(d) for t, pt, pd, d in
-                            zip(tracks, prev.tracks, prev_row[2:], row[2:])])
-        return Snapshot(row[0], row[1], tracks, cnf_add(start.stage, from_int(k)))
-
-
 def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
@@ -396,6 +362,9 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
     # since and the head never below them since, lowest first
     records = [0]
     max_head = head
+    # key -> the last candidate with that key (see the module docstring),
+    # made at the first new maximum
+    index = None
 
     def union(j):
         """Per-track union of rows j .. now: row j's tracks plus each cell a
@@ -479,13 +448,20 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         while records and rows[records[-1]][1] > head:
             records.pop()
         if head > max_head:
-            for j in records:
-                rec = rows[j]
-                h0, d = rec[1], head - rec[1]
-                if rec[0] == state and all(
-                        t.flips_agree(h0 + d, dn, h0, dj)
-                        for t, dn, dj in zip(tracks, delta, rec[2:])):
-                    return held(TranslationCert(j, i - j, d))
+            if index is None:   # records is [0] or [] here
+                floors, periods = zip(*[t.prefix_and_period() for t in tracks])
+                floor, period = max(floors), lcm(*periods)
+                index = {}
+                if records and start.head >= floor:
+                    index[start.state, start.head % period] = 0
+            if head >= floor:
+                key = (state, head % period)
+                j = index.get(key)
+                if j is not None:
+                    k = bisect_left(records, j)
+                    if k < len(records) and records[k] == j:
+                        return held(TranslationCert(j, i - j, head - rows[j][1]))
+                index[key] = i
             records.append(i)
             max_head = head
     return BlockSummary(ExceededCert(budget.per_level_budget), union(0),

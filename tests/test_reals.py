@@ -216,22 +216,21 @@ def test_with_bit_suffix_and_truncated_match_the_model(m, i, v, k):
 
 
 @PROPERTY
-@given(models(), st.sets(st.integers(0, 40), max_size=3), st.integers(0, 40),
-       st.integers(0, 3), st.booleans(), st.booleans())
-def test_flipped_and_flips_agree_match_the_model(m, ones, b, k, off, mirrored):
+@given(models(), st.sets(st.integers(0, 40), max_size=3),
+       st.one_of(st.integers(0, 40), st.integers(1990, 2400)), st.integers(0, 3),
+       st.booleans())
+def test_flipped_and_the_suffix_lemma_match_the_model(m, ones, b, k, off):
     r = real_of(m)
-    d = k * len(m[1]) + off
-    # mirrored flips make the two reads agree whenever the reals allow it
-    others = {x - d for x in ones if x >= d} if mirrored else set()
-    n = len(m[0]) + d + 2 * len(m[1]) + 90
-    bits = model_bits(m, b + n)
-    flip_a = [x ^ (i in ones) for i, x in enumerate(bits)]
-    flip_b = [x ^ (i in others) for i, x in enumerate(bits)]
-    mask_a, mask_b = sum(1 << x for x in ones), sum(1 << x for x in others)
-    assert_denotes(r.flipped(mask_a), flip_a)
-    assert_denotes(r.flipped(mask_b), flip_b)
-    assert r.flips_agree(b + d, mask_a, b, mask_b) == \
-        (flip_a[b + d:] == flip_b[b: b + n - d])
+    # a is b plus whole tail periods, give or take a cell
+    a = b + k * len(m[1]) + off
+    n = len(m[0]) + 2 * len(m[1]) + 8
+    bits = model_bits(m, a + n)
+    mask = sum(1 << x for x in ones)
+    assert_denotes(r.flipped(mask), [x ^ (i in ones) for i, x in enumerate(bits)])
+    floor, period = r.prefix_and_period()
+    assert (floor, period) == (len(r.prefix), len(r.tail))
+    lemma = a == b or (min(a, b) >= floor and (a - b) % period == 0)
+    assert (r.suffix(a) == r.suffix(b)) == lemma == (bits[a:] == bits[b: b + n])
 
 
 @PROPERTY

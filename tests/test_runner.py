@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import itertools
+import random
 import subprocess
 import sys
 import weakref
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import looper, query_probe, total_program, zero_halter
 
-from ittm import ordinal, reals, runner
+from ittm import oracle as oracle_module, ordinal, reals, runner
 from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
                           parse_program)
 from ittm.ordinal import OMEGA, ZERO as ZERO_ORD, cnf_add, from_int, parse_ordinal
@@ -163,9 +164,9 @@ def omega_cubed_clocker():
 
 def _check_explicit_against_stepping(p, res, budget, oracle=None):
     """Each block's explicit snapshots equal a chain of `step` from its start,
-    read by iteration, every index, negative index and slice, and, on a
-    fresh run of the block, at -1 alone and then in full.  Returns the
-    chains' query log and the certificate kinds seen."""
+    read by iteration, every index, negative index and slice, and so do the
+    snapshots of a fresh run of the block, whose first read is index -1.
+    Returns the chains' query log and the certificate kinds seen."""
     log = []
     kinds = set()
     for blk in res.trace.blocks:
@@ -266,6 +267,111 @@ def test_run_block_builds_reals_and_ordinals_per_block_not_per_step(monkeypatch)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert all(n <= 8 for n in counts[0].values())
+
+
+def random_tables(n, tracks=3):
+    """The first n random total tables with two work states, from seed 11."""
+    rng = random.Random(11)
+    slots = oracle_module._slot_list(2, tracks)
+    options = oracle_module._option_list(2, tracks)
+    return [total_program(tracks, {s: rng.choice(options) for s in slots},
+                          ("start", "limit", "s0", "s1")) for _ in range(n)]
+
+
+def reference_certificate(start, p, budget, oracle=None):
+    """The certificate of the block from `start`, found by stepping on
+    `Real`s and, at each new head maximum, comparing the suffixes from the
+    heads with every candidate, lowest first.  `run_block`'s keyed lookup
+    must find the same one."""
+    if start.state == p.halt_state:
+        return HaltAt(0)
+    snaps, seen = [start], {start.key(): 0}
+    records, max_head = [0], start.head
+    for i in range(1, budget.per_level_budget + 1):
+        snap, clamped = runner._step(snaps[-1], p, oracle)
+        snaps.append(snap)
+        if snap.state == p.halt_state:
+            return HaltAt(i)
+        mu = seen.setdefault(snap.key(), i)
+        if mu != i:
+            return RepeatCert(mu, i - mu)
+        if clamped:
+            records.clear()
+        while records and snaps[records[-1]].head > snap.head:
+            records.pop()
+        if snap.head > max_head:
+            for j in records:
+                rec = snaps[j]
+                if rec.state == snap.state and all(
+                        now.suffix(snap.head) == then.suffix(rec.head)
+                        for now, then in zip(snap.tracks, rec.tracks)):
+                    return TranslationCert(j, i - j, snap.head - rec.head)
+            records.append(i)
+            max_head = snap.head
+    return ExceededCert(budget.per_level_budget)
+
+
+def _check_certificates_against_the_scan(progs, budget, input_real=ZERO_REAL,
+                                         oracle=None):
+    """Each block's certificate equals the scan's from the same start.
+    Returns the number of distinct blocks of each certificate kind."""
+    results = run_programs(progs, budget, oracle, input_real)
+    kinds, checked = collections.Counter(), set()
+    for p, res in zip(progs, results):
+        for blk in res.blocks:
+            if id(blk) not in checked:
+                checked.add(id(blk))
+                kinds[type(blk.certificate)] += 1
+                assert reference_certificate(blk.start, p, budget, oracle) == \
+                    blk.certificate
+    return kinds
+
+
+def test_keyed_translation_candidates_match_the_scan():
+    small = BudgetPolicy(3, 64, 256)
+    kinds = _check_certificates_against_the_scan(random_tables(1500), small)
+    assert kinds[TranslationCert] > 100
+    # start tapes with prefixes and tails of periods 2 and 3
+    for text in ("1(10)*", "0110(100)*"):
+        _check_certificates_against_the_scan(enumeration_slice(3000, 2, 3), small,
+                                             parse_real(text))
+        kinds = _check_certificates_against_the_scan(random_tables(500), small,
+                                                     parse_real(text))
+        assert kinds[TranslationCert] > 50
+    # read-only oracle tracks: a long prefix, and tails of periods 1 and 3
+    translations = 0
+    for word in (Real(tuple(int(k * k % 11 < 5) for k in range(3000)), (1, 1, 0)),
+                 Real((1, 0, 1), (1,)), Real((1,), (0, 1, 1))):
+        for progs in (enumeration_slice(400, 1, 4), random_tables(1500, 4)):
+            kinds = _check_certificates_against_the_scan(
+                progs, small, parse_real("1(10)*"), RealOracle(word))
+            translations += kinds[TranslationCert]
+    assert translations > 20
+    hard = sorted(HARD_10825.parent.glob("*.itm"))
+    kinds = _check_certificates_against_the_scan(
+        [parse_program(f.read_text()) for f in hard], BudgetPolicy(3, 1024, 256))
+    assert kinds == {ExceededCert: 14}
+
+
+def test_translation_candidates_are_looked_up_not_scanned(monkeypatch):
+    """This run drifts right with shallow dips, so every block keeps each of
+    its head maxima as a candidate.  A lookup by key reads no tape window per
+    candidate, so the run reads fewer windows than it makes steps."""
+    p = random_tables(268)[267]
+    calls = collections.Counter()
+    window = Real.window
+
+    def counted(self, start, n):
+        calls["window"] += 1
+        return window(self, start, n)
+
+    monkeypatch.setattr(Real, "window", counted)
+    res = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 256, 256))
+    steps = sum(len(blk.rows) - 1 for blk in res.blocks)
+    assert (res.outcome, res.reason, steps) == ("exceeded", "budget", 25598)
+    assert sum(isinstance(blk.certificate, TranslationCert)
+               for blk in res.blocks) == len(res.blocks) - 1
+    assert 0 < calls["window"] < steps
 
 
 def test_level_two_block_budget_exhaustion_is_exceeded():
