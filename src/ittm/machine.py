@@ -4,7 +4,9 @@ A program is a total transition table over aligned tape tracks: every
 non-halt state must have a rule for every read vector.  The table is checked
 once, when the `Program` is made: construction raises `TotalityError` for
 missing rules and `ProgramError` for any other problem, so a run trusts the
-program it is given and checks nothing.  Three tracks mean
+program it is given and checks nothing.  A valid table is then laid out in
+rendering order (see `layout`), so a program's text is its rules in table
+order.  Three tracks mean
 (input, scratch, output); a fourth track is the oracle tape.  One head is
 shared by all tracks, and a left move at cell 0 leaves the head at cell 0.
 
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 
 MOVES = ("L", "R", "S")
 
-# every read vector of a table, by track count
+# every read vector of a table, by track count, in order and as a set
 READ_VECTORS = {n: tuple(itertools.product((0, 1), repeat=n)) for n in (3, 4)}
+_VECTORS = {n: frozenset(reads) for n, reads in READ_VECTORS.items()}
 
 
 class ProgramError(Exception):
@@ -57,21 +60,19 @@ class Rule:
 class RuleTable(Mapping):
     """A transition table, (state, read) -> Rule, read like a dict.
 
-    The keys live in `slots`, a dict from key to position that every table
-    with the same keys in the same order shares, and the rules in the tuple
-    `rules`.  A program keeps a 16-slot table in 216 bytes where a dict takes
-    632, which matters to callers that hold tens of thousands of programs.
-    `items()` is one pass over the pairs."""
+    The keys live in `slots`, a dict from key to position, and the rules in
+    the tuple `rules`.  A program's table is laid out over its rule-carrying
+    `states`: its slots are `layout(states, tracks)`, shared by every table
+    over those states, so `items()` is one pass in rendering order.  A
+    program keeps a 16-slot table in 224 bytes where a dict takes 632, which
+    matters to callers that hold tens of thousands of programs."""
 
-    __slots__ = ("slots", "rules")
+    __slots__ = ("states", "slots", "rules")
 
-    def __init__(self, slots: dict, rules: tuple):
+    def __init__(self, states: tuple, slots: dict, rules: tuple):
+        self.states = states
         self.slots = slots
         self.rules = rules
-
-    @classmethod
-    def of(cls, table: Mapping) -> RuleTable:
-        return cls(_slots(tuple(table)), tuple(table.values()))
 
     def __getitem__(self, key) -> Rule:
         return self.rules[self.slots[key]]
@@ -95,9 +96,17 @@ class RuleTable(Mapping):
         return zip(self.slots, self.rules)
 
 
-@functools.lru_cache(maxsize=64)
-def _slots(keys: tuple) -> dict:
-    return {key: i for i, key in enumerate(keys)}
+@functools.lru_cache(maxsize=256)
+def layout(states: tuple[str, ...], tracks: int) -> dict:
+    """(state, read) -> slot over `states` x READ_VECTORS[tracks], in the
+    order a program renders its rules: state by state, reads ascending.
+    `states` must come in rendering order, each once: the start and the limit
+    state (those of them that carry rules), then the others by name; a tail
+    out of order raises ValueError."""
+    if len(set(states)) != len(states) or list(states[2:]) != sorted(states[2:]):
+        raise ValueError("states %r are not in rendering order" % (states,))
+    return {key: i for i, key in
+            enumerate(itertools.product(states, READ_VECTORS[tracks]))}
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -106,20 +115,30 @@ class Program:
     start_state: str
     limit_state: str
     halt_state: str
-    rules: RuleTable    # made from any mapping (state, read) -> Rule
+    rules: RuleTable    # laid out from any mapping (state, read) -> Rule
     query_state: str | None = None
     yes_state: str | None = None
     no_state: str | None = None
 
     def __post_init__(self):
-        if type(self.rules) is not RuleTable:
-            object.__setattr__(self, "rules", RuleTable.of(self.rules))
         problems = validate(self)
         if problems:
             missing = [m for m in problems if isinstance(m, tuple)]
             if missing:
                 raise TotalityError(missing)
             raise ProgramError("; ".join(problems))
+        table = self.rules
+        # a valid table's keys are its rule states x every read vector, so a
+        # RuleTable laid out over states that start (start, limit) needs no
+        # sort: `layout` refused any other order of the rest
+        if not (type(table) is RuleTable
+                and table.states[:2] == (self.start_state, self.limit_state)
+                and table.slots is layout(table.states, self.track_count)):
+            states = tuple(sorted({state for state, _ in table}, key=lambda s: (
+                s != self.start_state, s != self.limit_state, s)))
+            slots = layout(states, self.track_count)
+            object.__setattr__(self, "rules", RuleTable(
+                states, slots, tuple(table[key] for key in slots)))
 
     def states(self) -> list[str]:
         named = [self.start_state, self.limit_state, self.halt_state]
@@ -146,13 +165,6 @@ class Program:
         return "Program[%d states, %d tracks]" % (len(self.states()), self.track_count)
 
 
-def _state_sort_key(p: Program):
-    order = {p.start_state: 0, p.limit_state: 1}
-    def key(state):
-        return (order.get(state, 2), state)
-    return key
-
-
 def render_program(p: Program) -> str:
     lines = ["tracks: %d" % p.track_count,
              "start: %s" % p.start_state,
@@ -164,24 +176,16 @@ def render_program(p: Program) -> str:
         lines.append("yes: %s" % p.yes_state)
     if p.no_state is not None:
         lines.append("no: %s" % p.no_state)
-    key = _state_sort_key(p)
     text = _VECTOR_TEXT
     lines += ["%s %s -> %s %s %s" % (state, text[read], rule.next_state,
                                      text[rule.write], rule.move)
-              for (state, read), rule in sorted(
-                  p.rules.items(), key=lambda kv: (key(kv[0][0]), kv[0][1]))]
+              for (state, read), rule in p.rules.items()]
     return "\n".join(lines) + "\n"
 
 
-class _VectorText(dict):
-    """Vector -> its text as a rule writes it; 0/1 vectors are made once."""
-
-    def __missing__(self, vector):
-        return "".join(map(str, vector))
-
-
-_VECTOR_TEXT = _VectorText((v, "".join(map(str, v)))
-                           for reads in READ_VECTORS.values() for v in reads)
+# vector -> its text as a rule writes it
+_VECTOR_TEXT = {v: "".join(map(str, v))
+                for reads in READ_VECTORS.values() for v in reads}
 
 
 def parse_program(text: str) -> Program:
@@ -264,6 +268,7 @@ def validate(p: Program):
     if any(s is not None for s in protocol) and any(s is None for s in protocol):
         problems.append("query protocol incomplete: query/yes/no states must all be present or all absent")
     named = set()   # every state a rule leaves from or goes to
+    vectors = _VECTORS[p.track_count]
     for (state, read), rule in p.rules.items():
         named.add(state)
         named.add(rule.next_state)
@@ -271,8 +276,11 @@ def validate(p: Program):
             problems.append("halt state %r has outgoing rule" % state)
         if state == p.query_state:
             problems.append("query state %r has outgoing rule (answers are oracle-driven)" % state)
-        if len(read) != p.track_count or len(rule.write) != p.track_count:
-            problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
+        if read not in vectors or rule.write not in vectors:
+            if len(read) != p.track_count or len(rule.write) != p.track_count:
+                problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
+            else:
+                problems.append("rule %s/%s has a bit other than 0 and 1" % (state, "".join(map(str, read))))
         if rule.move not in MOVES:
             problems.append("rule %s/%s has bad move %r" % (state, "".join(map(str, read)), rule.move))
     # the states that must carry a total rule set, in canonical order
@@ -316,29 +324,15 @@ def default_rule(p_halt_state: str, tracks: int) -> Rule:
     return Rule((0,) * tracks, "L", p_halt_state)
 
 
-@functools.cache
-def _default_table(states: tuple[str, ...], tracks: int) -> RuleTable:
-    rule = default_rule("halt", tracks)
-    return RuleTable.of({(st, read): rule for st in states
-                         for read in READ_VECTORS[tracks]})
-
-
 def total_program(tracks: int, overrides, states=("start", "limit"),
                   **special) -> Program:
     """Program over start/limit/halt: `overrides`, and the default rule in
-    every other slot of `states` and of the overrides' states.  The default
-    table is made once per (states, tracks), and each program shares its
-    slots."""
-    extra = sorted({st for st, _ in overrides} - set(states) - {"halt"})
-    default = _default_table(tuple(states) + tuple(extra), tracks)
-    slots, rules = default.slots, list(default.rules)
-    try:
-        for key, rule in overrides.items():
-            rules[slots[key]] = rule
-    except KeyError:   # a halt-state or misshapen key, for validate to report
-        rules = {**default, **overrides}
-    else:
-        rules = RuleTable(slots, tuple(rules))
+    every other slot of `states` and of the overrides' states."""
+    fill = default_rule("halt", tracks)
+    rules = {(state, read): fill
+             for state in dict.fromkeys((*states, *(st for st, _ in overrides)))
+             if state != "halt" for read in READ_VECTORS[tracks]}
+    rules.update(overrides)
     return Program(track_count=tracks, start_state="start", limit_state="limit",
                    halt_state="halt", rules=rules, **special)
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .machine import MOVES, Program, Rule, default_rule, total_program
+from .machine import MOVES, Program, Rule, RuleTable, default_rule, layout
 from .ordinal import Ordinal
 from .reals import Real, ZERO as ZERO_REAL, from_support, join
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, OracleProtocolError,
@@ -77,9 +77,7 @@ def replay_queries(query_log: Sequence[QueryRecord], oracle: SetOracle) -> bool:
 # --- canonical enumeration -------------------------------------------------
 
 def _slot_list(work: int, tracks: int):
-    states = ["start", "limit"] + list(_WORK_NAMES[:work])
-    reads = list(itertools.product((0, 1), repeat=tracks))
-    return [(st, read) for st in states for read in reads]
+    return list(layout(("start", "limit") + _WORK_NAMES[:work], tracks))
 
 
 def _option_list(work: int, tracks: int):
@@ -101,21 +99,25 @@ def enumerate_programs(max_work_states: int, tracks: int = 3):
         if k > max_slots:
             return
         for work in range(max_work_states + 1):
-            slots = _slot_list(work, tracks)
+            states = ("start", "limit") + _WORK_NAMES[:work]
+            slots = layout(states, tracks)
             if k > len(slots):
                 continue
             options = _option_list(work, tracks)
-            default = options[0]
+            default = default_rule("halt", tracks)   # one rule object shared
             # raised, not asserted, so that `python -O` keeps the check
-            if default != default_rule("halt", tracks):
+            if options[0] != default:
                 raise AssertionError("the first option is not the default rule")
             extra = options[1:]
-            states = ("start", "limit") + _WORK_NAMES[:work]
+            base = [default] * len(slots)
             for combo in itertools.combinations(range(len(slots)), k):
                 for choice in itertools.product(extra, repeat=k):
-                    yield total_program(
-                        tracks, {slots[c]: rule for c, rule in zip(combo, choice)},
-                        states)
+                    rules = base.copy()
+                    for c, rule in zip(combo, choice):
+                        rules[c] = rule
+                    yield Program(track_count=tracks, start_state="start",
+                                  limit_state="limit", halt_state="halt",
+                                  rules=RuleTable(states, slots, tuple(rules)))
 
 
 def enumeration_slice(bound: int, max_work_states: int = 2, tracks: int = 3):

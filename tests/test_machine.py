@@ -1,12 +1,16 @@
+import hashlib
 import itertools
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from ittm.machine import (Program, ProgramError, ProgramSyntaxError, Rule,
-                          TotalityError, default_rule, extend_to_oracle_tracks,
-                          parse_program, p_flip, p_flip_lh, p_halt, p_sweep,
-                          render_program, total_program, validate)
+                          RuleTable, TotalityError, default_rule,
+                          extend_to_oracle_tracks, layout, parse_program, p_flip,
+                          p_flip_lh, p_halt, p_sweep, render_program,
+                          total_program, validate)
 
 MINIMAL = "\n".join(
     ["tracks: 3", "start: s0", "limit: s0", "halt: h",
@@ -175,6 +179,8 @@ def _two_pass_problems(p):
                             "oracle-driven)" % state)
         if len(read) != p.track_count or len(rule.write) != p.track_count:
             problems.append("rule %s/%s has wrong vector width" % (state, vec))
+        elif any(b not in (0, 1) for b in read + rule.write):
+            problems.append("rule %s/%s has a bit other than 0 and 1" % (state, vec))
         if rule.move not in ("L", "R", "S"):
             problems.append("rule %s/%s has bad move %r" % (state, vec, rule.move))
     states = [p.start_state, p.limit_state, p.halt_state] + [
@@ -212,12 +218,14 @@ def test_validate_reports_what_a_two_pass_check_reports_in_its_order():
                       yes_state=None, no_state=None)
         tables.append(dict(fields, rules=dict(p.rules)))
         keys = sorted(p.rules)
-        # drop slots, add a halt rule, a bad move, a wrong width and odd
-        # names, mixed together
+        # drop slots, add a halt rule, a bad move, a wrong width, bits other
+        # than 0 and 1 and odd names, mixed together
         broken = {k: r for i, (k, r) in enumerate(sorted(p.rules.items()))
                   if i % 3}
         broken[("halt", keys[0][1])] = Rule((0,) * p.track_count, "X", "q x")
         broken[("w#1", (0, 1))] = Rule((1,), "S", "limit")
+        broken[keys[1]] = Rule((0,) * (p.track_count - 1) + (2,), "S", "halt")
+        broken[("s1", (2,) + keys[0][1][1:])] = Rule(keys[0][1], "R", "s1")
         tables.append(dict(fields, rules=broken))
         tables.append(dict(fields, rules=broken, limit_state="halt",
                            query_state="start", yes_state="y"))
@@ -225,13 +233,15 @@ def test_validate_reports_what_a_two_pass_check_reports_in_its_order():
         p = SimpleNamespace(**table)
         assert validate(p) == _two_pass_problems(p)
     assert any(len(_two_pass_problems(SimpleNamespace(**t))) > 20 for t in tables)
+    assert any("other than 0 and 1" in m for m in validate(SimpleNamespace(**tables[1])))
 
 
 def test_render_program_text_is_unchanged():
     """Rule lines as joined digits, sorted by state class, name and read."""
     from ittm.oracle import enumeration_slice
+    from conftest import query_probe
     for p in enumeration_slice(500, 2, 3) + enumeration_slice(100, 1, 4) + [
-            p_flip(), p_sweep()]:
+            p_flip(), p_sweep(), query_probe(), parse_program(MINIMAL)]:
         lines = render_program(p).splitlines()
         order = {p.start_state: 0, p.limit_state: 1}
         want = ["%s %s -> %s %s %s" % (st, "".join(map(str, read)), r.next_state,
@@ -239,7 +249,7 @@ def test_render_program_text_is_unchanged():
                 for (st, read), r in sorted(
                     p.rules.items(),
                     key=lambda kv: (order.get(kv[0][0], 2), kv[0][0], kv[0][1]))]
-        assert lines[4:] == want
+        assert lines[len(lines) - len(want):] == want
 
 
 def test_rule_tables_read_like_the_dicts_they_are_made_from():
@@ -279,3 +289,67 @@ def test_total_program_reports_keys_outside_its_states():
     narrow = {("start", (0, 0)): Rule((0, 0), "S", "halt")}
     with pytest.raises(ProgramError, match="wrong vector width"):
         total_program(3, narrow)
+    # a rule with a bit other than 0 and 1 could not be written back or certified
+    for key, rule in ((("start", (0, 0, 0)), Rule((0, 0, 2), "S", "halt")),
+                      (("start", (2, 0, 0)), Rule((0, 0, 1), "S", "halt"))):
+        with pytest.raises(ProgramError, match="start/.* has a bit other than 0 and 1"):
+            total_program(3, {key: rule})
+
+
+def test_every_way_of_giving_a_table_lands_on_one_layout():
+    """A shuffled dict, a RuleTable in reversed key order, shuffled rule lines
+    and `total_program` over shuffled states hold the layout the enumeration
+    uses for the same states, so they render, digest and compare alike."""
+    from ittm.oracle import enumeration_slice
+    rng = random.Random(16)
+    states = ("start", "limit", "s0", "s1")
+    p = [q for q in enumeration_slice(5000, 2, 3) if q.rules.states == states][-1]
+    items = list(p.rules.items())
+    shuffled = rng.sample(items, len(items))
+    fields = dict(track_count=3, start_state="start", limit_state="limit",
+                  halt_state="halt")
+    backwards = RuleTable(states, {k: i for i, (k, _) in enumerate(items[::-1])},
+                          tuple(r for _, r in items[::-1]))
+    swapped = ("limit", "start", "s0", "s1")
+    limit_first = RuleTable(swapped, layout(swapped, 3),
+                            tuple(p.rules[key] for key in layout(swapped, 3)))
+    text = render_program(p).splitlines(keepends=True)
+    overrides = {k: r for k, r in items if r != default_rule("halt", 3)}
+    assert overrides
+    built = [Program(**fields, rules=dict(shuffled)),
+             Program(**fields, rules=backwards),
+             Program(**fields, rules=limit_first),
+             parse_program("".join(text[:4] + rng.sample(text[4:], len(text) - 4))),
+             total_program(3, overrides, states=("limit", "s1", "start", "s0"))]
+    for q in built:
+        assert q.rules.slots is p.rules.slots is layout(states, 3)
+        assert q.rules.states == states
+        assert render_program(q) == render_program(p)
+        assert q.digest() == p.digest() and q == p and hash(q) == hash(p)
+    four = enumeration_slice(3, 2, 4)[2]
+    assert four.rules.slots is extend_to_oracle_tracks(p).rules.slots is layout(states, 4)
+    # a start state that is also the limit state leads, then the others by name
+    q = Program(track_count=3, start_state="s1", limit_state="s1", halt_state="h",
+                rules={(st, read): Rule(read, "S", "h") for st in ("s1", "s0", "a")
+                       for read in itertools.product((0, 1), repeat=3)})
+    assert q.rules.slots is layout(("s1", "a", "s0"), 3)
+    with pytest.raises(ValueError, match="rendering order"):
+        layout(("start", "limit", "s1", "s0"), 3)
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((60000, 2, 3), "c02db057a8f5ee9e7150265db6cbab983d8ea1f678f0aa296587b78218185ffc"),
+    ((60000, 4, 3), "d13b0a82c32ff4ff1cff7462fcbb3ae880256910b37a44143b0c49c83ec22a0c"),
+    ((20000, 2, 4), "2b2e6dfed6769fb629c9dc1cb42cbd38eaea03025a4c6ed7e676ac1ad93ab3d9")])
+def test_enumerated_programs_render_the_pinned_bytes(args, digest):
+    from ittm.oracle import enumeration_slice
+    text = "".join(render_program(p) for p in enumeration_slice(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_hard_set_files_render_back_byte_for_byte():
+    files = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "hard_set").glob("*.itm"))
+    assert len(files) == 14
+    for f in files:
+        text = f.read_text(encoding="utf-8")
+        assert render_program(parse_program(text)) == text, f.name
