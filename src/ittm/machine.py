@@ -1,12 +1,14 @@
 """Program model and the `.itm` assembly format.
 
 A program is a total transition table over aligned tape tracks: every
-non-halt state must have a rule for every read vector.  The table is checked
-once, when the `Program` is made: construction raises `TotalityError` for
-missing rules and `ProgramError` for any other problem, so a run trusts the
-program it is given and checks nothing.  A valid table is then laid out in
-rendering order (see `layout`), so a program's text is its rules in table
-order.  Three tracks mean
+non-halt state must have a rule for every read vector.  A program built in
+code or parsed from a file is checked when it is made: construction raises
+`TotalityError` for missing rules and `ProgramError` for any other problem.
+Enumerated programs are checked once per layout and option list, before the
+first of them is made (see `oracle.enumerate_programs`).  Either way a run
+trusts the program it is given and checks nothing.  A valid table is laid
+out in rendering order (see `layout`), so a program's text is its rules in
+table order.  Three tracks mean
 (input, scratch, output); a fourth track is the oracle tape.  One head is
 shared by all tracks, and a left move at cell 0 leaves the head at cell 0.
 
@@ -128,17 +130,11 @@ class Program:
                 raise TotalityError(missing)
             raise ProgramError("; ".join(problems))
         table = self.rules
-        # a valid table's keys are its rule states x every read vector, so a
-        # RuleTable laid out over states that start (start, limit) needs no
-        # sort: `layout` refused any other order of the rest
-        if not (type(table) is RuleTable
-                and table.states[:2] == (self.start_state, self.limit_state)
-                and table.slots is layout(table.states, self.track_count)):
-            states = tuple(sorted({state for state, _ in table}, key=lambda s: (
-                s != self.start_state, s != self.limit_state, s)))
-            slots = layout(states, self.track_count)
-            object.__setattr__(self, "rules", RuleTable(
-                states, slots, tuple(table[key] for key in slots)))
+        states = tuple(sorted({state for state, _ in table}, key=lambda s: (
+            s != self.start_state, s != self.limit_state, s)))
+        slots = layout(states, self.track_count)
+        object.__setattr__(self, "rules", RuleTable(
+            states, slots, tuple(table[key] for key in slots)))
 
     def states(self) -> list[str]:
         named = [self.start_state, self.limit_state, self.halt_state]
@@ -163,6 +159,25 @@ class Program:
 
     def __repr__(self):
         return "Program[%d states, %d tracks]" % (len(self.states()), self.track_count)
+
+
+def _enumerated(tracks: int, rules: RuleTable) -> Program:
+    """The program over start, limit and halt, with no query protocol, whose
+    table is `rules`, made without `validate`.  `rules` must be laid out
+    over `layout(rules.states, tracks)`, with `rules.states` starting
+    (start, limit), and must have passed its level's check in
+    `oracle.enumerate_programs`, the only caller."""
+    p = object.__new__(Program)
+    put = object.__setattr__
+    put(p, "track_count", tracks)
+    put(p, "start_state", "start")
+    put(p, "limit_state", "limit")
+    put(p, "halt_state", "halt")
+    put(p, "rules", rules)
+    put(p, "query_state", None)
+    put(p, "yes_state", None)
+    put(p, "no_state", None)
+    return p
 
 
 def render_program(p: Program) -> str:
@@ -269,20 +284,33 @@ def validate(p: Program):
         problems.append("query protocol incomplete: query/yes/no states must all be present or all absent")
     named = set()   # every state a rule leaves from or goes to
     vectors = _VECTORS[p.track_count]
-    for (state, read), rule in p.rules.items():
-        named.add(state)
-        named.add(rule.next_state)
-        if state == p.halt_state:
-            problems.append("halt state %r has outgoing rule" % state)
-        if state == p.query_state:
-            problems.append("query state %r has outgoing rule (answers are oracle-driven)" % state)
-        if read not in vectors or rule.write not in vectors:
-            if len(read) != p.track_count or len(rule.write) != p.track_count:
-                problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
-            else:
-                problems.append("rule %s/%s has a bit other than 0 and 1" % (state, "".join(map(str, read))))
-        if rule.move not in MOVES:
-            problems.append("rule %s/%s has bad move %r" % (state, "".join(map(str, read)), rule.move))
+    try:
+        for (state, read), rule in p.rules.items():
+            named.add(state)
+            named.add(rule.next_state)
+            if state == p.halt_state:
+                problems.append("halt state %r has outgoing rule" % state)
+            if state == p.query_state:
+                problems.append("query state %r has outgoing rule (answers are oracle-driven)" % state)
+            if read not in vectors or rule.write not in vectors:
+                if len(read) != p.track_count or len(rule.write) != p.track_count:
+                    problems.append("rule %s/%s has wrong vector width" % (state, "".join(map(str, read))))
+                else:
+                    problems.append("rule %s/%s has a bit other than 0 and 1" % (state, "".join(map(str, read))))
+            if rule.move not in MOVES:
+                problems.append("rule %s/%s has bad move %r" % (state, "".join(map(str, read)), rule.move))
+    except TypeError:
+        # `Rule` does not check its fields' types, and the set lookups above
+        # raise on a list write vector or next state: name every such rule
+        bad = ["rule %s/%s has unhashable %s %r"
+               % (state, "".join(map(str, read)), name, value)
+               for (state, read), rule in p.rules.items()
+               for name, value in (("write", rule.write),
+                                   ("next state", rule.next_state))
+               if _unhashable(value)]
+        if not bad:
+            raise
+        return problems + bad
     # the states that must carry a total rule set, in canonical order
     special = {p.start_state, p.limit_state, p.halt_state,
                p.query_state, p.yes_state, p.no_state}
@@ -304,6 +332,14 @@ def validate(p: Program):
             if (state, read) not in rules:
                 problems.append((state, read))
     return problems
+
+
+def _unhashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return True
+    return False
 
 
 @functools.cache

@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .machine import MOVES, Program, Rule, RuleTable, default_rule, layout
+from .machine import (MOVES, READ_VECTORS, Program, ProgramError, Rule,
+                      RuleTable, _enumerated, default_rule, layout)
 from .ordinal import Ordinal
 from .reals import Real, ZERO as ZERO_REAL, from_support, join
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, OracleProtocolError,
@@ -89,35 +90,57 @@ def _option_list(work: int, tracks: int):
 def enumerate_programs(max_work_states: int, tracks: int = 3):
     """Deterministic, duplicate-free stream of all total programs with up to
     max_work_states non-special states.  Graded so that bounded prefixes mix
-    halting, looping and sweeping behavior."""
+    halting, looping and sweeping behavior.
+
+    Each work level is checked once, before any program is yielded, and its
+    programs are then made without `validate`.  The check is sound because,
+    with halt state "halt" and no query protocol, `validate`'s verdict on a
+    table laid out over the level's states depends only on that layout and
+    on each rule by itself.  The header checks, the state names and
+    totality depend on the keys and on the states the rules name, which are
+    the layout's states and halt as long as every next state is one of them.
+    What is left is per rule: its move and its write vector.  So every table
+    of a level is valid iff the layout filled with the default rule passes
+    `validate` and every option has a move in MOVES, a write vector in
+    READ_VECTORS[tracks] and a next state of the layout or halt.  A level
+    that fails raises `TotalityError` or `ProgramError`."""
     if not 0 <= max_work_states <= ENUM_WORK_CAP:
         raise ValueError("max_work_states must be in 0..%d" % ENUM_WORK_CAP)
     if tracks not in (3, 4):
         raise ValueError("tracks must be 3 or 4")
-    max_slots = len(_slot_list(max_work_states, tracks))
-    for k in itertools.count(0):
-        if k > max_slots:
-            return
-        for work in range(max_work_states + 1):
-            states = ("start", "limit") + _WORK_NAMES[:work]
-            slots = layout(states, tracks)
+    default = default_rule("halt", tracks)   # one rule object shared
+    writes = READ_VECTORS[tracks]
+    levels = []
+    for work in range(max_work_states + 1):
+        states = ("start", "limit") + _WORK_NAMES[:work]
+        slots = layout(states, tracks)
+        options = _option_list(work, tracks)
+        # raised, not asserted, so that `python -O` keeps the check
+        if options[0] != default:
+            raise AssertionError("the first option is not the default rule")
+        # raises TotalityError or ProgramError if the layout is at fault
+        Program(track_count=tracks, start_state="start", limit_state="limit",
+                halt_state="halt",
+                rules=RuleTable(states, slots, (default,) * len(slots)))
+        for rule in options:
+            if (rule.move not in MOVES or rule.write not in writes
+                    or not (rule.next_state == "halt"
+                            or rule.next_state in states)):
+                raise ProgramError("option %r is not a rule over states %s"
+                                   % (rule, ", ".join(states + ("halt",))))
+        levels.append((states, slots, options[1:]))
+    for k in range(len(levels[-1][1]) + 1):   # up to every slot overridden
+        for states, slots, extra in levels:
             if k > len(slots):
                 continue
-            options = _option_list(work, tracks)
-            default = default_rule("halt", tracks)   # one rule object shared
-            # raised, not asserted, so that `python -O` keeps the check
-            if options[0] != default:
-                raise AssertionError("the first option is not the default rule")
-            extra = options[1:]
             base = [default] * len(slots)
             for combo in itertools.combinations(range(len(slots)), k):
                 for choice in itertools.product(extra, repeat=k):
                     rules = base.copy()
                     for c, rule in zip(combo, choice):
                         rules[c] = rule
-                    yield Program(track_count=tracks, start_state="start",
-                                  limit_state="limit", halt_state="halt",
-                                  rules=RuleTable(states, slots, tuple(rules)))
+                    yield _enumerated(tracks,
+                                      RuleTable(states, slots, tuple(rules)))
 
 
 def enumeration_slice(bound: int, max_work_states: int = 2, tracks: int = 3):

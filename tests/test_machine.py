@@ -294,6 +294,13 @@ def test_total_program_reports_keys_outside_its_states():
                       (("start", (2, 0, 0)), Rule((0, 0, 1), "S", "halt"))):
         with pytest.raises(ProgramError, match="start/.* has a bit other than 0 and 1"):
             total_program(3, {key: rule})
+    # `Rule` does not check its fields' types: a list in any of them is a
+    # ProgramError naming the rule, not a TypeError from a set lookup
+    for rule, problem in ((Rule([0, 0, 1], "S", "halt"), r"unhashable write \[0, 0, 1\]"),
+                          (Rule((0, 0, 1), "S", ["halt"]), r"unhashable next state \['halt'\]"),
+                          (Rule((0, 0, 1), ["S"], "halt"), r"bad move \['S'\]")):
+        with pytest.raises(ProgramError, match="rule start/000 has " + problem):
+            total_program(3, {("start", (0, 0, 0)): rule})
 
 
 def test_every_way_of_giving_a_table_lands_on_one_layout():

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import oracle_bit_halter, query_probe, total_program
 
-from ittm.machine import (Rule, extend_to_oracle_tracks, p_flip, p_halt,
-                          render_program)
+from ittm.machine import (Program, ProgramError, Rule, extend_to_oracle_tracks,
+                          p_flip, p_halt, render_program, validate)
 from ittm.ordinal import from_int, pair_index
 from ittm.oracle import (RealOracle, count_programs,
                          enumeration_slice, jump_boldface,
@@ -69,7 +69,11 @@ def test_programs_are_checked_when_made_not_when_run(monkeypatch):
         if getattr(module, "validate", None) is original:
             monkeypatch.setattr(module, "validate", counting)
     programs = enumeration_slice(200, 2, 3)
-    assert len(calls) == 200
+    checks = len(calls)
+    calls.clear()
+    enumeration_slice(2000, 2, 3)
+    # enumerated programs are checked once per work level, not one by one
+    assert 0 < len(calls) == checks < 200
     calls.clear()
     run_programs(programs, B)
     assert calls == []
@@ -77,6 +81,44 @@ def test_programs_are_checked_when_made_not_when_run(monkeypatch):
     default = programs[0].rules[("start", (0, 0, 0))]
     assert all(r is default for p in programs for r in p.rules.values()
                if r == default)
+
+
+@pytest.mark.parametrize("bad", [Rule((0, 0, 1), "X", "halt"),
+                                 Rule((0, 0, 2), "S", "halt"),
+                                 Rule((0, 0, 1), "S", "s9")])
+def test_each_work_level_is_checked_before_its_programs_are_made(monkeypatch, bad):
+    oracle = importlib.import_module("ittm.oracle")
+    options = oracle._option_list
+    # the bad option comes first after the default rule, so the 1,140th
+    # program (work 1, one override) would hold it
+    monkeypatch.setattr(oracle, "_option_list", lambda work, tracks: (
+        options(work, tracks)[:1] + [bad] + options(work, tracks)[1:]
+        if work == 1 else options(work, tracks)))
+    made = []
+    with pytest.raises(ProgramError):   # or its subclass TotalityError
+        made.extend(itertools.islice(oracle.enumerate_programs(2, 3), 2000))
+    assert made == []
+    with pytest.raises(ProgramError):
+        enumeration_slice(2000, 2, 3)
+
+
+@pytest.mark.parametrize("args", [(60000, 4, 3), (20000, 2, 4)])
+def test_enumerated_programs_pass_the_full_check(args):
+    """The first and last program of every level (override count, work
+    states) in the slice pass `validate` as any hand-built program does."""
+    programs = enumeration_slice(*args)
+    default = programs[0].rules[("start", (0,) * args[2])]
+    levels = {}
+    for p in programs:
+        level = (sum(r is not default for r in p.rules.values()), p.rules.states)
+        levels.setdefault(level, []).append(p)
+    assert len(levels) > args[1] + 1    # more than the levels of no override
+    for level in levels.values():
+        for p in (level[0], level[-1]):
+            assert validate(p) == []
+            assert render_program(Program(**{name: getattr(p, name) for name in
+                                             Program.__dataclass_fields__})) \
+                == render_program(p)
 
 
 def test_run_with_set_oracle_membership():
