@@ -16,7 +16,7 @@ from .approx import TruncatedLog, iterated_matrix, universal_run, validate_erasu
 from .fm import fm_construct, ConstructionRefusal
 from .machine import ProgramError, parse_program
 from .oracle import (ENUM_WORK_CAP, RealOracle, SetOracle, enumeration_slice,
-                     jump_lightface, run_programs, run_with_oracle)
+                     jump_lightface, run_programs)
 from .ordinal import BudgetOrdinalOverflow, encode_order, parse_ordinal
 from .reals import ZERO as ZERO_REAL, parse_real
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, ExceededCert, HaltAt,
@@ -145,11 +145,7 @@ def _run_result(args):
             input_real = parse_real(args.input)
         except ValueError as exc:
             raise UsageError("bad input real: %s" % exc)
-    if oracle is not None:
-        res, _log = run_with_oracle(program, input_real, oracle, budget)
-    else:
-        res = run_transfinite(program, input_real, budget)
-    return res
+    return run_transfinite(program, input_real, budget, oracle)
 
 
 def cmd_run(args) -> int:

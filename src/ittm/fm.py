@@ -52,7 +52,6 @@ class Requirement:
     witness: Real | None = None
     state: str = WAITING
     injuries: list = field(default_factory=list)     # (stage, injuring priority)
-    lineage: list = field(default_factory=list)      # (stage render, witness render)
 
     @property
     def own_side(self) -> str:
@@ -205,7 +204,6 @@ def _assign_witness(state: FMState, req: Requirement):
                                                          req.witness, witness):
         state.avoid = None
     req.witness = witness
-    req.lineage.append((state.stage.render(), req.witness.render()))
     state.log("witness", requirement=req.label(), priority=req.priority,
               witness=req.witness.render())
 
@@ -302,13 +300,18 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
 
 def _classify(state: FMState) -> dict:
     """Terminal classification with the doubled-budget divergence recheck."""
+    lineage = {req.label(): [] for req in state.requirements}
+    for ev in state.events:   # each (stage, witness) assignment, in order
+        if ev["type"] == "witness":
+            lineage[ev["requirement"]].append((ev["stage"], ev["witness"]))
     entries = []
     recheck_budget = state.budget.scaled(2)
     for req in state.requirements:
         entry = {"requirement": req.label(), "kind": req.kind,
                  "program": req.prog, "priority": req.priority,
                  "injuries": [[st.render(), by] for st, by in req.injuries],
-                 "witness": req.witness.render(), "lineage": req.lineage}
+                 "witness": req.witness.render(),
+                 "lineage": lineage[req.label()]}
         if req.state == BY_WITNESS:
             rst = state.restraints[req.priority]
             final_oracle = state.side_oracle(req.opposite_side)

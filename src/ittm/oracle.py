@@ -6,6 +6,11 @@ query state has the track-4 content canonicalized (trimmed to the oracle's
 bit width, continued by its periodic tail) and is moved to the yes or no
 state, costing one step.
 
+Three protocol rules: an oracle run needs a 4-track program, a program that
+declares the query protocol is never run against a real, and an oracle-free
+`run_programs` answers such a program by the empty set.  The first two are
+checked once, in `runner.initial_snapshot`, where every run starts.
+
 The canonical program enumeration is graded: programs are rule tables over
 a default rule ("-> halt 000 L"), ordered by (number of overridden slots,
 number of work states, override positions, option rank), where slot order
@@ -19,6 +24,7 @@ hand-written machines run against set oracles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -156,15 +162,8 @@ def count_programs(work: int, tracks: int, max_overrides: int | None = None) -> 
         return (o + 1) ** s
     total = 0
     for k in range(min(max_overrides, s) + 1):
-        total += _binom(s, k) * o ** k
+        total += math.comb(s, k) * o ** k
     return total
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # --- relativized runs and jumps -------------------------------------------
@@ -173,11 +172,6 @@ def run_with_oracle(p: Program, input_real: Real, o, budget: BudgetPolicy
                     ) -> tuple[RunResult, tuple[QueryRecord, ...]]:
     if o is None:
         raise OracleProtocolError("run_with_oracle needs an oracle")
-    if p.track_count != 4:
-        raise OracleProtocolError("oracle runs need a 4-track program")
-    if o.kind == "real" and p.query_state is not None:
-        raise OracleProtocolError(
-            "query protocol declared but the oracle is a real, not a set")
     log: list[QueryRecord] = []
     res = run_transfinite(p, input_real, budget, oracle=o, query_log=log)
     return res, tuple(log)
@@ -195,10 +189,9 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
                  input_real: Real = ZERO_REAL) -> list[RunResult]:
     """Run each program once, in order, against the oracle (or, without
     one, against the empty set for query-protocol machines)."""
-    if oracle is None:
-        return [run_transfinite(p, input_real, budget, oracle=_bare_oracle(p))
-                for p in programs]
-    return [run_with_oracle(p, input_real, oracle, budget)[0] for p in programs]
+    return [run_transfinite(p, input_real, budget,
+                            oracle if oracle is not None else _bare_oracle(p))
+            for p in programs]
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def successor(a: Ordinal) -> Ordinal:
     return cnf_add(a, ONE)
 
 
-def limit_step(a: Ordinal, level: int, depth: int | None = None) -> Ordinal:
+def limit_step(a: Ordinal, level: int, depth: int) -> Ordinal:
     """Least multiple of w^level strictly above a."""
     if level < 1:
         raise ValueError("limit level must be >= 1")
@@ -176,7 +176,7 @@ def limit_step(a: Ordinal, level: int, depth: int | None = None) -> Ordinal:
     at = [c for e, c in a.terms if e == level]
     head.append((level, at[0] + 1 if at else 1))
     result = _ordinal(tuple(head))
-    if depth is not None and result.degree() >= depth:
+    if result.degree() >= depth:
         raise BudgetOrdinalOverflow(
             "stage %s reaches w^%d" % (result.render(), depth))
     return result

@@ -277,7 +277,7 @@ class RunResult(_WeakReferable):
 
     @property
     def trace(self) -> RunResult:
-        """The result itself, for readers of `res.trace.blocks`."""
+        """The result itself, for `perfbench`'s bench.py and tracer.py."""
         return self
 
 
@@ -286,12 +286,19 @@ def _oracle_kind(oracle):
 
 
 def initial_snapshot(p: Program, input_real: Real = ZERO_REAL, oracle=None) -> Snapshot:
+    """The stage-0 snapshot, and the one check of the program-oracle
+    pairing: any oracle needs a 4-track program, and a program that declares
+    the query protocol needs a set oracle, not a real.  A mismatch raises
+    `OracleProtocolError` before the run takes a step."""
     if oracle is None:
         return _start_snapshot(p.start_state, p.track_count, input_real)
-    tracks = [input_real] + [ZERO_REAL] * (p.track_count - 1)
+    if p.track_count != 4:
+        raise OracleProtocolError("oracle runs need a 4-track program")
+    tracks = [input_real] + [ZERO_REAL] * 3
     if _oracle_kind(oracle) == "real":
-        if p.track_count != 4:
-            raise OracleProtocolError("real oracle needs a 4-track program")
+        if p.query_state is not None:
+            raise OracleProtocolError(
+                "query protocol declared but the oracle is a real, not a set")
         tracks[3] = oracle.real
     return Snapshot(p.start_state, 0, tuple(tracks), ZERO_ORD)
 

@@ -51,7 +51,7 @@ def test_criterion_1_limit_rule_exactness(survey):
     started = time.time()
     repeat_checked = translation_checked = 0
     for program, res in zip(survey["programs"], survey["results"]):
-        for blk in res.trace.blocks:
+        for blk in res.blocks:
             cert = blk.certificate
             if isinstance(cert, RepeatCert) and cert.mu + cert.pi <= 1024:
                 mu, pi = cert.mu, cert.pi

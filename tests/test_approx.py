@@ -162,7 +162,7 @@ def reference_content_events(res, cap):
             if last.get(t) != content:
                 last[t] = content
                 events.append((stage, t, content))
-    for block in res.trace.blocks:
+    for block in res.blocks:
         base = block.start.stage
         for snap in block.explicit:
             emit(snap.stage, snap.tracks)
@@ -182,10 +182,10 @@ def reference_content_events(res, cap):
                 break
         if block.limit is not None:
             emit(block.limit.stage, block.limit.tracks)
-    if res.trace.final_limit is not None and horizon is None:
-        emit(res.trace.final_limit.stage, res.trace.final_limit.tracks)
+    if res.final_limit is not None and horizon is None:
+        emit(res.final_limit.stage, res.final_limit.tracks)
     if horizon is None and res.outcome == "exceeded":
-        last = res.trace.blocks[-1]
+        last = res.blocks[-1]
         covered = last.limit.stage if last.limit is not None else \
             cnf_add(last.start.stage, from_int(len(last.explicit) - 1))
         horizon = successor(covered)
@@ -199,7 +199,7 @@ def reference_universal_run(results, budget):
     merged = []
     horizons = []
     for pid, res in enumerate(results):
-        if res.trace.blocks:
+        if res.blocks:
             events, horizon = reference_content_events(res, budget.appearance_cap)
         else:
             events, horizon = [], ZERO_ORD
@@ -248,9 +248,9 @@ def test_content_events_match_the_reference_walker():
             for p in enumeration_slice(3000, 2, 3)]
     runs += [run_transfinite(p, ZERO_REAL, B) for p in (p_sweep(), dipping_drifter())]
     exceeded = run_transfinite(nonzero_halter(12), ZERO_REAL, BudgetPolicy(3, 4, 64))
-    assert isinstance(exceeded.trace.blocks[-1].certificate, ExceededCert)
+    assert isinstance(exceeded.blocks[-1].certificate, ExceededCert)
     above = run_transfinite(binary_counter(), ZERO_REAL, BudgetPolicy(3, 8, 16))
-    assert above.outcome == "exceeded" and above.trace.blocks[-1].limit is not None
+    assert above.outcome == "exceeded" and above.blocks[-1].limit is not None
     runs += [exceeded, above]
     horizons = 0
     for cap in (1, 7, 64):
@@ -263,7 +263,7 @@ def test_content_events_match_the_reference_walker():
     # a run that overflows the ordinal range in its first block has no
     # blocks, so its stream covers nothing
     empty = run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))
-    assert empty.outcome == "exceeded" and empty.trace.blocks == ()
+    assert empty.outcome == "exceeded" and empty.blocks == ()
     assert _program_content_events(empty, 7, {}) == ([], ZERO_ORD)
 
 

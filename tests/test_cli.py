@@ -294,6 +294,20 @@ def test_bad_arguments_are_usage_errors(halt_file, argv):
     assert "error" in proc.stderr
 
 
+def test_oracle_protocol_mismatches_keep_their_messages(tmp_path, capsys):
+    from conftest import query_probe
+    probe = tmp_path / "probe.itm"
+    probe.write_text(render_program(query_probe()))
+    for argv, message in [
+            (["jump", "--tracks", "3", "--oracle-real", "(1)*"],
+             "oracle runs need a 4-track program"),
+            (["run", str(probe), "--oracle-real", "(0)*"],
+             "query protocol declared but the oracle is a real, not a set"),
+            (["run", str(probe)], "query state entered without a set oracle")]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "usage error: %s\n" % message
+
+
 def test_depth_one_empty_trace_is_a_refusal():
     # program 48's first block reaches w = w^1, so its run overflows the
     # ordinal range before any block is recorded: the log covers nothing

@@ -175,6 +175,11 @@ def test_fm_construct_organic_injury():
     assert by_label["S_0"]["classification"] == BY_WITNESS
     assert by_label["S_0"]["injuries"] == [["3", 0]]
     assert len(by_label["S_0"]["lineage"]) == 2      # reassigned once
+    for entry in report["requirements"]:
+        assert entry["lineage"] == [
+            (ev["stage"], ev["witness"]) for ev in state.events
+            if ev["type"] == "witness"
+            and ev["requirement"] == entry["requirement"]]
     assert report["flags"] == []
     assert check_event_log(state) == []
     assert check_witness_hygiene(state) == []

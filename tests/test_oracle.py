@@ -5,6 +5,7 @@ import pytest
 
 from conftest import oracle_bit_halter, query_probe, total_program
 
+from ittm.fm import fm_construct
 from ittm.machine import (Program, ProgramError, Rule, extend_to_oracle_tracks,
                           p_flip, p_halt, render_program, validate)
 from ittm.ordinal import from_int, pair_index
@@ -13,7 +14,8 @@ from ittm.oracle import (RealOracle, count_programs,
                          jump_lightface, replay_queries, run_programs,
                          run_with_oracle, set_oracle)
 from ittm.reals import ZERO as ZERO_REAL, parse_real
-from ittm.runner import BudgetPolicy, OracleProtocolError, clockable_time
+from ittm.runner import (BudgetPolicy, OracleProtocolError, clockable_time,
+                         run_transfinite)
 
 B = BudgetPolicy(3, 64, 256)
 
@@ -155,6 +157,41 @@ def test_oracle_protocol_mismatches():
                         RealOracle(ZERO_REAL), B)    # query protocol vs real
     with pytest.raises(OracleProtocolError):
         run_with_oracle(extend_to_oracle_tracks(p_halt()), ZERO_REAL, None, B)
+    # the same refusals from the run itself, with the CLI's messages
+    real = RealOracle(parse_real("(1)*"))
+    with pytest.raises(OracleProtocolError,
+                       match="^oracle runs need a 4-track program$"):
+        run_transfinite(p_halt(), oracle=real)
+    with pytest.raises(OracleProtocolError,
+                       match="^query protocol declared but the oracle is a "
+                             "real, not a set$"):
+        run_transfinite(query_probe(), oracle=real)
+
+
+def three_track_query(first="query"):
+    """A 3-track program that declares the query protocol and goes to state
+    `first` on its first step: it has no fourth track to query."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        overrides[("start", read)] = Rule(read, "S", first)
+        overrides[("yes", read)] = Rule(read, "S", "halt")
+        overrides[("no", read)] = Rule(read, "S", "halt")
+    return total_program(3, overrides, query_state="query", yes_state="yes",
+                         no_state="no")
+
+
+@pytest.mark.parametrize("start", [
+    lambda p: run_programs([p], BudgetPolicy(3, 64, 64)),
+    lambda p: jump_lightface([p]),
+    lambda p: fm_construct([p]),
+    lambda p: run_transfinite(p, oracle=set_oracle([])),
+], ids=["run_programs", "jump_lightface", "fm_construct", "run_transfinite"])
+@pytest.mark.parametrize("first", ["query", "halt"])
+def test_every_run_checks_the_pairing_where_it_starts(start, first):
+    # refused before the first step, whether or not the query state is reached
+    with pytest.raises(OracleProtocolError,
+                       match="^oracle runs need a 4-track program$"):
+        start(three_track_query(first))
 
 
 def test_real_oracle_track_is_immutable():
@@ -167,7 +204,7 @@ def test_real_oracle_track_is_immutable():
     p = total_program(4, overrides)
     oracle = RealOracle(parse_real("10(01)*"))
     res, _ = run_with_oracle(p, ZERO_REAL, oracle, B)
-    for blk in res.trace.blocks:
+    for blk in res.blocks:
         for snap in blk.explicit:
             assert snap.tracks[3] == oracle.real
 

@@ -125,7 +125,7 @@ def test_block_unions_match_the_fold_over_every_snapshot():
     kinds = set()
     for progs, oracle, bp in sets:
         for p, res in zip(progs, run_programs(progs, bp, oracle)):
-            for blk in res.trace.blocks:
+            for blk in res.blocks:
                 cert = blk.certificate
                 kinds.add(type(cert))
                 whole = _fold(blk.explicit)
@@ -169,7 +169,7 @@ def _check_explicit_against_stepping(p, res, budget, oracle=None):
     Returns the chains' query log and the certificate kinds seen."""
     log = []
     kinds = set()
-    for blk in res.trace.blocks:
+    for blk in res.blocks:
         kinds.add(type(blk.certificate))
         chain = [blk.start]
         for _ in range(len(blk.explicit) - 1):
@@ -214,10 +214,10 @@ def test_explicit_snapshots_match_stepping_from_each_block_start():
         budget = BudgetPolicy(depth, 64, 64)
         for input_real in (ZERO_REAL, odd):
             res = run_transfinite(p, input_real, budget)
-            levels = {blk.start.stage.degree() for blk in res.trace.blocks}
+            levels = {blk.start.stage.degree() for blk in res.blocks}
             assert levels == {-1, *range(1, depth)}
             assert all(blk.start.tracks[2] == parse_real("0(1)*")
-                       for blk in res.trace.blocks[1:])
+                       for blk in res.blocks[1:])
             _check_explicit_against_stepping(p, res, budget)
     # a read-only oracle track with a long prefix
     oracle = RealOracle(Real(tuple(int(k * k % 11 < 5) for k in range(3000)),
@@ -388,9 +388,9 @@ def test_level_two_block_budget_exhaustion_is_exceeded():
     p = total_program(3, overrides)
     res = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 8, 16))
     assert res.outcome == "exceeded" and res.reason == "budget"
-    assert len(res.trace.blocks) == 8 and res.trace.limits == ()
-    assert all(isinstance(b.certificate, RepeatCert) for b in res.trace.blocks)
-    counts = [b.limit.tracks[1] for b in res.trace.blocks]
+    assert len(res.blocks) == 8 and res.limits == ()
+    assert all(isinstance(b.certificate, RepeatCert) for b in res.blocks)
+    counts = [b.limit.tracks[1] for b in res.blocks]
     assert counts == [from_support(k for k in range(4) if n >> k & 1)
                       for n in range(1, 9)]
 
@@ -413,7 +413,7 @@ def _check_halt_against_last_snapshot(res):
     without building that snapshot; they must be the snapshot's stage and
     output track, and the block's ever-one the fold over all its snapshots."""
     assert res.outcome == "halted"
-    last = res.trace.blocks[-1]
+    last = res.blocks[-1]
     assert isinstance(last.certificate, HaltAt)
     assert len(last.explicit) == last.certificate.steps + 1
     final = last.explicit[-1]
@@ -440,7 +440,7 @@ def test_halting_time_and_output_are_the_last_snapshot():
         ("limit", r): Rule(r, "S", "halt")
         for r in itertools.product((0, 1), repeat=3)})
     res = run_transfinite(halt_first, odd, budget)
-    assert res.trace.blocks[-1].certificate == HaltAt(0)
+    assert res.blocks[-1].certificate == HaltAt(0)
     assert res.time == from_int(0) and res.output == ZERO_REAL
     _check_halt_against_last_snapshot(res)
     # halts one step after a limit of level 1, 2 and 3
@@ -481,7 +481,7 @@ def test_a_kept_one_step_halt_holds_at_most_nine_tracked_objects():
     kept = [obj for obj in after
             if id(obj) not in seen and obj is not before and obj is not seen]
     assert len(kept) <= 9, [repr(obj)[:60] for obj in kept]
-    assert res.output is res.trace.blocks[0].ever_one[2]
+    assert res.output is res.blocks[0].ever_one[2]
 
 
 def _tracked_objects_made_by(make):
@@ -660,7 +660,7 @@ def _check_shared_blocks_against_fresh_ones(p, res, budget, oracle=None):
     start with the table emptied: every field, and every snapshot read by
     index, negative index and iteration.  Its certificate re-checks.  Returns
     the certified blocks."""
-    certified = [blk for blk in res.trace.blocks
+    certified = [blk for blk in res.blocks
                  if not isinstance(blk.certificate, ExceededCert)]
     for blk in certified:
         table = runner._BLOCKS
@@ -708,7 +708,7 @@ def test_shared_halting_blocks_equal_blocks_stepped_with_an_empty_table():
         oracle = SetOracle(members)
         runs = [run_with_oracle(query_probe(), ZERO_REAL, oracle, budget)
                 for _ in range(2)]
-        assert runs[1][0].trace.blocks[-1] is runs[0][0].trace.blocks[-1]
+        assert runs[1][0].blocks[-1] is runs[0][0].blocks[-1]
         for res, log in runs:
             stepped, _ = _check_explicit_against_stepping(query_probe(), res,
                                                           budget, oracle)
@@ -730,12 +730,12 @@ def test_a_limit_block_is_not_shared_across_depths():
     turn a depth-1 run into a limit."""
     p = p_sweep()
     deep = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 64, 64))
-    assert deep.trace.blocks[0].limit is not None
+    assert deep.blocks[0].limit is not None
     shallow = run_transfinite(p, ZERO_REAL, BudgetPolicy(1, 64, 64))
     assert (shallow.outcome, shallow.reason) == ("exceeded", "ordinal-overflow")
-    assert shallow.trace.blocks == ()
+    assert shallow.blocks == ()
     again = run_transfinite(p, ZERO_REAL, BudgetPolicy(3, 64, 64))
-    assert again.trace.blocks[0] is deep.trace.blocks[0]
+    assert again.blocks[0] is deep.blocks[0]
 
 
 def _renamed(p: Program, old: str, new: str) -> Program:
@@ -807,7 +807,7 @@ def test_kept_survey_results_share_their_limit_blocks():
     budget = BudgetPolicy(3, 256, 256)
     results = [run_transfinite(p, ZERO_REAL, budget)
                for p in enumeration_slice(12000, 2, 3)]
-    limits = [blk for res in results for blk in res.trace.blocks
+    limits = [blk for res in results for blk in res.blocks
               if blk.limit is not None]
     assert len(limits) > 500
     assert len({id(blk) for blk in limits}) < len(limits) / 10
@@ -927,10 +927,10 @@ def test_determinism_bitwise():
     a = run_transfinite(p_flip(), ZERO_REAL, B)
     b = run_transfinite(p_flip(), ZERO_REAL, B)
     assert a.outcome == b.outcome and a.loop == b.loop
-    assert [blk.certificate for blk in a.trace.blocks] == \
-        [blk.certificate for blk in b.trace.blocks]
-    assert [blk.limit for blk in a.trace.blocks] == \
-        [blk.limit for blk in b.trace.blocks]
+    assert [blk.certificate for blk in a.blocks] == \
+        [blk.certificate for blk in b.blocks]
+    assert [blk.limit for blk in a.blocks] == \
+        [blk.limit for blk in b.blocks]
 
 
 def test_translation_ever_one_matches_brute_force():
@@ -964,7 +964,7 @@ def test_certified_limits_are_within_ever_one_across_survey():
     budget = BudgetPolicy(3, 64, 128)
     for p in enumeration_slice(300, 0, 3):
         res = run_transfinite(p, ZERO_REAL, budget)
-        for blk in res.trace.blocks:
+        for blk in res.blocks:
             if blk.limit is None:
                 continue
             for t in range(3):
@@ -997,9 +997,9 @@ def test_omega_squared_halting_time():
     assert res.time == parse_ordinal("w^2*1+1")
     # the level-2 limit really was taken, with the transient cell set
     assert any(level == 2 and snap.tracks[1].bit(0) == 1
-               for level, snap in res.trace.limits)
+               for level, snap in res.limits)
     # and the block limits below it agree and have the transient clear
-    s_omega = res.trace.blocks[0].limit
+    s_omega = res.blocks[0].limit
     assert s_omega.tracks[1].bit(0) == 0 and s_omega.tracks[1].bit(1) == 1
     # at depth 2 the w^2 stage cannot be labeled
     shallow = run_transfinite(p, ZERO_REAL, BudgetPolicy(2, 64, 256))
