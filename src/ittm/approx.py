@@ -29,8 +29,8 @@ from operator import attrgetter
 from .machine import Program
 from .ordinal import (Ordinal, OrderCode, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
-from .oracle import RealOracle, run_programs
-from .reals import Real, ZERO as ZERO_REAL, from_support
+from .oracle import RealOracle
+from .reals import Real, ZERO as ZERO_REAL, _real, from_support
 from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, RepeatCert,
                      RunResult, TranslationCert, run_transfinite)
 
@@ -503,23 +503,65 @@ def join_size(rows: dict[Ordinal, Real], lam: Ordinal) -> int:
     return size
 
 
+def _pair_code(beta: Ordinal, row: Real) -> int:
+    """The row of rank beta as the bits it sets in a limit row above it: bit
+    <n, m> for each 1-bit m of the row, n the position of beta."""
+    bound = row.support_bound()
+    if bound is None:
+        raise ValueError("matrix rows must have finite support")
+    if not bound:
+        return 0
+    n = element_of(beta)
+    buf = bytearray((pair_index(n, bound - 1) >> 3) + 1)
+    text = bin(row.window(0, bound))[:1:-1]   # bit m is text[m]
+    m = text.find("1")
+    while m >= 0:
+        i = pair_index(n, m)
+        buf[i >> 3] |= 1 << (i & 7)
+        m = text.find("1", m + 1)
+    return int.from_bytes(buf, "little")
+
+
+def _join_codes(codes) -> Real:
+    """The finite-support real whose 1-bits are those of the given codes."""
+    word = 0
+    for code in sorted(codes, key=int.bit_length):   # each OR copies the wider
+        word |= code
+    return _real(word, word.bit_length(), 0, 1)
+
+
 def join_rows(rows: dict[Ordinal, Real], lam: Ordinal) -> Real:
     """The organized sum of the rows below a limit rank: bit <n, m> is on
     iff element n has a materialized rank below lam whose row has bit m."""
-    ones = []
-    for beta, row in rows.items():
-        if not (beta < lam):
-            continue
-        n = element_of(beta)
-        bound = row.support_bound()
-        if bound is None:
-            raise ValueError("matrix rows must have finite support")
-        text = bin(row.window(0, bound))[:1:-1]   # bit m is text[m]
-        m = text.find("1")
-        while m >= 0:
-            ones.append(pair_index(n, m))
-            m = text.find("1", m + 1)
-    return from_support(ones)
+    return _join_codes(_pair_code(beta, row) for beta, row in rows.items()
+                       if beta < lam)
+
+
+def _halt_events(programs, budget: BudgetPolicy, row: Real,
+                 halts: list[list]) -> tuple[tuple[Ordinal, int], ...]:
+    """The events of `approximate_jump` for the programs run against the
+    real oracle `row`: (time, program) for each halt, in that order.
+    halts[pid] lists (cells, bits, time) for the one-block halts of program
+    pid seen so far: the run read only oracle cells 0 .. cells-1, which held
+    `bits`.  A row that agrees with an entry on those cells takes its time
+    without a run (see `iterated_matrix`)."""
+    oracle = RealOracle(row)
+    events = []
+    for pid, (p, seen) in enumerate(zip(programs, halts)):
+        time = next((t for cells, bits, t in seen
+                     if row.window(0, cells) == bits), None)
+        if time is None:
+            res = run_transfinite(p, ZERO_REAL, budget, oracle)
+            if res.outcome != "halted":
+                continue
+            time = res.time
+            if len(res.blocks) == 1:
+                block = res.blocks[0]
+                cells = 1 + max([block.start.head] +
+                                [r[1] for r in block.rows[1:]])
+                seen.append((cells, row.window(0, cells), time))
+        events.append((time, pid))
+    return tuple(sorted(events))
 
 
 def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGET,
@@ -532,6 +574,29 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     updated lower rows.  Event ties break by (stage, rank, program).  A limit
     row wider than LIMIT_ROW_CAP bits stops the replay, and the matrix keeps
     only the ranks below it.
+
+    Each program runs once per distinct set of oracle cells it reads.  The
+    rows differ mostly in cells the programs never reach, so a one-block
+    halt is kept as (cells read, their bits, time), and a later row that
+    agrees on those cells takes the time without a run (`_halt_events`).
+    This is exact.  A real oracle's track is read-only, and the start head
+    and the input are fixed, so two rows that agree on the cells under the
+    head step through identical rows, and a repeat found under one is found
+    under the other.  The one place a block reads the oracle row beyond the
+    head is its translation-candidate index, built from `prefix_and_period`
+    of every track.  That index only ever emits a sound `TranslationCert`,
+    one under which the run never halts.  So a run that halts at step n
+    under one row had no certificate before n under either row, and halts at
+    n under both.  The argument covers halts only: an exceeded, repeat,
+    translation or multi-block run can depend on the whole row, so it is
+    never kept, and `approximate_jump` reads nothing of a run but its
+    outcome and time.  Events are also kept per whole row, for the rows met
+    again after an erasure.
+
+    A limit row is the OR of the pair codes of the rows below it
+    (`join_rows`).  Each rank's code is made once per change of its row, on
+    the first join that needs it, so a join re-codes only the rows changed
+    since the last one.
     """
     progs = list(programs)
     alpha = y.ordinal
@@ -542,13 +607,23 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     erasure_log: list[ErasureEntry] = []
     stabilization: dict[Ordinal, Ordinal] = {r: ZERO_ORD for r in ranks}
 
+    halts: list[list] = [[] for _ in progs]
     jump_cache: dict[Real, tuple[tuple[Ordinal, int], ...]] = {}
     def jump_events(oracle_real: Real):
         if oracle_real not in jump_cache:
-            results = run_programs(progs, budget, RealOracle(oracle_real))
-            stream = approximate_jump(results)
-            jump_cache[oracle_real] = stream.events
+            jump_cache[oracle_real] = _halt_events(progs, budget,
+                                                   oracle_real, halts)
         return jump_cache[oracle_real]
+
+    codes: dict[Ordinal, int] = {}   # rank -> pair code of its current row
+    def set_row(q: Ordinal, row: Real):
+        rows[q] = row
+        codes.pop(q, None)
+
+    def code(beta: Ordinal) -> int:
+        if beta not in codes:
+            codes[beta] = _pair_code(beta, rows[beta])
+        return codes[beta]
 
     # the successor ranks run on from 0 or a limit, so a successor rank's
     # predecessor is the rank listed before it
@@ -575,7 +650,7 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
             break
         (stage, rank, pid), _, run = best[0], best[1], best[2]
         run["idx"] += 1
-        rows[rank] = rows[rank].with_bit(pid, 1)
+        set_row(rank, rows[rank].with_bit(pid, 1))
         change_log.append(ChangeEntry(stage, rank, pid))
         stabilization[rank] = stage
         # erase upwards: each limit row joins only rows below it, which are
@@ -587,9 +662,9 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
                 if join_size(rows, q) > LIMIT_ROW_CAP:
                     cut = i
                     break
-                rows[q] = join_rows(rows, q)
+                set_row(q, _join_codes(code(beta) for beta in ranks[:i]))
             else:
-                rows[q] = ZERO_REAL
+                set_row(q, ZERO_REAL)
                 restart(i, stage)
             erasure_log.append(ErasureEntry(stage, q, "lower-row-change"))
             stabilization[q] = stage

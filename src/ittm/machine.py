@@ -14,7 +14,8 @@ shared by all tracks, and a left move at cell 0 leaves the head at cell 0.
 
 Rules written against the query protocol never fire mechanically: a machine
 entering the query state is answered by the oracle (see the oracle module),
-so the query state carries no rules, like halt.
+so the query state carries no rules, like halt.  The query is the fourth
+track, so only a 4-track program may declare the protocol.
 """
 
 from __future__ import annotations
@@ -282,6 +283,8 @@ def validate(p: Program):
     protocol = [p.query_state, p.yes_state, p.no_state]
     if any(s is not None for s in protocol) and any(s is None for s in protocol):
         problems.append("query protocol incomplete: query/yes/no states must all be present or all absent")
+    if p.track_count != 4 and any(s is not None for s in protocol):
+        problems.append("query protocol needs a 4-track program: the query is the fourth track")
     named = set()   # every state a rule leaves from or goes to
     vectors = _VECTORS[p.track_count]
     try:

@@ -9,7 +9,9 @@ state, costing one step.
 Three protocol rules: an oracle run needs a 4-track program, a program that
 declares the query protocol is never run against a real, and an oracle-free
 `run_programs` answers such a program by the empty set.  The first two are
-checked once, in `runner.initial_snapshot`, where every run starts.
+checked once, in `runner.initial_snapshot`, where every run starts.  A
+program that declares the protocol has four tracks: `machine.validate`
+refuses any other when the program is made.
 
 The canonical program enumeration is graded: programs are rule tables over
 a default rule ("-> halt 000 L"), ordered by (number of overridden slots,

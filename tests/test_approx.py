@@ -544,6 +544,92 @@ def test_join_rows_matches_the_per_bit_join_on_sparse_rows():
         join_rows({ZERO_ORD: parse_real("(1)*")}, OMEGA)
 
 
+def oracle_seeker():
+    """4-track; walks right to the first 1 on the oracle track and halts
+    there, and halts at its first limit.  Against a row whose first 1 is cell
+    j it halts at step j + 1 in one block; against a row of zeros it halts at
+    w+1 after a translation; against a row whose first 1 lies past its budget
+    and past the row's prefix it exceeds that budget."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=4):
+        overrides[("start", read)] = Rule(read, "S" if read[3] else "R",
+                                          "halt" if read[3] else "start")
+        overrides[("limit", read)] = Rule(read, "S", "halt")
+    return total_program(4, overrides)
+
+
+def full_jump_events(progs, budget, row):
+    return approximate_jump(run_programs(progs, budget, RealOracle(row))).events
+
+
+def test_reused_halts_match_full_runs_on_random_periodic_rows(monkeypatch):
+    import random
+    from ittm import approx
+    from ittm.oracle import enumeration_slice
+    rng = random.Random(19)
+    def bits(n):
+        return [rng.randint(0, 1) for _ in range(n)]
+    rows = [ZERO_REAL, Real([0] * 80, [0, 1]), Real([0] * 90, [1]),
+            parse_real("0001(0)*"), parse_real("0001(10)*")]
+    for _ in range(16):
+        row = Real(bits(rng.choice((0, 1, 2, 3, 5, 8))), bits(rng.randint(1, 4)))
+        # a twin that agrees on the first k cells only, with another period
+        k = rng.randint(1, 6)
+        twin = Real(row.bits(k) + tuple(bits(rng.randint(0, 3))),
+                    bits(rng.randint(1, 5)))
+        rows += [row, twin]
+    progs = enumeration_slice(120, 1, 4) + [
+        oracle_bit_halter(0), oracle_bit_halter(1), oracle_seeker(),
+        extend_to_oracle_tracks(p_flip())]
+    runs = []
+    original = approx.run_transfinite
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(approx, "run_transfinite", counting)
+    halts = [[] for _ in progs]
+    outcomes = {}
+    for row in rows:
+        results = run_programs(progs, B, RealOracle(row))
+        assert approx._halt_events(progs, B, row, halts) == \
+            approximate_jump(results).events
+        for pid, res in enumerate(results):
+            outcomes.setdefault(pid, (set(), set()))[0].add(res.outcome)
+            outcomes[pid][1].add(len(res.blocks))
+            if res.outcome != "halted" or len(res.blocks) > 1:
+                # a row the program does not halt against in one block is
+                # never served from its list
+                assert not any(row.window(0, cells) == seen
+                               for cells, seen, _t in halts[pid])
+    # the seeker halts in one block, exceeds, and halts after a limit; the
+    # bit halters halt or loop, each by oracle cell 0
+    seeker = len(progs) - 2
+    assert outcomes[seeker] == ({"halted", "exceeded"}, {1, 2})
+    assert outcomes[seeker - 1][0] == outcomes[seeker - 2][0] == \
+        {"halted", "loops"}
+    assert all(entry[0] == 1 for entry in halts[seeker - 1] + halts[seeker - 2])
+    # most lookups are served from the lists
+    assert len(runs) < len(progs) * len(rows) // 3
+
+
+def test_reused_halts_match_full_runs_on_the_cli_mix_order(monkeypatch, capsys):
+    from ittm import approx
+    from ittm.cli import main
+    calls = []
+    halt_events = approx._halt_events
+    def recording(progs, budget, row, halts):
+        events = halt_events(progs, budget, row, halts)
+        calls.append((progs, budget, row, events))
+        return events
+    monkeypatch.setattr(approx, "_halt_events", recording)
+    assert main(["matrix", "--order", "w*2", "--states", "0",
+                 "--bound", "20"]) == 1
+    capsys.readouterr()
+    assert len(calls) == 161 and len({row for _p, _b, row, _e in calls}) == 161
+    for progs, budget, row, events in calls:
+        assert events == full_jump_events(progs, budget, row)
+
+
 def test_matrix_stabilization_stages():
     m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
     assert m.stabilization[ZERO_ORD] == ZERO_ORD          # row 0 never moves

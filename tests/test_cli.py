@@ -148,16 +148,38 @@ def test_matrix_cli_refuses_a_limit_row_too_large(tmp_path):
 
 def test_matrix_cli_joins_only_the_limit_rows_an_event_changes(monkeypatch,
                                                                capsys):
+    # each limit row is built by one OR of its cached per-rank pair codes
+    join_codes = approx._join_codes
     calls = []
-    def counting(rows, lam):
-        calls.append(lam)
-        return join_rows(rows, lam)
-    monkeypatch.setattr(approx, "join_rows", counting)
+    def counting(codes):
+        calls.append(1)
+        return join_codes(codes)
+    monkeypatch.setattr(approx, "_join_codes", counting)
     # the matrix command of the benchmark's cli-mix workload
     assert main(["matrix", "--order", "w*2", "--states", "0",
                  "--bound", "20"]) == 1
     assert json.loads(capsys.readouterr().out)["erasure_problems"] == []
     assert 0 < len(calls) <= 140
+
+
+def test_matrix_cli_runs_each_program_once_per_cells_read(monkeypatch, capsys):
+    # the matrix command of the benchmark's cli-mix workload meets 161
+    # distinct oracle rows, but its 20 programs read only 47 distinct
+    # (program, oracle cells) pairs: 3,220 runs without the reuse
+    runner = importlib.import_module("ittm.runner")
+    original = runner.run_transfinite
+    calls = []
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    for name in ("runner", "oracle", "approx"):
+        module = importlib.import_module("ittm." + name)
+        if getattr(module, "run_transfinite", None) is original:
+            monkeypatch.setattr(module, "run_transfinite", counting)
+    assert main(["matrix", "--order", "w*2", "--states", "0",
+                 "--bound", "20"]) == 1
+    assert json.loads(capsys.readouterr().out)["erasure_problems"] == []
+    assert 0 < len(calls) <= 47
 
 
 def test_survey_cli_builds_each_wake_once(monkeypatch, capsys):
@@ -194,6 +216,32 @@ def test_cli_mix_commands_keep_their_bytes(capsys):
         assert main(argv) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# exit code, stdout sha256 and `--log` sha256 of matrix commands wider than
+# cli-mix's: more limit ranks, more programs and a limit row of rank w+1
+MATRIX_WIDE = [
+    ("w*3 --states 0 --bound 20", 1,
+     "bd66778b0bf66cc61415e1ca1e3b4878efe8fb0a0760dbed8a55f5658a20a8b5",
+     "feef516b8722597d7a8f4d45ecd7bcf415b627f6fcc5fad77b4333a3360579b5"),
+    ("w*2 --states 1 --bound 60", 1,
+     "fa28ee43f213d22fd7c23cb0eb3d3d9ca0aa246d419c721b7a02090e1fb07ff0",
+     "e9217334865c0243299c5de813e9107adf30bdb5c15270b93c096891eeed236d"),
+    ("w*1+1 --states 0 --bound 6", 1,
+     "afb9e91c0895ed838a711063293e76ec422af6ab4c6aa414c4ffb7db02895988",
+     "818a7d8766dd610276cf94a7478459402f994893001acf4be72ad1cbecd39adf"),
+]
+
+
+@pytest.mark.parametrize("recipe,code,out_digest,log_digest", MATRIX_WIDE,
+                         ids=[r[0].split()[0] for r in MATRIX_WIDE])
+def test_wide_matrix_commands_keep_their_bytes(recipe, code, out_digest,
+                                               log_digest, tmp_path, capsys):
+    log = tmp_path / "erasures.jsonl"
+    assert main(["matrix", "--order", *recipe.split(), "--log", str(log)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == log_digest
 
 
 # exit code, stdout sha256 and trace-file sha256 of `run --format json` and

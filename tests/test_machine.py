@@ -170,6 +170,9 @@ def _two_pass_problems(p):
     if any(s is not None for s in protocol) and any(s is None for s in protocol):
         problems.append("query protocol incomplete: query/yes/no states must "
                         "all be present or all absent")
+    if p.track_count != 4 and any(s is not None for s in protocol):
+        problems.append("query protocol needs a 4-track program: the query "
+                        "is the fourth track")
     for (state, read), rule in p.rules.items():
         vec = "".join(map(str, read))
         if state == p.halt_state:

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import oracle_bit_halter, query_probe, total_program
 
-from ittm.fm import fm_construct
 from ittm.machine import (Program, ProgramError, Rule, extend_to_oracle_tracks,
-                          p_flip, p_halt, render_program, validate)
+                          p_flip, p_halt, parse_program, render_program,
+                          validate)
 from ittm.ordinal import from_int, pair_index
 from ittm.oracle import (RealOracle, count_programs,
                          enumeration_slice, jump_boldface,
@@ -168,30 +168,36 @@ def test_oracle_protocol_mismatches():
         run_transfinite(query_probe(), oracle=real)
 
 
-def three_track_query(first="query"):
-    """A 3-track program that declares the query protocol and goes to state
-    `first` on its first step: it has no fourth track to query."""
+def query_table(tracks, first):
+    """Text of a table that declares the query protocol and goes to state
+    `first` on its first step."""
+    lines = ["tracks: %d" % tracks, "start: start", "limit: limit",
+             "halt: halt", "query: query", "yes: yes", "no: no"]
+    for state, nxt in (("start", first), ("limit", "halt"), ("yes", "halt"),
+                       ("no", "halt")):
+        for read in itertools.product("01", repeat=tracks):
+            lines.append("%s %s -> %s %s S" % (state, "".join(read), nxt,
+                                               "".join(read)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("first", ["query", "halt"])
+def test_three_track_query_programs_are_refused_when_made(first):
+    # the query is the fourth track, so a 3-track table that declares the
+    # protocol is refused when it is made, whether or not its first step
+    # enters the query state, and never reaches a run
+    refused = "query protocol needs a 4-track program"
     overrides = {}
     for read in itertools.product((0, 1), repeat=3):
         overrides[("start", read)] = Rule(read, "S", first)
         overrides[("yes", read)] = Rule(read, "S", "halt")
         overrides[("no", read)] = Rule(read, "S", "halt")
-    return total_program(3, overrides, query_state="query", yes_state="yes",
-                         no_state="no")
-
-
-@pytest.mark.parametrize("start", [
-    lambda p: run_programs([p], BudgetPolicy(3, 64, 64)),
-    lambda p: jump_lightface([p]),
-    lambda p: fm_construct([p]),
-    lambda p: run_transfinite(p, oracle=set_oracle([])),
-], ids=["run_programs", "jump_lightface", "fm_construct", "run_transfinite"])
-@pytest.mark.parametrize("first", ["query", "halt"])
-def test_every_run_checks_the_pairing_where_it_starts(start, first):
-    # refused before the first step, whether or not the query state is reached
-    with pytest.raises(OracleProtocolError,
-                       match="^oracle runs need a 4-track program$"):
-        start(three_track_query(first))
+    with pytest.raises(ProgramError, match=refused):
+        total_program(3, overrides, query_state="query", yes_state="yes",
+                      no_state="no")
+    with pytest.raises(ProgramError, match=refused):
+        parse_program(query_table(3, first))
+    assert parse_program(query_table(4, first)).query_state == "query"
 
 
 def test_real_oracle_track_is_immutable():
