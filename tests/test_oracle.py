@@ -200,6 +200,37 @@ def test_three_track_query_programs_are_refused_when_made(first):
     assert parse_program(query_table(4, first)).query_state == "query"
 
 
+def query_pairing_probe(first):
+    """A 4-track program that declares the query protocol and goes to state
+    `first` on its first step."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=4):
+        overrides[("start", read)] = Rule(read, "S", first)
+        overrides[("yes", read)] = Rule(read, "S", "halt")
+        overrides[("no", read)] = Rule(read, "S", "halt")
+    return total_program(4, overrides, query_state="query", yes_state="yes",
+                         no_state="no")
+
+
+@pytest.mark.parametrize("start", [
+    lambda p, o: run_programs([p], BudgetPolicy(3, 64, 64), o),
+    lambda p, o: jump_lightface([p], o),
+    lambda p, o: run_transfinite(p, oracle=o),
+], ids=["run_programs", "jump_lightface", "run_transfinite"])
+@pytest.mark.parametrize("first", ["query", "halt"])
+def test_every_run_checks_the_pairing_where_it_starts(start, first):
+    # refused before the first step, whether or not the query state is
+    # reached: a step into it would fail with another message, and a step
+    # into halt would end the run
+    with pytest.raises(OracleProtocolError,
+                       match="^query protocol declared but the oracle is a "
+                             "real, not a set$"):
+        start(query_pairing_probe(first), RealOracle(parse_real("(1)*")))
+    with pytest.raises(OracleProtocolError,
+                       match="^oracle runs need a 4-track program$"):
+        start(p_halt(), set_oracle([]))
+
+
 def test_real_oracle_track_is_immutable():
     # a machine that tries to write the oracle track must not change it
     overrides = {}
