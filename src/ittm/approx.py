@@ -13,10 +13,12 @@ contents below the block's limit, either forever (each cycle extends the
 content) or not at all (the cycle is absorbed by the periodic background).
 One cycle comparison decides which, so content streams are enumerated
 exactly up to the appearance cap and truncation is always flagged with the
-first stage the log no longer covers.  One dovetail builds each distinct
-wake once, shared by every moving track whose wake reads the same limit
-track, head, shift and window, and it sorts only first appearances: one pass
-keeps each real's earliest event before the distinct reals are ordered.
+first stage the log no longer covers.  The dovetail walks no tail step by
+step.  Each snapshot a run covers offers its tracks as candidates for a
+real's first appearance, an absorbed tail repeats its window and offers
+nothing new, and each distinct wake, shared by every moving track that reads
+the same limit track, head, shift and window, is built once and offered once,
+from its least reader.  Only the first appearances are sorted.
 """
 
 from __future__ import annotations
@@ -65,61 +67,22 @@ def _absorbed(block: BlockSummary, t: int) -> bool:
                for i in range(block.certificate.pi))
 
 
-def _wake_list(block: BlockSummary, t: int, cap: int, wakes: dict) -> list[Real]:
-    """Track t at the `cap` relative steps past a translation block's window:
-    entry j is `_wake(block, k, i, t)` with k*pi + i = pi + 1 + j.  The list
-    is built once per distinct wake in `wakes`, keyed by everything `_wake`
-    reads: the limit track, h0, the shift and the window suffixes from h0.
-    Blocks and tracks with equal keys share the list, whatever their mu."""
+def _wake_key(block: BlockSummary, t: int) -> tuple:
+    """Everything `_wake` reads of track t: the limit track, h0, the shift
+    and the window suffixes from h0.  Blocks and tracks with equal keys have
+    equal wakes, whatever their mu."""
     cert = block.certificate
     h0 = block.explicit[cert.mu].head
-    key = (block.limit.tracks[t], h0, cert.shift,
-           tuple(block.explicit[cert.mu + i].tracks[t].suffix(h0)
-                 for i in range(cert.pi)))
-    wake = wakes.get(key)
-    if wake is None:
-        wake = wakes[key] = [_wake(block, *divmod(cert.pi + 1 + j, cert.pi), t)
-                             for j in range(cap)]
-    return wake
+    return (block.limit.tracks[t], h0, cert.shift,
+            tuple(block.explicit[cert.mu + i].tracks[t].suffix(h0)
+                  for i in range(cert.pi)))
 
 
-def _translation_tail(block: BlockSummary, cap: int, wakes: dict):
-    """Contents of the stages past the certified window of a translation
-    block, as (relative step, per-track contents).  Yields nothing when the
-    wake is absorbed by the background on every track (the stream is
-    stationary); otherwise the stream is genuinely infinite and is cut at
-    `cap` steps with a (relative step, None) marker.  `wakes` shares the
-    moving tracks' wake lists across blocks (see `_wake_list`)."""
-    mu, pi = block.certificate.mu, block.certificate.pi
-    moving = [(t, _wake_list(block, t, cap, wakes))
-              for t in range(len(block.limit.tracks)) if not _absorbed(block, t)]
-    if not moving:
-        return
-    first = mu + pi + 1
-    for j in range(cap):
-        tracks = list(block.explicit[mu + (j + 1) % pi].tracks)
-        for t, wake in moving:
-            tracks[t] = wake[j]
-        yield (first + j, tuple(tracks))
-    yield (first + cap, None)
-
-
-def _program_content_events(res: RunResult, cap: int, wakes: dict):
-    """(stage, track, Real) stream of content changes, plus the first stage
-    the stream no longer covers (None when it covers the whole run)."""
-    events = []
-    horizon = None
-    last = {}
-    for item in _history(res, lambda tracks: tracks,
-                         lambda block: _translation_tail(block, cap, wakes)):
-        if item[0] == "cut":
-            horizon = item[1]
-        elif item[0] == "set":
-            for t, content in enumerate(item[2]):
-                if last.get(t) != content:
-                    last[t] = content
-                    events.append((item[1], t, content))
-    return events, horizon
+def _wake_list(block: BlockSummary, t: int, cap: int) -> list[Real]:
+    """Track t at the `cap` relative steps past a translation block's window:
+    entry j is `_wake(block, k, i, t)` with k*pi + i = pi + 1 + j."""
+    pi = block.certificate.pi
+    return [_wake(block, *divmod(pi + 1 + j, pi), t) for j in range(cap)]
 
 
 # --- the universal dovetailer ----------------------------------------------
@@ -133,7 +96,7 @@ class Appearance:
     digest: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AppearanceLog:
     records: list[Appearance]        # in stage order
     truncated: bool
@@ -157,34 +120,94 @@ class AppearanceLog:
 def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceLog:
     """Dovetail the runs of every program on input all-zero, one step per
     master stage, logging each new distinct track content at its first
-    appearance."""
+    appearance: its least (stage, program, track).
+
+    Every explicit snapshot, block limit and final limit a run covers offers
+    each of its tracks as a candidate, and a kept candidate gives way only
+    to a smaller one.  The stages left are the tails of translation blocks,
+    the relative steps mu+pi+1+j past the window, and they need no walk:
+
+    * An absorbed track's value at mu+pi+1+j is the window's, that of
+      explicit[mu + (j+1) % pi], which the same program and track offered at
+      a smaller stage.  It never wins, so it is not offered.
+    * A moving track's tail is the block's wake list (`_wake_list`), entry j
+      at stage start + (mu+pi+1+j).  The history ends there: the run covers
+      nothing from start + (mu+pi+1+cap) on, its horizon, so neither the
+      block limit nor a later block is offered.
+    * Many blocks and tracks read one wake, which is a function of
+      `_wake_key`.  Every block start is 0 or a limit, so for finite n and
+      n', start + n < start' + n' iff (start, n) < (start', n').  Among the
+      readers of one wake, the least (start, mu+pi+1, program, track) is
+      therefore the least candidate for every entry at once, and each
+      distinct wake's `cap` entries are offered once, from its least reader,
+      after every run has been read.
+
+    Keys compare as (stage terms, program, track), since an ordinal's Cantor
+    normal form terms order it.  While the runs are read, the runs come in
+    program order and a run's candidates in stage order, so a candidate wins
+    only at a strictly smaller stage.  A result met again (a shared
+    one-block halt) is skipped: its candidates, at the same stages from a
+    later program, never win, and its horizon is listed already."""
     cap = budget.appearance_cap
-    wakes: dict = {}
-    first: dict[Real, tuple[Ordinal, int, int]] = {}
+    first: dict[Real, tuple] = {}    # real -> (stage terms, program, track, stage)
+    readers: dict[tuple, tuple] = {}   # wake key -> least reader, its start, a block
     horizons = []
-    # a result object met again (a shared one-block halt) is skipped: its
-    # events, at the same stages from a later program, replace no first
-    # appearance, and its horizon leaves min(horizons) as it is
     read = set()
     for pid, res in enumerate(results):
         if id(res) in read:
             continue
         read.add(id(res))
-        events, horizon = _program_content_events(res, cap, wakes)
-        for stage, t, real in events:
-            # programs come in order and a program's events in stage order,
-            # so a later event is earlier in (stage, program, track) only
-            # at a smaller stage
-            seen = first.get(real)
-            if seen is None or stage < seen[0]:
-                first[real] = (stage, pid, t)
+        snaps = []
+        horizon = None
+        for block in res.blocks:
+            snaps.extend(block.explicit)
+            cert = block.certificate
+            if isinstance(cert, TranslationCert):
+                moving = [t for t in range(len(block.limit.tracks))
+                          if not _absorbed(block, t)]
+                if moving:
+                    start = block.start.stage
+                    offset = cert.mu + cert.pi + 1
+                    for t in moving:
+                        key = _wake_key(block, t)
+                        reader = (start.terms, offset, pid, t)
+                        if key not in readers or reader < readers[key][0]:
+                            readers[key] = (reader, start, block)
+                    horizon = cnf_add(start, from_int(offset + cap))
+                    break
+            if block.limit is not None:
+                snaps.append(block.limit)
+        else:
+            if res.final_limit is not None:
+                snaps.append(res.final_limit)
+            if res.outcome == "exceeded":
+                horizon = _exceeded_cut(res)
+        prev = ()
+        for snap in snaps:
+            terms = snap.stage.terms
+            for t, real in enumerate(snap.tracks):
+                # a snapshot shares the Real of each track its predecessor
+                # left unchanged, which was offered at a smaller stage
+                if t < len(prev) and prev[t] is real:
+                    continue
+                seen = first.get(real)
+                if seen is None or terms < seen[0]:
+                    first[real] = (terms, pid, t, snap.stage)
+            prev = snap.tracks
         if horizon is not None:
             horizons.append(horizon)
+    for (_terms, offset, pid, t), start, block in readers.values():
+        for j, real in enumerate(_wake_list(block, t, cap)):
+            stage = cnf_add(start, from_int(offset + j))
+            candidate = (stage.terms, pid, t, stage)
+            seen = first.get(real)
+            if seen is None or candidate < seen:
+                first[real] = candidate
     order = sorted(first.items(), key=lambda e: e[1])
     records = [Appearance(stage, pid, t, real, _digest(real))
-               for real, (stage, pid, t) in order[:cap]]
+               for real, (_terms, pid, t, stage) in order[:cap]]
     if len(order) > cap:
-        horizons.append(order[cap][1][0])
+        horizons.append(order[cap][1][3])
     truncated = bool(horizons)
     complete_below = min(horizons) if horizons else None
     return AppearanceLog(records, truncated, complete_below)
@@ -293,16 +316,21 @@ def _history(res: RunResult, read, wake_changes):
     if res.final_limit is not None:
         set_at(res.final_limit.stage, read(res.final_limit.tracks))
     if res.outcome == "exceeded":
-        # every block but an exceeded last one is certified, so the stages
-        # through the last block limit, or the last snapshot of a block
-        # without one, are covered and nothing later
-        cut = ZERO_ORD
-        if res.blocks:
-            last = res.blocks[-1]
-            cut = successor(last.limit.stage) if last.limit is not None else \
-                cnf_add(last.start.stage, from_int(len(last.explicit)))
-        items.append(("cut", cut))
+        items.append(("cut", _exceeded_cut(res)))
     return items
+
+
+def _exceeded_cut(res: RunResult) -> Ordinal:
+    """The first stage an exceeded run does not cover.  Every block but an
+    exceeded last one is certified, so the stages through the last block
+    limit, or the last snapshot of a block without one, are covered and
+    nothing later."""
+    if not res.blocks:
+        return ZERO_ORD
+    last = res.blocks[-1]
+    if last.limit is not None:
+        return successor(last.limit.stage)
+    return cnf_add(last.start.stage, from_int(len(last.explicit)))
 
 
 def _cell_items(res: RunResult, track: int, cell: int):
@@ -626,11 +654,25 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
         return codes[beta]
 
     # the successor ranks run on from 0 or a limit, so a successor rank's
-    # predecessor is the rank listed before it
-    runs: dict[Ordinal, dict] = {}
+    # predecessor is the rank listed before it.  runs[i] is [start, events,
+    # next index] for the rank at position i, and keys[i] the key of its
+    # next event, (stage terms, i, program, stage), kept while it has one:
+    # positions ascend with the ranks and terms order stages, so the least
+    # key is the least (stage, rank, program)
+    runs: dict[int, list] = {}
+    keys: dict[int, tuple] = {}
+    def advance(i: int):
+        start, events, idx = runs[i]
+        if idx < len(events):
+            t, pid = events[idx]
+            stage = cnf_add(start, t)
+            keys[i] = (stage.terms, i, pid, stage)
+        else:
+            keys.pop(i, None)
+
     def restart(i: int, stage: Ordinal):
-        runs[ranks[i]] = {"start": stage, "events": jump_events(rows[ranks[i - 1]]),
-                          "idx": 0}
+        runs[i] = [stage, jump_events(rows[ranks[i - 1]]), 0]
+        advance(i)
 
     for i, r in enumerate(ranks):
         if r.is_successor():
@@ -638,25 +680,19 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
 
     processed = 0
     while processed < budget.per_level_budget:
-        best = None
-        for r, run in runs.items():
-            if run["idx"] >= len(run["events"]):
-                continue
-            t, pid = run["events"][run["idx"]]
-            key = (cnf_add(run["start"], t), r, pid)
-            if best is None or key < best[0]:
-                best = (key, r, run)
-        if best is None:
+        if not keys:
             break
-        (stage, rank, pid), _, run = best[0], best[1], best[2]
-        run["idx"] += 1
+        _terms, pos, pid, stage = min(keys.values())
+        runs[pos][2] += 1
+        advance(pos)
+        rank = ranks[pos]
         set_row(rank, rows[rank].with_bit(pid, 1))
         change_log.append(ChangeEntry(stage, rank, pid))
         stabilization[rank] = stage
         # erase upwards: each limit row joins only rows below it, which are
         # final by the time it is reached; limit rows below rank keep theirs
         cut = None
-        for i in range(ranks.index(rank) + 1, len(ranks)):
+        for i in range(pos + 1, len(ranks)):
             q = ranks[i]
             if q.is_limit():
                 if join_size(rows, q) > LIMIT_ROW_CAP:

@@ -18,14 +18,17 @@ stay pairwise distinct), and the construction refuses rather than guess
 when the appearance log is truncated below the stage it needs.  The avoid
 list and its diagonal are kept across assignments: a new witness takes the
 old one's slot and moves one bit of the diagonal, and the list is rebuilt
-only when the stage, the restraints or the members have changed, or when
-the old witness is also listed from another source.
+only when the stage, the appearance log, the restraints or the members have
+changed, when a witness was written anywhere but through the list, or when
+the old witness is also listed from another source.  Whether the kept list
+is current costs O(1) in the requirements: every witness write bumps one
+counter, which the list records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import ClassVar
 
 from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
                      universal_run)
@@ -52,6 +55,13 @@ class Requirement:
     witness: Real | None = None
     state: str = WAITING
     injuries: list = field(default_factory=list)     # (stage, injuring priority)
+    # witness writes to any requirement so far, the one made in __init__ too
+    witness_writes: ClassVar[int] = 0
+
+    def __setattr__(self, name, value):
+        if name == "witness":
+            Requirement.witness_writes += 1
+        object.__setattr__(self, name, value)
 
     @property
     def own_side(self) -> str:
@@ -89,6 +99,8 @@ class FMState:
     flags: list[str] = field(default_factory=list)
     oracle_programs: list[Program] = field(default_factory=list)
     avoid: AvoidList | None = field(default=None, repr=False, compare=False)
+    # the last stage logged and its text, rendered once per stage
+    _stage_text: tuple = field(default=(None, ""), repr=False, compare=False)
 
     def side_rows(self, side: str) -> dict[int, list[Real]]:
         return self.a_rows if side == "A" else self.b_rows
@@ -105,12 +117,11 @@ class FMState:
                 + sum(map(len, self.b_rows.values())))
 
     def log(self, kind: str, **fields):
-        rec = {"type": kind, "stage": self.stage.render()}
+        if self._stage_text[0] is not self.stage:
+            self._stage_text = (self.stage, self.stage.render())
+        rec = {"type": kind, "stage": self._stage_text[1]}
         rec.update(fields)
         self.events.append(rec)
-
-
-_WITNESS = attrgetter("witness")
 
 
 @dataclass
@@ -118,22 +129,27 @@ class AvoidList:
     """The avoid list of `fresh_witness` as a Diagonal, with what it was
     built from.  The list is dedup(segment ++ preserved sets by owner ++
     witnesses in requirement order ++ members of A then B); the sets only
-    grow, so their member count tells whether they changed."""
+    grow, so their member count tells whether they changed.  The witnesses
+    are not compared: `witness_writes` is `Requirement.witness_writes` as of
+    the list's last write, so any other write makes the list stale.  The
+    log is compared by identity, as an `AppearanceLog` is frozen."""
     stage: Ordinal
+    log: AppearanceLog
     restraints: dict[int, Restraint]
     member_count: int
-    witnesses: list[Real | None]   # each requirement's, in requirement order
+    witness_writes: int
     pinned: set[Real]              # members, and witnesses listed before
                                    # their own slot: their slots are not theirs
     last_slot: int                 # whose witness is listed last: -1 none,
-                                   # len(witnesses) a member
+                                   # len(requirements) a member
     diagonal: Diagonal
 
     def is_current(self, state: FMState) -> bool:
-        return (self.stage == state.stage
+        return (self.witness_writes == Requirement.witness_writes
+                and self.stage == state.stage
+                and self.log is state.appearance_log
                 and self.restraints == state.restraints
-                and self.member_count == state.member_count()
-                and self.witnesses == list(map(_WITNESS, state.requirements)))
+                and self.member_count == state.member_count())
 
     def write(self, i: int, old: Real | None, new: Real) -> bool:
         """Hand requirement i the unlisted witness `new` in place of `old`.
@@ -148,7 +164,6 @@ class AvoidList:
             return False
         else:
             self.diagonal.replace(old, new)
-        self.witnesses[i] = new
         return True
 
 
@@ -164,9 +179,9 @@ def _build_avoid(state: FMState, upto: Ordinal) -> AvoidList:
             diagonal.add(r)
     members = state.members("A") + state.members("B")
     pinned = set(members)
-    witnesses = list(map(_WITNESS, state.requirements))
     last_slot = -1
-    for i, w in enumerate(witnesses):
+    for i, req in enumerate(state.requirements):
+        w = req.witness
         if w in diagonal:
             pinned.add(w)
         elif w is not None:
@@ -176,21 +191,24 @@ def _build_avoid(state: FMState, upto: Ordinal) -> AvoidList:
     for r in members:
         diagonal.add(r)
     if len(diagonal) > listed:
-        last_slot = len(witnesses)
-    return AvoidList(state.stage, dict(state.restraints), state.member_count(),
-                     witnesses, pinned, last_slot, diagonal)
+        last_slot = len(state.requirements)
+    return AvoidList(state.stage, state.appearance_log, dict(state.restraints),
+                     state.member_count(), Requirement.witness_writes, pinned,
+                     last_slot, diagonal)
 
 
 def fresh_witness(state: FMState, req: Requirement) -> Real:
     """Diagonal real avoiding the current appearance segment, every active
-    preserved query set, current witnesses and both sets' members."""
-    upto = successor(state.stage)
-    try:
-        state.appearance_log.require_complete(upto)
-    except TruncatedLog as exc:
-        raise ConstructionRefusal(str(exc))
+    preserved query set, current witnesses and both sets' members.  The log
+    is checked only when the list is rebuilt: a current list was built at
+    the same stage from the same log, which covered that stage then."""
     avoid = state.avoid
     if avoid is None or not avoid.is_current(state):
+        upto = successor(state.stage)
+        try:
+            state.appearance_log.require_complete(upto)
+        except TruncatedLog as exc:
+            raise ConstructionRefusal(str(exc))
         avoid = state.avoid = _build_avoid(state, upto)
     out = avoid.diagonal.real()
     if out in avoid.diagonal:   # raised, not asserted, so `python -O` keeps it
@@ -200,10 +218,14 @@ def fresh_witness(state: FMState, req: Requirement) -> Real:
 
 def _assign_witness(state: FMState, req: Requirement):
     witness = fresh_witness(state, req)
-    if state.avoid is not None and not state.avoid.write(req.priority,
-                                                         req.witness, witness):
-        state.avoid = None
+    avoid = state.avoid
+    kept = (avoid is not None and state.requirements[req.priority] is req
+            and avoid.write(req.priority, req.witness, witness))
     req.witness = witness
+    if kept:
+        avoid.witness_writes = Requirement.witness_writes
+    else:
+        state.avoid = None
     state.log("witness", requirement=req.label(), priority=req.priority,
               witness=req.witness.render())
 

@@ -240,8 +240,20 @@ def binary_counter():
     return total_program(3, overrides)
 
 
+def check_universal_run(results, policy):
+    log = universal_run(results, policy)
+    got = [(a.stage, a.program, a.track, a.real, a.digest)
+           for a in log.records]
+    assert (got, log.truncated, log.complete_below) == \
+        reference_universal_run(results, policy)
+    return log
+
+
 def test_content_events_match_the_reference_walker():
-    from ittm.approx import _program_content_events
+    # each run alone, so that no earlier program hides its stream: both
+    # inputs over the slice, a sweep, a dipping drifter, an exceeded last
+    # block, a run exceeded above block level, and one that overflows the
+    # ordinal range in its first block and so has no blocks at all
     from ittm.oracle import enumeration_slice
     runs = [run_transfinite(p, x, BudgetPolicy(3, 256, 64))
             for x in (ZERO_REAL, parse_real("1(10)*"))
@@ -251,20 +263,15 @@ def test_content_events_match_the_reference_walker():
     assert isinstance(exceeded.blocks[-1].certificate, ExceededCert)
     above = run_transfinite(binary_counter(), ZERO_REAL, BudgetPolicy(3, 8, 16))
     assert above.outcome == "exceeded" and above.blocks[-1].limit is not None
-    runs += [exceeded, above]
-    horizons = 0
-    for cap in (1, 7, 64):
-        wakes = {}
-        for res in runs:
-            got = _program_content_events(res, cap, wakes)
-            assert got == reference_content_events(res, cap)
-            horizons += got[1] is not None
-    assert horizons > 3 * 10  # each cap cuts some streams short
-    # a run that overflows the ordinal range in its first block has no
-    # blocks, so its stream covers nothing
     empty = run_transfinite(p_flip(), ZERO_REAL, BudgetPolicy(1, 64, 64))
     assert empty.outcome == "exceeded" and empty.blocks == ()
-    assert _program_content_events(empty, 7, {}) == ([], ZERO_ORD)
+    runs += [exceeded, above, empty]
+    for cap in (1, 7, 64):
+        policy = BudgetPolicy(3, 256, cap)
+        logs = [check_universal_run([res], policy) for res in runs]
+        # at every cap some streams are cut short and some are not
+        assert 10 < sum(log.truncated for log in logs) < len(logs) - 10
+    assert universal_run([empty], B).complete_below == ZERO_ORD
 
 
 def cycler(track, cycle, lead=()):
@@ -303,17 +310,18 @@ def test_universal_run_matches_the_reference_dovetailer():
     stay_first = cycler(1, [(1, "S"), (0, "R")])
     lists.append(run_programs([stay_first, cycler(1, [(1, "R"), (1, "R")])], B))
     lists.append(run_programs([cycler(1, [(0, "S"), (1, "R")]), stay_first], B))
+    # one wake read at a larger mu first: the later program's reading wins
+    idle = [(0, "S")]
+    lists.append(run_programs([cycler(1, sweep, lead=idle * 3),
+                               cycler(1, sweep, lead=idle)], B))
     exceeded = run_transfinite(nonzero_halter(12), ZERO_REAL, BudgetPolicy(3, 4, 64))
+    assert isinstance(exceeded.blocks[-1].certificate, ExceededCert)
     lists.append([exceeded, run_transfinite(p_sweep(), ZERO_REAL, B)])
     lists.append([])
     for cap in (1, 7, 64, 512):
         policy = BudgetPolicy(3, 256, cap)
         for results in lists:
-            log = universal_run(results, policy)
-            got = [(a.stage, a.program, a.track, a.real, a.digest)
-                   for a in log.records]
-            assert (got, log.truncated, log.complete_below) == \
-                reference_universal_run(results, policy)
+            check_universal_run(results, policy)
     # the appearance cap cuts a sweep below its wake horizon, and an
     # exceeded run cuts the log below the cap stage
     capped = universal_run(lists[2][:1], BudgetPolicy(3, 256, 7))

@@ -197,6 +197,31 @@ def test_survey_cli_builds_each_wake_once(monkeypatch, capsys):
     assert 0 < len(calls) <= 600
 
 
+def test_survey_cli_offers_each_wake_entry_once(monkeypatch, capsys):
+    # the same command: the dovetail offers each entry of its one wake from
+    # the wake's least reader, one stage each, rather than walking every
+    # moving track's tail step by step (7,182 additions before)
+    add = approx.cnf_add
+    dovetail = approx.universal_run
+    calls = []
+    inside = []
+    def counting(a, b):
+        if inside:
+            calls.append(1)
+        return add(a, b)
+    def counted_run(*args):
+        inside.append(1)
+        try:
+            return dovetail(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(approx, "cnf_add", counting)
+    monkeypatch.setattr("ittm.cli.universal_run", counted_run)
+    assert main(["survey", "--states", "2", "--bound", "2000"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["appearances"]) == 512
+    assert 512 <= len(calls) <= 600
+
+
 # exit codes and stdout sha256 of the benchmark's cli-mix commands, as
 # recorded in perfbench/reference/seed.json
 CLI_MIX = [

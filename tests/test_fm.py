@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import looper, nonzero_halter, query_probe, zero_halter
@@ -365,6 +367,31 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     for req in state.requirements:
         fm._assign_witness(state, req)
     assert checked_witnesses["rebuilds"] == 16
+
+
+def test_kept_avoid_list_sees_writes_made_around_it(checked_witnesses):
+    # the list is current by a count of witness writes and by the log's
+    # identity, so a direct write and a swapped log must both be seen
+    state = empty_state([zero_halter(), p_halt(), p_flip()])
+    for req in state.requirements:
+        fm._assign_witness(state, req)
+    assert state.avoid is not None
+    rebuilds = checked_witnesses["rebuilds"]
+    # the real the kept list would hand out next, written straight into R_1
+    offered = state.avoid.diagonal.real()
+    state.requirements[1].witness = offered
+    assert fm.fresh_witness(state, state.requirements[2]) != offered
+    assert checked_witnesses["rebuilds"] == rebuilds + 1
+    # a requirement that is not the state's own at its priority, handed a
+    # witness: R_0 keeps its own, so the list must not drop it
+    stray = Requirement("R", 0, 0, witness=state.requirements[0].witness)
+    fm._assign_witness(state, stray)
+    fm.fresh_witness(state, state.requirements[2])
+    # the same log, truncated below stage 1
+    state.appearance_log = dataclasses.replace(
+        state.appearance_log, truncated=True, complete_below=ZERO_ORD)
+    with pytest.raises(ConstructionRefusal, match="complete below 0 only"):
+        fm.fresh_witness(state, state.requirements[2])
 
 
 def test_avoid_list_rebuilds_only_per_attention(counts):
