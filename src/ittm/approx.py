@@ -2,23 +2,24 @@
 
 Everything here replays certified traces rather than re-deriving semantics:
 the universal dovetailer logs each new distinct track content with the exact
-stage it first appears; stabilization search reads cell histories off the
-certificates; the halting-set approximation stream is the exact sequence of
-budgeted halting events; and the iterated-jump matrix replays the
+stage it first appears; stabilization search walks a run once, reading one
+cell or track at each snapshot and off each block's certificate, and answers
+where it settles; the halting-set approximation stream is the exact sequence
+of budgeted halting events; and the iterated-jump matrix replays the
 transfinite-injury procedure event by event, erasing higher rows whenever a
 lower row improves.
 
 Translation-certified blocks need care: the wake keeps producing fresh track
 contents below the block's limit, either forever (each cycle extends the
 content) or not at all (the cycle is absorbed by the periodic background).
-One cycle comparison decides which, so content streams are enumerated
-exactly up to the appearance cap and truncation is always flagged with the
-first stage the log no longer covers.  The dovetail walks no tail step by
-step.  Each snapshot a run covers offers its tracks as candidates for a
-real's first appearance, an absorbed tail repeats its window and offers
-nothing new, and each distinct wake, shared by every moving track that reads
-the same limit track, head, shift and window, is built once and offered once,
-from its least reader.  Only the first appearances are sorted.
+One cycle comparison decides which.  A track's wake is a function of its key
+(`_wake_key`): the limit track, head, shift and window.  The dovetail walks
+no tail step by step.  Each snapshot a run covers offers its tracks as
+candidates for a real's first appearance, an absorbed tail repeats its
+window and offers nothing new, and each distinct wake is built once from its
+key and offered once, from its least reader.  So the log is exact up to the
+appearance cap, truncation is always flagged with the first stage the log no
+longer covers, and only the first appearances are sorted.
 """
 
 from __future__ import annotations
@@ -45,32 +46,13 @@ def _digest(r: Real) -> str:
     return hashlib.sha256(r.render().encode()).hexdigest()[:12]
 
 
-# --- per-program content streams -------------------------------------------
-
-def _wake(block: BlockSummary, k: int, i: int, t: int) -> Real:
-    """Track t at relative step mu + k*pi + i (k >= 1, 0 <= i < pi) of a
-    translation block: the window snapshot at mu + i moved k*shift cells
-    right from its mu head position on, with the limit's frozen cells
-    below."""
-    cert = block.certificate
-    h0 = block.explicit[cert.mu].head
-    return block.limit.tracks[t].splice(
-        h0 + k * cert.shift, block.explicit[cert.mu + i].tracks[t].suffix(h0))
-
-
-def _absorbed(block: BlockSummary, t: int) -> bool:
-    """Whether track t is stationary past a translation block's window: the
-    first wake cycle equals the window, and then so does every later one.
-    Otherwise every cycle changes the track."""
-    mu = block.certificate.mu
-    return all(_wake(block, 1, i, t) == block.explicit[mu + i].tracks[t]
-               for i in range(block.certificate.pi))
-
+# --- the translation wake --------------------------------------------------
 
 def _wake_key(block: BlockSummary, t: int) -> tuple:
-    """Everything `_wake` reads of track t: the limit track, h0, the shift
-    and the window suffixes from h0.  Blocks and tracks with equal keys have
-    equal wakes, whatever their mu."""
+    """Everything of a translation block the wake of track t depends on: the
+    limit track, the mu head position h0, the shift and the window suffixes
+    from h0.  The wake functions read only this key, so blocks and tracks
+    with equal keys have equal wakes, whatever their mu."""
     cert = block.certificate
     h0 = block.explicit[cert.mu].head
     return (block.limit.tracks[t], h0, cert.shift,
@@ -78,11 +60,29 @@ def _wake_key(block: BlockSummary, t: int) -> tuple:
                   for i in range(cert.pi)))
 
 
-def _wake_list(block: BlockSummary, t: int, cap: int) -> list[Real]:
-    """Track t at the `cap` relative steps past a translation block's window:
-    entry j is `_wake(block, k, i, t)` with k*pi + i = pi + 1 + j."""
-    pi = block.certificate.pi
-    return [_wake(block, *divmod(pi + 1 + j, pi), t) for j in range(cap)]
+def _wake(key: tuple, k: int, i: int) -> Real:
+    """The track at relative step mu + k*pi + i (k >= 1, 0 <= i < pi) of a
+    translation block: the window snapshot at mu + i moved k*shift cells
+    right from its mu head position on, with the limit's frozen cells
+    below."""
+    limit, h0, shift, window = key
+    return limit.splice(h0 + k * shift, window[i])
+
+
+def _absorbed(block: BlockSummary, key: tuple, t: int) -> bool:
+    """Whether track t, of wake key `key`, is stationary past a translation
+    block's window: the first wake cycle equals the window, and then so does
+    every later one.  Otherwise every cycle changes the track."""
+    mu = block.certificate.mu
+    return all(_wake(key, 1, i) == block.explicit[mu + i].tracks[t]
+               for i in range(block.certificate.pi))
+
+
+def _wake_list(key: tuple, cap: int) -> list[Real]:
+    """The track at the `cap` relative steps past a translation block's
+    window: entry j is `_wake(key, k, i)` with k*pi + i = pi + 1 + j."""
+    pi = len(key[3])
+    return [_wake(key, *divmod(pi + 1 + j, pi)) for j in range(cap)]
 
 
 # --- the universal dovetailer ----------------------------------------------
@@ -117,6 +117,19 @@ class AppearanceLog:
         return [rec.real for rec in self.records[:end]]
 
 
+def _exceeded_cut(res: RunResult) -> Ordinal:
+    """The first stage an exceeded run does not cover.  Every block but an
+    exceeded last one is certified, so the stages through the last block
+    limit, or the last snapshot of a block without one, are covered and
+    nothing later."""
+    if not res.blocks:
+        return ZERO_ORD
+    last = res.blocks[-1]
+    if last.limit is not None:
+        return successor(last.limit.stage)
+    return cnf_add(last.start.stage, from_int(len(last.explicit)))
+
+
 def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceLog:
     """Dovetail the runs of every program on input all-zero, one step per
     master stage, logging each new distinct track content at its first
@@ -131,16 +144,16 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
       explicit[mu + (j+1) % pi], which the same program and track offered at
       a smaller stage.  It never wins, so it is not offered.
     * A moving track's tail is the block's wake list (`_wake_list`), entry j
-      at stage start + (mu+pi+1+j).  The history ends there: the run covers
+      at stage start + (mu+pi+1+j).  Coverage ends there: the run covers
       nothing from start + (mu+pi+1+cap) on, its horizon, so neither the
       block limit nor a later block is offered.
-    * Many blocks and tracks read one wake, which is a function of
-      `_wake_key`.  Every block start is 0 or a limit, so for finite n and
-      n', start + n < start' + n' iff (start, n) < (start', n').  Among the
-      readers of one wake, the least (start, mu+pi+1, program, track) is
-      therefore the least candidate for every entry at once, and each
-      distinct wake's `cap` entries are offered once, from its least reader,
-      after every run has been read.
+    * Many blocks and tracks read one wake: the wake functions read only
+      its `_wake_key`, so equal keys have equal wakes.  Every block start is
+      0 or a limit, so for finite n and n', start + n < start' + n' iff
+      (start, n) < (start', n').  Among the readers of one wake, the least
+      (start, mu+pi+1, program, track) is therefore the least candidate for
+      every entry at once, and each distinct wake's `cap` entries are
+      offered once, from its least reader, after every run has been read.
 
     Keys compare as (stage terms, program, track), since an ordinal's Cantor
     normal form terms order it.  While the runs are read, the runs come in
@@ -150,7 +163,7 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
     later program, never win, and its horizon is listed already."""
     cap = budget.appearance_cap
     first: dict[Real, tuple] = {}    # real -> (stage terms, program, track, stage)
-    readers: dict[tuple, tuple] = {}   # wake key -> least reader, its start, a block
+    readers: dict[tuple, tuple] = {}   # wake key -> least reader, its start
     horizons = []
     read = set()
     for pid, res in enumerate(results):
@@ -163,16 +176,17 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
             snaps.extend(block.explicit)
             cert = block.certificate
             if isinstance(cert, TranslationCert):
-                moving = [t for t in range(len(block.limit.tracks))
-                          if not _absorbed(block, t)]
+                keys = [_wake_key(block, t)
+                        for t in range(len(block.limit.tracks))]
+                moving = [(t, key) for t, key in enumerate(keys)
+                          if not _absorbed(block, key, t)]
                 if moving:
                     start = block.start.stage
                     offset = cert.mu + cert.pi + 1
-                    for t in moving:
-                        key = _wake_key(block, t)
+                    for t, key in moving:
                         reader = (start.terms, offset, pid, t)
                         if key not in readers or reader < readers[key][0]:
-                            readers[key] = (reader, start, block)
+                            readers[key] = (reader, start)
                     horizon = cnf_add(start, from_int(offset + cap))
                     break
             if block.limit is not None:
@@ -196,8 +210,8 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
             prev = snap.tracks
         if horizon is not None:
             horizons.append(horizon)
-    for (_terms, offset, pid, t), start, block in readers.values():
-        for j, real in enumerate(_wake_list(block, t, cap)):
+    for key, ((_terms, offset, pid, t), start) in readers.items():
+        for j, real in enumerate(_wake_list(key, cap)):
             stage = cnf_add(start, from_int(offset + j))
             candidate = (stage.terms, pid, t, stage)
             seen = first.get(real)
@@ -272,100 +286,53 @@ def diagonalize_appearances(log: AppearanceLog, upto_stage: Ordinal) -> Real:
     return out
 
 
-# --- cell and track histories ----------------------------------------------
+# --- stabilization and eventual writing ------------------------------------
 
-def _history(res: RunResult, read, wake_changes):
-    """Change history of one value read off the run's track tuples:
-    ("set", stage, value) changes plus ("osc", block_start_stage,
-    limit_stage) markers for blocks whose certified cycle changes the value
-    cofinally below the block limit, ended by ("cut", stage) at the first
-    stage the history does not cover, if any.  `wake_changes(block)` gives
-    the (relative step, value) changes past a translation block's window,
-    or None when they never stop; a None value cuts the history there."""
-    items = []
-    value = None
-    def set_at(stage, v):
-        nonlocal value
-        if v != value:
-            items.append(("set", stage, v))
-            value = v
-    for block in res.blocks:
-        base = block.start.stage
-        for snap in block.explicit:
-            set_at(snap.stage, read(snap.tracks))
-        cert = block.certificate
-        changes = []
-        if isinstance(cert, RepeatCert):
-            vals = {read(s.tracks)
-                    for s in block.explicit[cert.mu: cert.mu + cert.pi]}
-            if len(vals) > 1:
-                changes = None
-        elif isinstance(cert, TranslationCert):
-            changes = wake_changes(block)
-        if changes is None:
-            items.append(("osc", base, block.limit.stage))
-            value = None
-        else:
-            for rel, v in changes:
-                if v is None:
-                    items.append(("cut", cnf_add(base, from_int(rel))))
-                    return items
-                set_at(cnf_add(base, from_int(rel)), v)
-        if block.limit is not None:
-            set_at(block.limit.stage, read(block.limit.tracks))
-    if res.final_limit is not None:
-        set_at(res.final_limit.stage, read(res.final_limit.tracks))
-    if res.outcome == "exceeded":
-        items.append(("cut", _exceeded_cut(res)))
-    return items
+def _stability(res: RunResult, read, wake_changes) -> tuple:
+    """(status, stage, value) of one value read off a run's track tuples, in
+    one walk over the run.
 
-
-def _exceeded_cut(res: RunResult) -> Ordinal:
-    """The first stage an exceeded run does not cover.  Every block but an
-    exceeded last one is certified, so the stages through the last block
-    limit, or the last snapshot of a block without one, are covered and
-    nothing later."""
-    if not res.blocks:
-        return ZERO_ORD
-    last = res.blocks[-1]
-    if last.limit is not None:
-        return successor(last.limit.stage)
-    return cnf_add(last.start.stage, from_int(len(last.explicit)))
-
-
-def _cell_items(res: RunResult, track: int, cell: int):
-    """History of one cell."""
-    def wake_changes(block):
-        # the cell freezes at its limit value once the head range passes
-        # it, which takes at most cell // shift + 1 cycles past the window
-        mu, pi = block.certificate.mu, block.certificate.pi
-        return [(mu + k * pi + i, _wake(block, k, i, track).bit(cell))
-                for k in range(1, cell // block.certificate.shift + 2)
-                for i in range(pi) if k > 1 or i > 0]
-    return _history(res, lambda tracks: tracks[track].bit(cell), wake_changes)
-
-
-def _track_items(res: RunResult, track: int):
-    """History of one whole-track content."""
-    return _history(res, lambda tracks: tracks[track],
-                    lambda block: [] if _absorbed(block, track) else None)
-
-
-def _settle(items, res: RunResult):
-    """Shared verdict: (status, stage, final value) for a change history."""
+    An exceeded run answers "exceeded" unread.  Otherwise the value is read
+    at each explicit snapshot, at the (relative step, value) changes that
+    `wake_changes(block)` gives past a translation block's window, at each
+    block limit and at the final limit.  A block whose certified cycle
+    changes the value cofinally below its limit (a repeat cycle holding two
+    values, or a translation whose `wake_changes` is None) leaves no value
+    from its start on, so its limit's read is a change.  A loop's value is
+    unstable when it changes strictly between the loop's two stages, as it
+    does in the explicit snapshots of every cofinal block from the first
+    stage on: a repeat cycle holds two values, and a moving track is not
+    constant over explicit[mu .. mu+pi], or its first wake cycle would equal
+    the window.  Otherwise it is stable at the stage and value of its last
+    change."""
     if res.outcome == "exceeded":
         return ("exceeded", None, None)
-    if res.outcome == "loops":
-        t1, t2 = res.loop.first, res.loop.second
-        for kind, *rest in items:
-            if kind == "set" and t1 < rest[0] < t2:
+    loop = res.loop   # None unless the run loops
+    reads = []
+    for block in res.blocks:
+        base, cert = block.start.stage, block.certificate
+        reads += [(s.stage, read(s.tracks)) for s in block.explicit]
+        changes = []
+        if isinstance(cert, TranslationCert):
+            changes = wake_changes(block)
+        elif isinstance(cert, RepeatCert):
+            cycle = block.explicit[cert.mu: cert.mu + cert.pi]
+            if len({read(s.tracks) for s in cycle}) > 1:
+                changes = None
+        if changes is None:
+            reads.append((base, None))
+        else:
+            reads += [(cnf_add(base, from_int(rel)), v) for rel, v in changes]
+        if block.limit is not None:
+            reads.append((block.limit.stage, read(block.limit.tracks)))
+    if res.final_limit is not None:
+        reads.append((res.final_limit.stage, read(res.final_limit.tracks)))
+    stage, value = ZERO_ORD, None
+    for at, v in reads:
+        if v != value:
+            if loop is not None and loop.first < at < loop.second:
                 return ("unstable", None, None)
-            if kind == "osc" and t1 <= rest[0]:
-                return ("unstable", None, None)
-    if not items:
-        return ("stable", ZERO_ORD, None)
-    # every osc item is followed by its block limit's set item
-    _kind, stage, value = items[-1]
+            stage, value = at, v
     return ("stable", stage, value)
 
 
@@ -381,11 +348,18 @@ def stabilization_stage(p: Program, cell: tuple[int, int],
                         input_real: Real = ZERO_REAL) -> Stabilization:
     """Least stage from which the cell's value is constant through the
     certified horizon, or a proof of cofinal oscillation."""
-    res = run_transfinite(p, input_real, budget)
     track, index = cell
-    items = _cell_items(res, track, index)
-    status, stage, value = _settle(items, res)
-    return Stabilization(status, stage, value)
+    def wake_changes(block):
+        # the cell freezes at its limit value once the head range passes
+        # it, which takes at most index // shift + 1 cycles past the window
+        cert = block.certificate
+        key = _wake_key(block, track)
+        return [(cert.mu + k * cert.pi + i, _wake(key, k, i).bit(index))
+                for k in range(1, index // cert.shift + 2)
+                for i in range(cert.pi) if k > 1 or i > 0]
+    res = run_transfinite(p, input_real, budget)
+    return Stabilization(*_stability(
+        res, lambda tracks: tracks[track].bit(index), wake_changes))
 
 
 @dataclass(frozen=True)
@@ -399,8 +373,9 @@ def eventually_written(p: Program, budget: BudgetPolicy = DEFAULT_BUDGET
                        ) -> EventuallyWritten:
     """Output-track content if it is constant from some certified stage on."""
     res = run_transfinite(p, ZERO_REAL, budget)
-    items = _track_items(res, 2)
-    status, stage, value = _settle(items, res)
+    status, stage, value = _stability(
+        res, lambda tracks: tracks[2],
+        lambda block: [] if _absorbed(block, _wake_key(block, 2), 2) else None)
     if status != "stable":
         return EventuallyWritten(status, None, None)
     return EventuallyWritten("stable", value if value is not None else ZERO_REAL,
@@ -520,6 +495,8 @@ def materialized_ranks(alpha: Ordinal, cap: int) -> tuple[list[Ordinal], bool]:
 # span about 75 million bits); a wider join stops the replay.
 LIMIT_ROW_CAP = 1 << 24
 
+DEFAULT_ROW_CAP = 8   # successor ranks materialized per omega-run
+
 
 def join_size(rows: dict[Ordinal, Real], lam: Ordinal) -> int:
     """Bits `join_rows(rows, lam)` spans, computed without building it."""
@@ -593,7 +570,7 @@ def _halt_events(programs, budget: BudgetPolicy, row: Real,
 
 
 def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGET,
-                    row_cap: int = 8) -> JumpMatrix:
+                    row_cap: int = DEFAULT_ROW_CAP) -> JumpMatrix:
     """Replay the transfinite-injury approximation of the iterated jump.
 
     All rows run simultaneously against the current approximation below

@@ -12,11 +12,12 @@ import json
 import os
 import sys
 
-from .approx import TruncatedLog, iterated_matrix, universal_run, validate_erasures
+from .approx import (DEFAULT_ROW_CAP, TruncatedLog, iterated_matrix, universal_run,
+                     validate_erasures)
 from .fm import fm_construct, ConstructionRefusal
 from .machine import ProgramError, parse_program
-from .oracle import (ENUM_WORK_CAP, RealOracle, SetOracle, enumeration_slice,
-                     jump_lightface, run_programs)
+from .oracle import (DEFAULT_TRIM_BITS, ENUM_WORK_CAP, RealOracle, SetOracle,
+                     enumeration_slice, jump_lightface, run_programs)
 from .ordinal import BudgetOrdinalOverflow, encode_order, parse_ordinal
 from .reals import ZERO as ZERO_REAL, parse_real
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, ExceededCert, HaltAt,
@@ -52,7 +53,7 @@ def _emit(path: str | None, text: str):
 
 
 def _budget(args) -> BudgetPolicy:
-    default = 4096
+    default = DEFAULT_BUDGET.per_level_budget
     env = os.environ.get("ITTM_DEFAULT_BUDGET")
     if env is not None:
         try:
@@ -179,7 +180,7 @@ def cmd_trace(args) -> int:
                                  "digest": snap.digest()}))
     outcome = _outcome(res, {"schema": SCHEMA, "kind": "outcome"})
     if res.outcome == "loops":
-        outcome["loop"]["snapshot"] = res.loop.snapshot_digest
+        outcome["loop"]["snapshot"] = res.final_limit.digest()
     lines.append(_json_line(outcome))
     _write_text(args.out, "".join(lines))
     print(_result_line(res))
@@ -280,17 +281,17 @@ def _natural(text: str) -> int:
 
 
 def _add_budget_args(sp):
-    sp.add_argument("--depth", type=int, default=3,
+    sp.add_argument("--depth", type=int, default=DEFAULT_BUDGET.depth,
                     help="ordinal depth D; stages stay below w^D")
     sp.add_argument("--budget", type=int, default=None,
-                    help="per-level step/block budget B (default 4096 or "
-                         "ITTM_DEFAULT_BUDGET)")
+                    help="per-level step/block budget B (default %d or "
+                         "ITTM_DEFAULT_BUDGET)" % DEFAULT_BUDGET.per_level_budget)
 
 
 def _add_oracle_args(sp):
     sp.add_argument("--oracle", help="set-oracle file, one real per line")
     sp.add_argument("--oracle-real", help="real oracle, prefix(tail)* syntax")
-    sp.add_argument("--trim-bits", type=_natural, default=64,
+    sp.add_argument("--trim-bits", type=_natural, default=DEFAULT_TRIM_BITS,
                     help="query canonicalization width for set oracles")
 
 
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--bound", type=_natural, default=256)
     survey.add_argument("--out")
     _add_budget_args(survey)
-    survey.add_argument("--cap", type=int, default=512, help="appearance log cap")
+    survey.add_argument("--cap", type=int, default=DEFAULT_BUDGET.appearance_cap,
+                        help="appearance log cap")
     survey.set_defaults(fn=cmd_survey)
 
     jump = sub.add_parser("jump", help="budgeted halting set of the enumeration")
@@ -339,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--order", required=True, help="ordinal literal, e.g. w*1+1")
     matrix.add_argument("--states", type=int, choices=_STATES, default=0)
     matrix.add_argument("--bound", type=_natural, default=40)
-    matrix.add_argument("--rows", type=_natural, default=8, help="per-run row cap")
+    matrix.add_argument("--rows", type=_natural, default=DEFAULT_ROW_CAP,
+                        help="per-run row cap")
     matrix.add_argument("--log", help="erasure JSONL path")
     matrix.add_argument("--out")
     _add_budget_args(matrix)
@@ -349,11 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--states", type=int, choices=_STATES, default=0)
     fm.add_argument("--tracks", type=int, choices=(3, 4), default=3)
     fm.add_argument("--bound", type=_natural, default=16)
-    fm.add_argument("--trim-bits", type=_natural, default=64)
+    fm.add_argument("--trim-bits", type=_natural, default=DEFAULT_TRIM_BITS)
     fm.add_argument("--events", help="event JSONL path")
     fm.add_argument("--report", help="report JSON path")
     _add_budget_args(fm)
-    fm.add_argument("--cap", type=int, default=512, help="appearance log cap")
+    fm.add_argument("--cap", type=int, default=DEFAULT_BUDGET.appearance_cap,
+                    help="appearance log cap")
     fm.set_defaults(fn=cmd_fm)
     return ap
 

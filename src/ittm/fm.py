@@ -21,19 +21,22 @@ old one's slot and moves one bit of the diagonal, and the list is rebuilt
 only when the stage, the appearance log, the restraints or the members have
 changed, when a witness was written anywhere but through the list, or when
 the old witness is also listed from another source.  Whether the kept list
-is current costs O(1) in the requirements: every witness write bumps one
-counter, which the list records.
+is current costs O(number of restraints), for the `restraints` dict
+equality: every witness write bumps one counter, which the list records, and
+the member count is the length of the two sides' addition lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import ClassVar
 
 from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
                      universal_run)
 from .machine import Program, extend_to_oracle_tracks
-from .oracle import SetOracle, replay_queries, run_programs, run_with_oracle
+from .oracle import (DEFAULT_TRIM_BITS, SetOracle, replay_queries, run_programs,
+                     run_with_oracle)
 from .ordinal import Ordinal, ZERO as ZERO_ORD, successor
 from .reals import Real
 from .runner import BudgetPolicy, DEFAULT_BUDGET, QueryRecord
@@ -89,8 +92,9 @@ class FMState:
     programs: list[Program]
     budget: BudgetPolicy
     trim_bits: int
-    a_rows: dict[int, list[Real]] = field(default_factory=dict)
-    b_rows: dict[int, list[Real]] = field(default_factory=dict)
+    # each side's additions as (row, real), in the order they were made
+    added: dict[str, list[tuple[int, Real]]] = field(
+        default_factory=lambda: {"A": [], "B": []})
     requirements: list[Requirement] = field(default_factory=list)
     restraints: dict[int, Restraint] = field(default_factory=dict)
     stage: Ordinal = ZERO_ORD
@@ -102,19 +106,15 @@ class FMState:
     # the last stage logged and its text, rendered once per stage
     _stage_text: tuple = field(default=(None, ""), repr=False, compare=False)
 
-    def side_rows(self, side: str) -> dict[int, list[Real]]:
-        return self.a_rows if side == "A" else self.b_rows
-
     def members(self, side: str) -> list[Real]:
-        rows = self.side_rows(side)
-        return [r for pid in sorted(rows) for r in rows[pid]]
+        """The side's members by row, each row in the order of its additions."""
+        return [r for _row, r in sorted(self.added[side], key=itemgetter(0))]
 
     def side_oracle(self, side: str) -> SetOracle:
         return SetOracle(frozenset(self.members(side)), self.trim_bits)
 
     def member_count(self) -> int:
-        return (sum(map(len, self.a_rows.values()))
-                + sum(map(len, self.b_rows.values())))
+        return len(self.added["A"]) + len(self.added["B"])
 
     def log(self, kind: str, **fields):
         if self._stage_text[0] is not self.stage:
@@ -246,7 +246,7 @@ def check_attention(state: FMState, req: Requirement, budget: BudgetPolicy):
 def receive_attention(state: FMState, req: Requirement, certified) -> None:
     res, qlog = certified
     side = req.own_side
-    state.side_rows(side).setdefault(req.prog, []).append(req.witness)
+    state.added[side].append((req.prog, req.witness))
     state.log("attention", requirement=req.label(), priority=req.priority,
               witness=req.witness.render(), halt_time=res.time.render())
     state.log("addition", side=side, row=req.prog, real=req.witness.render(),
@@ -284,7 +284,8 @@ def receive_attention(state: FMState, req: Requirement, certified) -> None:
 
 
 def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
-                 trim_bits: int = 64) -> tuple[FMState, dict | None]:
+                 trim_bits: int = DEFAULT_TRIM_BITS
+                 ) -> tuple[FMState, dict | None]:
     """Run the full priority loop over the given program space.
 
     The same programs serve as the background halter stream (their budgeted

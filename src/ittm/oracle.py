@@ -50,10 +50,13 @@ class RealOracle:
         return {"kind": "real", "real": self.real.render()}
 
 
+DEFAULT_TRIM_BITS = 64   # query bits a set oracle keeps before its lookup
+
+
 @dataclass(frozen=True)
 class SetOracle:
     members: frozenset[Real]
-    trim_bits: int = 64
+    trim_bits: int = DEFAULT_TRIM_BITS
     kind: ClassVar[str] = "set"
 
     def canonical_query(self, track: Real) -> Real:
@@ -67,7 +70,7 @@ class SetOracle:
                 "members": sorted(m.render() for m in self.members)}
 
 
-def set_oracle(members, trim_bits: int = 64) -> SetOracle:
+def set_oracle(members, trim_bits: int = DEFAULT_TRIM_BITS) -> SetOracle:
     return SetOracle(frozenset(members), trim_bits)
 
 

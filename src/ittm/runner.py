@@ -252,7 +252,6 @@ class QueryRecord:
 class LoopCert:
     first: Ordinal
     second: Ordinal
-    snapshot_digest: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -553,7 +552,7 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
             ever = or_all(b.ever_one[t] for b in blocks[n:])
             if not and_not(ever, snap.tracks[t]).is_zero():
                 return None
-        return LoopCert(first, snap.stage, snap.digest())
+        return LoopCert(first, snap.stage)
 
     # frames[k] for a level k >= 2 in progress: (origin snapshot, sub-block
     # start key -> index, ever-one sets).  A frame is made when its level

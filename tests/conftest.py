@@ -2,14 +2,17 @@
 
 These are the hand-built programs the higher-level suites survey: immediate
 zero-output halters, delayed halters with nonzero output, loopers, machines
-whose halting depends on oracle-tape bits, and a two-query probe whose
-certified query set provokes an organic injury in the priority construction.
+whose halting depends on oracle-tape bits, a two-query probe whose
+certified query set provokes an organic injury in the priority construction,
+and random tables drawn by one fixed recipe.
 """
 
 import itertools
+import random
 
 import pytest
 
+from ittm import oracle
 from ittm.machine import Rule, total_program
 from ittm.runner import BudgetPolicy
 
@@ -89,6 +92,15 @@ def query_probe():
         overrides[("w2", read)] = Rule((i, 1, o, 1), "S", "query")
     return total_program(4, overrides, query_state="query", yes_state="yes",
                          no_state="no")
+
+
+def random_tables(n, tracks=3):
+    """The first n random total tables with two work states, from seed 11."""
+    rng = random.Random(11)
+    slots = oracle._slot_list(2, tracks)
+    options = oracle._option_list(2, tracks)
+    return [total_program(tracks, {s: rng.choice(options) for s in slots},
+                          ("start", "limit", "s0", "s1")) for _ in range(n)]
 
 
 @pytest.fixture

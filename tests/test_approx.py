@@ -4,20 +4,22 @@ import itertools
 import pytest
 
 from conftest import (looper, nonzero_halter, oracle_bit_halter,
-                      total_program, zero_halter)
+                      random_tables, total_program, zero_halter)
 
+from ittm import approx
 from ittm.approx import (Diagonal, TruncatedLog, approximate_jump,
                          diagonal_against, diagonalize_appearances,
                          eventually_written, iterated_matrix,
                          join_rows, materialized_ranks, stabilization_stage,
                          universal_run, validate_erasures, ErasureEntry)
-from ittm.machine import Rule, extend_to_oracle_tracks, p_flip, p_halt, p_sweep
+from ittm.machine import (Rule, extend_to_oracle_tracks, p_flip, p_flip_lh,
+                          p_halt, p_sweep)
 from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
                           encode_order, from_int, pair_index, parse_ordinal,
                           successor)
 from ittm.reals import ZERO as ZERO_REAL, Real, from_support, parse_real
-from ittm.runner import (BudgetPolicy, ExceededCert, TranslationCert,
+from ittm.runner import (BudgetPolicy, ExceededCert, RepeatCert, TranslationCert,
                          run_transfinite)
 
 B = BudgetPolicy(3, 64, 256)
@@ -100,7 +102,7 @@ def dipping_drifter():
 
 
 def test_translation_wake_matches_stepping():
-    from ittm.approx import _wake
+    from ittm.approx import _wake, _wake_key
     from ittm.oracle import enumeration_slice
     from ittm.runner import TranslationCert, initial_snapshot, run_block, step
     absorbed = enumeration_slice(52, 2, 3)[51]
@@ -115,15 +117,15 @@ def test_translation_wake_matches_stepping():
             for i in range(cert.pi):
                 tracks = trail[cert.mu + k * cert.pi + i].tracks
                 for t, track in enumerate(tracks):
-                    assert _wake(blk, k, i, t) == track
+                    assert _wake(_wake_key(blk, t), k, i) == track
     cert = run_block(initial_snapshot(dipping_drifter()), dipping_drifter(),
                      B).certificate
     assert cert.mu > 0 and cert.pi == 4 and cert.shift == 2
 
 
 def reference_wake(block, k, i):
-    """All tracks at relative step mu + k*pi + i of a translation block, as
-    the content stream read them before it became a history."""
+    """All tracks at relative step mu + k*pi + i of a translation block, read
+    off the block itself rather than a wake key: the reference walks' wake."""
     cert = block.certificate
     h0 = block.explicit[cert.mu].head
     return tuple(lim.splice(h0 + k * cert.shift, cur.suffix(h0))
@@ -434,6 +436,132 @@ def test_eventually_written_examples():
     assert ev.status == "unstable"
     ev = eventually_written(nonzero_halter(12), BudgetPolicy(3, 4, 64))
     assert ev.status == "exceeded"
+
+
+def test_a_loop_is_unstable_where_its_cycle_changes_the_value():
+    # random draws #39 and #79 loop, and these values change strictly
+    # between the two loop stages: that window is what tells them from the
+    # values that settle, such as cell (2, 5) of #79
+    tables = random_tables(80)
+    p39, p79 = tables[39], tables[79]
+    assert (p39.digest(), p79.digest()) == ("fab642f2988c99b2", "aea66d6c0999e896")
+    budget = BudgetPolicy(3, 64, 128)
+    loop = run_transfinite(p79, ZERO_REAL, budget).loop
+    assert (loop.first, loop.second) == (parse_ordinal("w*13"), parse_ordinal("w^2"))
+    for p, cells in ((p39, [(0, 0), (1, 0), (2, 0)]),
+                     (p79, [(0, 0), (1, 0), (1, 3), (2, 0)])):
+        for cell in cells:
+            assert stabilization_stage(p, cell, budget).status == "unstable"
+        assert eventually_written(p, budget).status == "unstable"
+    st = stabilization_stage(p79, (2, 5), budget)
+    assert (st.status, st.stage, st.value) == ("stable", from_int(6), 1)
+
+
+def reference_history(res, read, wake_changes):
+    """The change history stabilization was read from before it took one
+    pass, kept to check that pass against: ("set", stage, value) changes
+    plus ("osc", block start, limit stage) markers for blocks whose
+    certified cycle changes the value cofinally below the limit.
+    `wake_changes(block)` gives the (relative step, value) changes past a
+    translation block's window, or None when they never stop."""
+    items = []
+    value = None
+    def set_at(stage, v):
+        nonlocal value
+        if v != value:
+            items.append(("set", stage, v))
+            value = v
+    for block in res.blocks:
+        base = block.start.stage
+        for snap in block.explicit:
+            set_at(snap.stage, read(snap.tracks))
+        cert = block.certificate
+        changes = []
+        if isinstance(cert, RepeatCert):
+            vals = {read(s.tracks)
+                    for s in block.explicit[cert.mu: cert.mu + cert.pi]}
+            if len(vals) > 1:
+                changes = None
+        elif isinstance(cert, TranslationCert):
+            changes = wake_changes(block)
+        if changes is None:
+            items.append(("osc", base, block.limit.stage))
+            value = None
+        else:
+            for rel, v in changes:
+                set_at(cnf_add(base, from_int(rel)), v)
+        if block.limit is not None:
+            set_at(block.limit.stage, read(block.limit.tracks))
+    if res.final_limit is not None:
+        set_at(res.final_limit.stage, read(res.final_limit.tracks))
+    return items
+
+
+def reference_settle(items, res):
+    """(status, stage, final value) of a change history."""
+    if res.outcome == "exceeded":
+        return ("exceeded", None, None)
+    if res.outcome == "loops":
+        t1, t2 = res.loop.first, res.loop.second
+        for kind, *rest in items:
+            if kind == "set" and t1 < rest[0] < t2:
+                return ("unstable", None, None)
+            if kind == "osc" and t1 <= rest[0]:
+                return ("unstable", None, None)
+    if not items:
+        return ("stable", ZERO_ORD, None)
+    # every osc item is followed by its block limit's set item
+    _kind, stage, value = items[-1]
+    return ("stable", stage, value)
+
+
+STABILIZATION_CELLS = [(0, 0), (1, 0), (1, 3), (2, 0), (2, 5)]
+
+
+def reference_answers(res):
+    """The reference's answers on one result: each cell's (status, stage,
+    value), then the output track's (status, stage, real)."""
+    out = []
+    for track, cell in STABILIZATION_CELLS:
+        def cell_wake(block, track=track, cell=cell):
+            mu, pi = block.certificate.mu, block.certificate.pi
+            return [(mu + k * pi + i, reference_wake(block, k, i)[track].bit(cell))
+                    for k in range(1, cell // block.certificate.shift + 2)
+                    for i in range(pi) if k > 1 or i > 0]
+        items = reference_history(res, lambda tracks: tracks[track].bit(cell),
+                                  cell_wake)
+        out.append(reference_settle(items, res))
+    def output_wake(block):
+        mu, pi = block.certificate.mu, block.certificate.pi
+        absorbed = all(reference_wake(block, 1, i)[2] == block.explicit[mu + i].tracks[2]
+                       for i in range(pi))
+        return [] if absorbed else None
+    status, stage, value = reference_settle(
+        reference_history(res, lambda tracks: tracks[2], output_wake), res)
+    if status != "stable":
+        return out + [(status, None, None)]
+    return out + [(status, stage, ZERO_REAL if value is None else value)]
+
+
+def test_stabilization_matches_the_reference_walk(monkeypatch):
+    # each program runs once per budget, and both walks read that one result
+    from ittm.oracle import enumeration_slice
+    progs = [p_flip(), p_sweep(), p_halt(), p_flip_lh(), dipping_drifter(),
+             output_flipper(), scratch_mirror()]
+    progs += enumeration_slice(400, 2, 3) + random_tables(400)
+    statuses = set()
+    for budget in (BudgetPolicy(3, 64, 128), BudgetPolicy(4, 256, 256)):
+        for p in progs:
+            res = run_transfinite(p, ZERO_REAL, budget)
+            monkeypatch.setattr(approx, "run_transfinite", lambda *args: res)
+            got = [(st.status, st.stage, st.value) for st in
+                   (stabilization_stage(p, cell, budget)
+                    for cell in STABILIZATION_CELLS)]
+            ev = eventually_written(p, budget)
+            got.append((ev.status, ev.stage, ev.real))
+            assert got == reference_answers(res), p.digest()
+            statuses.update(status for status, _stage, _value in got)
+    assert statuses == {"stable", "unstable", "exceeded"}
 
 
 # --- the approximation stream ------------------------------------------------

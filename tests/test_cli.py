@@ -335,6 +335,32 @@ def test_env_default_budget(halt_file, monkeypatch, capsys):
     assert "HALTED" in capsys.readouterr().out
 
 
+def test_every_command_defaults_to_the_library_defaults(monkeypatch):
+    import argparse
+    from ittm.approx import DEFAULT_ROW_CAP
+    from ittm.cli import _budget, build_parser
+    from ittm.oracle import DEFAULT_TRIM_BITS
+    from ittm.runner import DEFAULT_BUDGET
+    monkeypatch.delenv("ITTM_DEFAULT_BUDGET", raising=False)
+    ap = build_parser()
+    commands = next(a for a in ap._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    argvs = {"run": ["P"], "trace": ["P", "--out", "T"], "survey": [],
+             "jump": [], "matrix": ["--order", "w"], "fm": []}
+    assert set(argvs) == set(commands)
+    trimmed = set()
+    for command, rest in argvs.items():
+        args = ap.parse_args([command] + rest)
+        assert _budget(args) == DEFAULT_BUDGET, command
+        if hasattr(args, "trim_bits"):
+            assert args.trim_bits == DEFAULT_TRIM_BITS, command
+            trimmed.add(command)
+        assert ("default %d " % DEFAULT_BUDGET.per_level_budget
+                in " ".join(commands[command].format_help().split())), command
+    assert trimmed == {"run", "trace", "jump", "fm"}
+    assert ap.parse_args(["matrix", "--order", "w"]).rows == DEFAULT_ROW_CAP
+
+
 def test_unknown_usage_is_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["run"]) == 2

@@ -348,10 +348,10 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     state.restraints[1] = Restraint(1, "A", ZERO_ORD,
                                     (parse_real("(01)*"), reqs[3].witness), ())
     fm._assign_witness(state, reqs[2])
-    state.side_rows("B").setdefault(0, []).append(parse_real("0101(1)*"))
+    state.added["B"].append((0, parse_real("0101(1)*")))
     fm._assign_witness(state, reqs[4])
     # a witness that is also a member does not own its slot
-    state.side_rows("A").setdefault(1, []).append(reqs[2].witness)
+    state.added["A"].append((1, reqs[2].witness))
     fm._assign_witness(state, reqs[2])
     fm._assign_witness(state, reqs[5])
     reqs[0].witness = parse_real("11(0)*")
@@ -363,7 +363,7 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     assert checked_witnesses["rebuilds"] == 12
     # a member listed after every witness slot
     state = empty_state([zero_halter(), p_halt()])
-    state.side_rows("A")[0] = [parse_real("1(0)*")]
+    state.added["A"].append((0, parse_real("1(0)*")))
     for req in state.requirements:
         fm._assign_witness(state, req)
     assert checked_witnesses["rebuilds"] == 16

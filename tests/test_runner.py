@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import gc
 import itertools
-import random
 import subprocess
 import sys
 import weakref
@@ -10,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import looper, query_probe, total_program, zero_halter
+from conftest import (looper, query_probe, random_tables, total_program,
+                      zero_halter)
 
-from ittm import oracle as oracle_module, ordinal, reals, runner
+from ittm import ordinal, reals, runner
 from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
                           parse_program)
 from ittm.ordinal import OMEGA, ZERO as ZERO_ORD, cnf_add, from_int, parse_ordinal
@@ -267,15 +267,6 @@ def test_run_block_builds_reals_and_ordinals_per_block_not_per_step(monkeypatch)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert all(n <= 8 for n in counts[0].values())
-
-
-def random_tables(n, tracks=3):
-    """The first n random total tables with two work states, from seed 11."""
-    rng = random.Random(11)
-    slots = oracle_module._slot_list(2, tracks)
-    options = oracle_module._option_list(2, tracks)
-    return [total_program(tracks, {s: rng.choice(options) for s in slots},
-                          ("start", "limit", "s0", "s1")) for _ in range(n)]
 
 
 def reference_certificate(start, p, budget, oracle=None):
