@@ -15,22 +15,20 @@ waiting.
 Witnesses are diagonalized against the appearance log and every active
 preserved query set (plus current witnesses and set members, so witnesses
 stay pairwise distinct), and the construction refuses rather than guess
-when the appearance log is truncated below the stage it needs.  The avoid
-list and its diagonal are kept across assignments: a new witness takes the
-old one's slot and moves one bit of the diagonal, and the list is rebuilt
-only when the stage, the appearance log, the restraints or the members have
-changed, when a witness was written anywhere but through the list, or when
-the old witness is also listed from another source.  Whether the kept list
-is current costs O(number of restraints), for the `restraints` dict
-equality: every witness write bumps one counter, which the list records, and
-the member count is the length of the two sides' addition lists.
+when the appearance log is truncated below the stage it needs.  Witnesses
+are handed out in batches: the first assignment of every requirement, and
+each attention's reassignment of the weaker waiting ones.  A batch builds
+its avoid list once; each new witness takes the old one's slot and moves
+one bit of the diagonal, and the list is rebuilt only when the old witness
+is also listed from another source or a first witness would land before
+entries already listed.  Nothing changes the state within a batch but its
+own writes, so the list lives only as long as the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import ClassVar
 
 from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
                      universal_run)
@@ -58,13 +56,6 @@ class Requirement:
     witness: Real | None = None
     state: str = WAITING
     injuries: list = field(default_factory=list)     # (stage, injuring priority)
-    # witness writes to any requirement so far, the one made in __init__ too
-    witness_writes: ClassVar[int] = 0
-
-    def __setattr__(self, name, value):
-        if name == "witness":
-            Requirement.witness_writes += 1
-        object.__setattr__(self, name, value)
 
     @property
     def own_side(self) -> str:
@@ -102,7 +93,6 @@ class FMState:
     appearance_log: AppearanceLog | None = None
     flags: list[str] = field(default_factory=list)
     oracle_programs: list[Program] = field(default_factory=list)
-    avoid: AvoidList | None = field(default=None, repr=False, compare=False)
     # the last stage logged and its text, rendered once per stage
     _stage_text: tuple = field(default=(None, ""), repr=False, compare=False)
 
@@ -112,9 +102,6 @@ class FMState:
 
     def side_oracle(self, side: str) -> SetOracle:
         return SetOracle(frozenset(self.members(side)), self.trim_bits)
-
-    def member_count(self) -> int:
-        return len(self.added["A"]) + len(self.added["B"])
 
     def log(self, kind: str, **fields):
         if self._stage_text[0] is not self.stage:
@@ -126,30 +113,20 @@ class FMState:
 
 @dataclass
 class AvoidList:
-    """The avoid list of `fresh_witness` as a Diagonal, with what it was
-    built from.  The list is dedup(segment ++ preserved sets by owner ++
-    witnesses in requirement order ++ members of A then B); the sets only
-    grow, so their member count tells whether they changed.  The witnesses
-    are not compared: `witness_writes` is `Requirement.witness_writes` as of
-    the list's last write, so any other write makes the list stale.  The
-    log is compared by identity, as an `AppearanceLog` is frozen."""
-    stage: Ordinal
-    log: AppearanceLog
-    restraints: dict[int, Restraint]
-    member_count: int
-    witness_writes: int
+    """The avoid list of `fresh_witness` as a Diagonal: dedup(segment ++
+    preserved sets by owner ++ witnesses in requirement order ++ members of
+    A then B)."""
     pinned: set[Real]              # members, and witnesses listed before
                                    # their own slot: their slots are not theirs
     last_slot: int                 # whose witness is listed last: -1 none,
                                    # len(requirements) a member
     diagonal: Diagonal
 
-    def is_current(self, state: FMState) -> bool:
-        return (self.witness_writes == Requirement.witness_writes
-                and self.stage == state.stage
-                and self.log is state.appearance_log
-                and self.restraints == state.restraints
-                and self.member_count == state.member_count())
+    def witness(self) -> Real:
+        out = self.diagonal.real()
+        if out in self.diagonal:   # raised, not asserted, so `python -O` keeps it
+            raise AssertionError("the witness equals a real it must avoid")
+        return out
 
     def write(self, i: int, old: Real | None, new: Real) -> bool:
         """Hand requirement i the unlisted witness `new` in place of `old`.
@@ -171,9 +148,14 @@ def _oracle_ready(p: Program) -> Program:
     return extend_to_oracle_tracks(p) if p.track_count == 3 else p
 
 
-def _build_avoid(state: FMState, upto: Ordinal) -> AvoidList:
-    """The avoid list of `fresh_witness`, from scratch."""
-    diagonal = Diagonal(state.appearance_log.segment(upto))
+def _build_avoid(state: FMState) -> AvoidList:
+    """The avoid list at the current stage, from scratch; refuses when the
+    appearance log does not cover the stage's successor."""
+    try:
+        segment = state.appearance_log.segment(successor(state.stage))
+    except TruncatedLog as exc:
+        raise ConstructionRefusal(str(exc))
+    diagonal = Diagonal(segment)
     for owner in sorted(state.restraints):
         for r in state.restraints[owner].preserved:
             diagonal.add(r)
@@ -192,42 +174,35 @@ def _build_avoid(state: FMState, upto: Ordinal) -> AvoidList:
         diagonal.add(r)
     if len(diagonal) > listed:
         last_slot = len(state.requirements)
-    return AvoidList(state.stage, state.appearance_log, dict(state.restraints),
-                     state.member_count(), Requirement.witness_writes, pinned,
-                     last_slot, diagonal)
+    return AvoidList(pinned, last_slot, diagonal)
 
 
 def fresh_witness(state: FMState, req: Requirement) -> Real:
     """Diagonal real avoiding the current appearance segment, every active
-    preserved query set, current witnesses and both sets' members.  The log
-    is checked only when the list is rebuilt: a current list was built at
-    the same stage from the same log, which covered that stage then."""
-    avoid = state.avoid
-    if avoid is None or not avoid.is_current(state):
-        upto = successor(state.stage)
-        try:
-            state.appearance_log.require_complete(upto)
-        except TruncatedLog as exc:
-            raise ConstructionRefusal(str(exc))
-        avoid = state.avoid = _build_avoid(state, upto)
-    out = avoid.diagonal.real()
-    if out in avoid.diagonal:   # raised, not asserted, so `python -O` keeps it
-        raise AssertionError("the witness equals a real it must avoid")
-    return out
+    preserved query set, current witnesses and both sets' members."""
+    return _build_avoid(state).witness()
 
 
-def _assign_witness(state: FMState, req: Requirement):
-    witness = fresh_witness(state, req)
-    avoid = state.avoid
-    kept = (avoid is not None and state.requirements[req.priority] is req
-            and avoid.write(req.priority, req.witness, witness))
+def _assign_witness(state: FMState, req: Requirement,
+                    avoid: AvoidList | None) -> AvoidList | None:
+    """Hand `req` the witness of `avoid`, built first when None.  The list
+    for the batch's next assignment, or None when it must be rebuilt."""
+    if avoid is None:
+        avoid = _build_avoid(state)
+    witness = avoid.witness()
+    kept = avoid.write(req.priority, req.witness, witness)
     req.witness = witness
-    if kept:
-        avoid.witness_writes = Requirement.witness_writes
-    else:
-        state.avoid = None
     state.log("witness", requirement=req.label(), priority=req.priority,
-              witness=req.witness.render())
+              witness=witness.render())
+    return avoid if kept else None
+
+
+def _assign_witnesses(state: FMState, reqs) -> None:
+    """Hand each of `reqs`, the state's own requirements in priority order,
+    a fresh witness: a requirement's priority is its slot in the list."""
+    avoid = None
+    for req in reqs:
+        avoid = _assign_witness(state, req, avoid)
 
 
 def check_attention(state: FMState, req: Requirement, budget: BudgetPolicy):
@@ -278,9 +253,9 @@ def receive_attention(state: FMState, req: Requirement, certified) -> None:
     req.state = BY_WITNESS
     state.log("restraint", requirement=req.label(), priority=req.priority,
               preserved=[r.render() for r in preserved])
-    for weaker in state.requirements:
-        if weaker.priority > req.priority and weaker.state == WAITING:
-            _assign_witness(state, weaker)
+    _assign_witnesses(state, [weaker for weaker in state.requirements
+                              if weaker.priority > req.priority
+                              and weaker.state == WAITING])
 
 
 def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
@@ -304,8 +279,7 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
         state.requirements.append(Requirement("S", pid, 2 * pid + 1))
     background = approximate_jump(results)
     try:
-        for req in state.requirements:
-            _assign_witness(state, req)
+        _assign_witnesses(state, state.requirements)
         for stage, pid in background.events:
             state.stage = stage
             state.log("halting-event", program=pid)
@@ -376,9 +350,10 @@ def check_event_log(state: FMState) -> list[str]:
     additions-at-events, and witness hygiene, all from the event log."""
     problems = []
     halting_stages = {e["stage"] for e in state.events if e["type"] == "halting-event"}
+    by_label = {r.label(): r for r in state.requirements}
     attention_by_priority: dict[int, int] = {}
-    active: dict[int, dict] = {}       # priority -> restraint event record
-    witnesses_ok: set[str] = set()
+    # priority -> (owner, restraint event record)
+    active: dict[int, tuple[Requirement, dict]] = {}
 
     for ev in state.events:
         kind = ev["type"]
@@ -386,7 +361,12 @@ def check_event_log(state: FMState) -> list[str]:
             attention_by_priority[ev["priority"]] = \
                 attention_by_priority.get(ev["priority"], 0) + 1
         elif kind == "restraint":
-            active[ev["priority"]] = ev
+            owner_req = by_label.get(ev["requirement"])
+            if owner_req is None or owner_req.priority != ev["priority"]:
+                problems.append("restraint of %s at priority %s names no requirement"
+                                % (ev["requirement"], ev["priority"]))
+            else:
+                active[ev["priority"]] = (owner_req, ev)
         elif kind == "injury":
             if ev["priority"] not in active:
                 problems.append("injury of %s without an active restraint"
@@ -396,14 +376,16 @@ def check_event_log(state: FMState) -> list[str]:
             if ev["stage"] not in halting_stages:
                 problems.append("addition at %s is not a halting-event stage"
                                 % ev["stage"])
-            serving = next(r for r in state.requirements
-                           if r.label() == ev["requirement"])
+            serving = by_label.get(ev["requirement"])
+            if serving is None:
+                problems.append("addition by %s names no requirement"
+                                % ev["requirement"])
+                continue
             if ev["row"] != serving.prog:
                 problems.append("addition row %s is not the producing program %d"
                                 % (ev["row"], serving.prog))
             side = ev["side"]
-            for owner, rst_ev in list(active.items()):
-                owner_req = state.requirements[owner]
+            for owner, (owner_req, rst_ev) in active.items():
                 if owner_req.opposite_side != side:
                     continue
                 if ev["real"] in rst_ev["preserved"]:

@@ -15,6 +15,7 @@ restriction of a canonical code is again canonical, bit for bit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 from math import isqrt
@@ -111,6 +112,10 @@ def omega_power(e: int, c: int = 1) -> Ordinal:
     return Ordinal(((e, c),))
 
 
+# one term of a literal: w, w^e, w*c, w^e*c or n, digits ASCII only
+_TERM = re.compile(r"w(?:\^([0-9]+))?(?:\*([0-9]+))?|([0-9]+)")
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse `w^2*3+w*1+4` syntax (coefficient may be omitted, meaning 1)."""
     text = text.strip()
@@ -121,21 +126,15 @@ def parse_ordinal(text: str) -> Ordinal:
         part = part.strip()
         if not part:
             raise ValueError("empty term in ordinal literal %r" % text)
-        if part.startswith("w"):
-            rest = part[1:]
-            e = 1
-            if rest.startswith("^"):
-                body, _, after = rest[1:].partition("*")
-                e = int(body)
-                rest = "*" + after if after else ""
-            c = 1
-            if rest.startswith("*"):
-                c = int(rest[1:])
-            elif rest:
-                raise ValueError("bad ordinal term %r" % part)
+        m = _TERM.fullmatch(part)
+        if m is None:
+            raise ValueError("bad ordinal term %r" % part)
+        exp, coef, const = m.groups()
+        if const is not None:
+            e, c = 0, int(const)
         else:
-            e, c = 0, int(part)
-        if c < 1 or e < 0:
+            e, c = int(exp or 1), int(coef or 1)
+        if c < 1:
             raise ValueError("bad ordinal term %r" % part)
         terms.append((e, c))
     for (e1, _), (e2, _) in zip(terms, terms[1:]):

@@ -475,10 +475,21 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
 
 
 def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
-    """Re-check an emitted certificate against only the snapshots it cites."""
+    """Re-check an emitted certificate against only the snapshots it cites.
+    A certificate with a negative step count or start, or a period below 1,
+    certifies nothing and is rejected."""
     if isinstance(cert, ExceededCert):
-        return True
-    steps = cert.steps if isinstance(cert, HaltAt) else cert.mu + cert.pi
+        return cert.steps >= 0
+    if isinstance(cert, HaltAt):
+        if cert.steps < 0:
+            return False
+        steps = cert.steps
+    elif isinstance(cert, (RepeatCert, TranslationCert)):
+        if cert.mu < 0 or cert.pi < 1:
+            return False
+        steps = cert.mu + cert.pi
+    else:
+        raise ValueError("unknown certificate %r" % (cert,))
     snaps = [start]
     heads = [start.head]
     clamps = set()
@@ -496,16 +507,14 @@ def verify_certificate(p: Program, start: Snapshot, cert, oracle=None) -> bool:
     a, b = snaps[cert.mu], snaps[cert.mu + cert.pi]
     if isinstance(cert, RepeatCert):
         return a.key() == b.key()
-    if isinstance(cert, TranslationCert):
-        d = cert.shift
-        h0 = heads[cert.mu]
-        return (a.state == b.state
-                and b.head - a.head == d and d >= 1
-                and min(heads[cert.mu: cert.mu + cert.pi + 1]) >= h0
-                and not any(t in clamps for t in range(cert.mu, cert.mu + cert.pi))
-                and all(b.tracks[t].suffix(h0 + d) == a.tracks[t].suffix(h0)
-                        for t in range(p.track_count)))
-    raise ValueError("unknown certificate %r" % (cert,))
+    d = cert.shift                      # a TranslationCert
+    h0 = heads[cert.mu]
+    return (a.state == b.state
+            and b.head - a.head == d and d >= 1
+            and min(heads[cert.mu: cert.mu + cert.pi + 1]) >= h0
+            and not any(t in clamps for t in range(cert.mu, cert.mu + cert.pi))
+            and all(b.tracks[t].suffix(h0 + d) == a.tracks[t].suffix(h0)
+                    for t in range(p.track_count)))
 
 
 def _halt_output(block: BlockSummary) -> Real:

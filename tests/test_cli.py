@@ -306,6 +306,29 @@ def test_run_and_trace_keep_their_bytes(tmp_path, capsys):
                                         trace_digest], name
 
 
+# stdout, `--events` and `--report` sha256 of two fm constructions: the
+# events pin every witness and the order it is handed out in
+FM_PINS = [
+    ("0 16", "f1b47bcf3cce98cf2485c9c4c00e980e996fc7b42473e50dfb8d2834d0c5f030",
+     "ea07a6d5cf2eabc872d0ad21b9923158be03b38dece90a651ac94df4a44a5195"),
+    ("1 40", "940b9364aa89c42a165ee1be18645b67771130ed559b0296f98ed616b021b144",
+     "e0ae8494e06dd4989eb9224a9c066c4c6b58a9b97c65f8f465ef28f6b93c2856"),
+]
+
+
+@pytest.mark.parametrize("recipe,events_digest,report_digest", FM_PINS,
+                         ids=[r[0].replace(" ", "-") for r in FM_PINS])
+def test_fm_events_and_report_keep_their_bytes(recipe, events_digest,
+                                               report_digest, tmp_path, capsys):
+    states, bound = recipe.split()
+    events, report = tmp_path / "events.jsonl", tmp_path / "report.json"
+    assert main(["fm", "--states", states, "--bound", bound,
+                 "--events", str(events), "--report", str(report)]) == 1
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == events_digest
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+
 def test_fm_cli(tmp_path):
     events = tmp_path / "events.jsonl"
     report = tmp_path / "report.json"

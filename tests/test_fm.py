@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import looper, nonzero_halter, query_probe, zero_halter
@@ -205,7 +203,7 @@ def test_injury_bound_holds():
         assert len(req.injuries) <= allowed
 
 
-# --- the kept avoid list against the from-scratch rule ------------------------
+# --- the batch's avoid list against the from-scratch rule --------------------
 
 CRITERION_6_PROGS = [query_probe(), zero_halter(), nonzero_halter(1),
                      nonzero_halter(2), nonzero_halter(3), looper(0), looper(2)]
@@ -242,34 +240,43 @@ def reference_fresh_witness(state, req):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts the full rebuilds of the avoid list."""
+    """Counts the full rebuilds of the avoid list; a refusal builds none."""
     counts = {"witnesses": 0, "rebuilds": 0}
     build = fm._build_avoid
-    def counted(state, upto):
+    def counted(state):
+        avoid = build(state)
         counts["rebuilds"] += 1
-        return build(state, upto)
+        return avoid
     monkeypatch.setattr(fm, "_build_avoid", counted)
     return counts
 
 
+def reference_assign(state, req, avoid):
+    """`fm._assign_witness` by the from-scratch rule, keeping no list."""
+    req.witness = reference_fresh_witness(state, req)
+    state.log("witness", requirement=req.label(), priority=req.priority,
+              witness=req.witness.render())
+    return None
+
+
 @pytest.fixture
 def checked_witnesses(counts, monkeypatch):
-    """Every fresh_witness call is compared with the from-scratch rule on the
-    same state, and counted."""
-    kept = fm.fresh_witness
-    def checked(state, req):
+    """Every witness the construction hands out is compared with the
+    from-scratch rule on the state before it is written, and counted."""
+    assign = fm._assign_witness
+    def checked(state, req, avoid):
         try:
             expected = reference_fresh_witness(state, req)
         except ConstructionRefusal as exc:
             with pytest.raises(ConstructionRefusal) as kept_exc:
-                kept(state, req)
+                assign(state, req, avoid)
             assert str(kept_exc.value) == str(exc)
             raise
-        out = kept(state, req)
-        assert out == expected
+        kept = assign(state, req, avoid)
+        assert req.witness == expected
         counts["witnesses"] += 1
-        return out
-    monkeypatch.setattr(fm, "fresh_witness", checked)
+        return kept
+    monkeypatch.setattr(fm, "_assign_witness", checked)
     return counts
 
 
@@ -310,7 +317,7 @@ def test_kept_avoid_list_refuses_as_the_rebuild_did(checked_witnesses,
     state, report = fm_construct(progs)
     assert report is None
     assert state.flags[-1].startswith("refused: appearance log complete below")
-    monkeypatch.setattr(fm, "fresh_witness", reference_fresh_witness)
+    monkeypatch.setattr(fm, "_assign_witness", reference_assign)
     ref_state, ref_report = fm_construct(progs)
     assert ref_report is None
     assert state.flags == ref_state.flags
@@ -322,16 +329,14 @@ def test_kept_avoid_list_when_a_witness_appears_later(checked_witnesses):
     # the stage moves on that witness is listed twice: in the segment and in
     # its own slot, and replacing it must rebuild the list
     state = empty_state([p_halt(), zero_halter(), p_flip()])
-    for req in state.requirements:
-        fm._assign_witness(state, req)
+    fm._assign_witnesses(state, state.requirements)
     r0 = state.requirements[0]
     assert r0.witness == parse_real("1(0)*")
     assert r0.witness not in state.appearance_log.segment(from_int(1))
     state.stage = from_int(3)
     assert r0.witness in state.appearance_log.segment(from_int(4))
     rebuilds = checked_witnesses["rebuilds"]
-    for req in state.requirements:
-        fm._assign_witness(state, req)
+    fm._assign_witnesses(state, state.requirements)
     assert checked_witnesses["rebuilds"] == rebuilds + 2
     assert checked_witnesses["witnesses"] == 2 * len(state.requirements)
     assert check_witness_hygiene(state) == []
@@ -339,67 +344,32 @@ def test_kept_avoid_list_when_a_witness_appears_later(checked_witnesses):
 
 def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     state = empty_state([zero_halter(), p_halt(), p_flip()])
-    # assigned last to first, every first witness but one lands before
-    # entries already listed
-    for req in reversed(state.requirements):
-        fm._assign_witness(state, req)
     reqs = state.requirements
-    fm._assign_witness(state, reqs[5])
+    fm._assign_witnesses(state, reqs)
+    # a witness that is also a member does not own its slot, nor does S_1's,
+    # which is also in a preserved set: each is rebuilt around
+    state.added["A"].append((1, reqs[2].witness))
     state.restraints[1] = Restraint(1, "A", ZERO_ORD,
                                     (parse_real("(01)*"), reqs[3].witness), ())
-    fm._assign_witness(state, reqs[2])
-    state.added["B"].append((0, parse_real("0101(1)*")))
-    fm._assign_witness(state, reqs[4])
-    # a witness that is also a member does not own its slot
-    state.added["A"].append((1, reqs[2].witness))
-    fm._assign_witness(state, reqs[2])
-    fm._assign_witness(state, reqs[5])
-    reqs[0].witness = parse_real("11(0)*")
-    fm._assign_witness(state, reqs[4])
-    # nor does S_1's, which is also in the preserved set
-    fm._assign_witness(state, reqs[3])
-    fm._assign_witness(state, reqs[1])
-    assert checked_witnesses["witnesses"] == 14
-    assert checked_witnesses["rebuilds"] == 12
-    # a member listed after every witness slot
+    fm._assign_witnesses(state, reqs)
+    assert checked_witnesses["witnesses"] == 12
+    assert checked_witnesses["rebuilds"] == 1 + 3
+    # a member listed after every witness slot: no first witness may be
+    # added in place
     state = empty_state([zero_halter(), p_halt()])
     state.added["A"].append((0, parse_real("1(0)*")))
-    for req in state.requirements:
-        fm._assign_witness(state, req)
-    assert checked_witnesses["rebuilds"] == 16
-
-
-def test_kept_avoid_list_sees_writes_made_around_it(checked_witnesses):
-    # the list is current by a count of witness writes and by the log's
-    # identity, so a direct write and a swapped log must both be seen
-    state = empty_state([zero_halter(), p_halt(), p_flip()])
-    for req in state.requirements:
-        fm._assign_witness(state, req)
-    assert state.avoid is not None
-    rebuilds = checked_witnesses["rebuilds"]
-    # the real the kept list would hand out next, written straight into R_1
-    offered = state.avoid.diagonal.real()
-    state.requirements[1].witness = offered
-    assert fm.fresh_witness(state, state.requirements[2]) != offered
-    assert checked_witnesses["rebuilds"] == rebuilds + 1
-    # a requirement that is not the state's own at its priority, handed a
-    # witness: R_0 keeps its own, so the list must not drop it
-    stray = Requirement("R", 0, 0, witness=state.requirements[0].witness)
-    fm._assign_witness(state, stray)
-    fm.fresh_witness(state, state.requirements[2])
-    # the same log, truncated below stage 1
-    state.appearance_log = dataclasses.replace(
-        state.appearance_log, truncated=True, complete_below=ZERO_ORD)
-    with pytest.raises(ConstructionRefusal, match="complete below 0 only"):
-        fm.fresh_witness(state, state.requirements[2])
+    fm._assign_witnesses(state, state.requirements)
+    assert checked_witnesses["witnesses"] == 16
+    assert checked_witnesses["rebuilds"] == 4 + 4
+    assert check_witness_hygiene(state) == []
 
 
 def test_avoid_list_rebuilds_only_per_attention(counts):
-    # fm --states 0 --bound 48: one build for the first assignments, then at
-    # most one per attention, where every witness once rebuilt the list
+    # fm --states 0 --bound 48: one build for the first assignments, then
+    # one per attention, where every witness once rebuilt the list
     state, _report = fm_construct(enumeration_slice(48, 0, 3), DEFAULT_BUDGET)
     assert _count(state, "witness") == 3528
-    assert counts["rebuilds"] <= 1 + _count(state, "attention") == 49
+    assert counts["rebuilds"] == 1 + _count(state, "attention") == 49
 
 
 def test_witness_hygiene_replays_distinctness():
@@ -416,3 +386,20 @@ def test_witness_hygiene_replays_distinctness():
     problems = check_witness_hygiene(state)
     assert any("already a member" in p for p in problems)
     assert any("already a current witness" in p for p in problems)
+
+
+def test_event_log_check_reports_unknown_requirements():
+    state, _report = fm_construct(INJURY_PROGS, B)
+    assert check_event_log(state) == []
+    halting = next(e["stage"] for e in state.events
+                   if e["type"] == "halting-event")
+    state.events.append({"type": "restraint", "stage": halting,
+                         "requirement": "R_9", "priority": 18, "preserved": []})
+    state.events.append({"type": "restraint", "stage": halting,
+                         "requirement": "R_0", "priority": -1, "preserved": []})
+    state.events.append({"type": "addition", "stage": halting, "side": "A",
+                         "row": 9, "real": "1(0)*", "requirement": "R_9"})
+    assert check_event_log(state) == [
+        "restraint of R_9 at priority 18 names no requirement",
+        "restraint of R_0 at priority -1 names no requirement",
+        "addition by R_9 names no requirement"]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -183,6 +184,13 @@ def test_parse_and_render():
         parse_ordinal("1+w")      # not in normal form
     with pytest.raises(ValueError):
         parse_ordinal("w*0")
+    # exponents and coefficients are ASCII digit strings, and every
+    # malformed term gets the same message
+    for term in ["w^w", "w*", "3w", "w*1_0", "w^ 2", "w*\u0663", "w^-1", "ww",
+                 "w*0"]:
+        with pytest.raises(ValueError, match="^bad ordinal term %s$"
+                           % re.escape(repr(term))):
+            parse_ordinal(term)
 
 
 def test_pairing_examples_and_bijection():

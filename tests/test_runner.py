@@ -20,8 +20,9 @@ from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
                          run_with_oracle)
 from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
                         parse_real, shift_union)
-from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, RepeatCert,
-                         RunResult, Snapshot, StepFromHalt, TranslationCert,
+from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, LoopCert,
+                         RepeatCert, RunResult, Snapshot, StepFromHalt,
+                         TranslationCert,
                          clockable_time, initial_snapshot, run_block,
                          run_transfinite, step, verify_certificate)
 
@@ -893,6 +894,20 @@ def test_certificates_verify_and_tampered_ones_fail():
                                   TranslationCert(0, 1, 2))
     assert not verify_certificate(p_halt(), initial_snapshot(p_halt()),
                                   HaltAt(2))
+
+
+def test_vacuous_and_unknown_certificates_are_rejected():
+    # p_halt halts at once, so no repeat or translation may be certified
+    # from its start, however short the cited span
+    p, start = p_halt(), initial_snapshot(p_halt())
+    for cert in (RepeatCert(0, 0), RepeatCert(-1, 1), RepeatCert(0, -1),
+                 TranslationCert(0, 0, 1), TranslationCert(-1, 1, 1),
+                 HaltAt(-1), ExceededCert(-1)):
+        assert not verify_certificate(p, start, cert), cert
+    assert verify_certificate(p, start, HaltAt(1))
+    for cert in (LoopCert(ZERO_ORD, OMEGA), None):
+        with pytest.raises(ValueError, match="unknown certificate"):
+            verify_certificate(p, start, cert)
 
 
 def test_repeat_limit_matches_brute_limsup():
