@@ -631,37 +631,30 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
         return codes[beta]
 
     # the successor ranks run on from 0 or a limit, so a successor rank's
-    # predecessor is the rank listed before it.  runs[i] is [start, events,
-    # next index] for the rank at position i, and keys[i] the key of its
-    # next event, (stage terms, i, program, stage), kept while it has one:
-    # positions ascend with the ranks and terms order stages, so the least
-    # key is the least (stage, rank, program)
-    runs: dict[int, list] = {}
-    keys: dict[int, tuple] = {}
-    def advance(i: int):
-        start, events, idx = runs[i]
+    # predecessor is the rank listed before it.  nexts[i] is the next event
+    # of the rank at position i, kept while it has one: (stage terms, i,
+    # program, stage, start, events, index of the event).  Positions are
+    # unique and ascend with the ranks, and terms order stages, so the least
+    # entry is the least (stage, rank, program)
+    nexts: dict[int, tuple] = {}
+    def schedule(i: int, start: Ordinal, events, idx: int = 0):
         if idx < len(events):
             t, pid = events[idx]
             stage = cnf_add(start, t)
-            keys[i] = (stage.terms, i, pid, stage)
+            nexts[i] = (stage.terms, i, pid, stage, start, events, idx)
         else:
-            keys.pop(i, None)
-
-    def restart(i: int, stage: Ordinal):
-        runs[i] = [stage, jump_events(rows[ranks[i - 1]]), 0]
-        advance(i)
+            nexts.pop(i, None)
 
     for i, r in enumerate(ranks):
         if r.is_successor():
-            restart(i, ZERO_ORD)
+            schedule(i, ZERO_ORD, jump_events(rows[ranks[i - 1]]))
 
     processed = 0
     while processed < budget.per_level_budget:
-        if not keys:
+        if not nexts:
             break
-        _terms, pos, pid, stage = min(keys.values())
-        runs[pos][2] += 1
-        advance(pos)
+        _terms, pos, pid, stage, start, events, idx = min(nexts.values())
+        schedule(pos, start, events, idx + 1)
         rank = ranks[pos]
         set_row(rank, rows[rank].with_bit(pid, 1))
         change_log.append(ChangeEntry(stage, rank, pid))
@@ -678,7 +671,7 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
                 set_row(q, _join_codes(code(beta) for beta in ranks[:i]))
             else:
                 set_row(q, ZERO_REAL)
-                restart(i, stage)
+                schedule(i, stage, jump_events(rows[ranks[i - 1]]))
             erasure_log.append(ErasureEntry(stage, q, "lower-row-change"))
             stabilization[q] = stage
         if cut is not None:

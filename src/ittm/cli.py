@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict
 
 from .approx import (DEFAULT_ROW_CAP, TruncatedLog, iterated_matrix, universal_run,
                      validate_erasures)
-from .fm import fm_construct, ConstructionRefusal
+from .fm import fm_construct
 from .machine import ProgramError, parse_program
 from .oracle import (DEFAULT_TRIM_BITS, ENUM_WORK_CAP, RealOracle, SetOracle,
                      enumeration_slice, jump_lightface, run_programs)
@@ -53,16 +53,8 @@ def _emit(path: str | None, text: str):
 
 
 def _budget(args) -> BudgetPolicy:
-    default = DEFAULT_BUDGET.per_level_budget
-    env = os.environ.get("ITTM_DEFAULT_BUDGET")
-    if env is not None:
-        try:
-            default = int(env)
-        except ValueError:
-            raise UsageError("ITTM_DEFAULT_BUDGET must be an integer")
-    per_level = args.budget if args.budget is not None else default
     try:
-        return BudgetPolicy(args.depth, per_level,
+        return BudgetPolicy(args.depth, args.budget,
                             getattr(args, "cap", DEFAULT_BUDGET.appearance_cap))
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -99,17 +91,12 @@ def _oracle(args):
     return None
 
 
+_CERT_KINDS = {RepeatCert: "repeat", TranslationCert: "translation",
+               HaltAt: "halt", ExceededCert: "exceeded"}
+
+
 def _cert_json(cert):
-    if isinstance(cert, RepeatCert):
-        return {"kind": "repeat", "mu": cert.mu, "pi": cert.pi}
-    if isinstance(cert, TranslationCert):
-        return {"kind": "translation", "mu": cert.mu, "pi": cert.pi,
-                "shift": cert.shift}
-    if isinstance(cert, HaltAt):
-        return {"kind": "halt", "steps": cert.steps}
-    if isinstance(cert, ExceededCert):
-        return {"kind": "exceeded", "steps": cert.steps}
-    raise ValueError(cert)
+    return dict(asdict(cert), kind=_CERT_KINDS[type(cert)])
 
 
 def _result_line(res) -> str:
@@ -283,9 +270,9 @@ def _natural(text: str) -> int:
 def _add_budget_args(sp):
     sp.add_argument("--depth", type=int, default=DEFAULT_BUDGET.depth,
                     help="ordinal depth D; stages stay below w^D")
-    sp.add_argument("--budget", type=int, default=None,
-                    help="per-level step/block budget B (default %d or "
-                         "ITTM_DEFAULT_BUDGET)" % DEFAULT_BUDGET.per_level_budget)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET.per_level_budget,
+                    help="per-level step/block budget B (default %d)"
+                         % DEFAULT_BUDGET.per_level_budget)
 
 
 def _add_oracle_args(sp):
@@ -370,15 +357,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ProgramError, OracleProtocolError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except (TruncatedLog, ConstructionRefusal, BudgetOrdinalOverflow) as exc:
+    except (TruncatedLog, BudgetOrdinalOverflow) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 1
-    except (ProgramError, OracleProtocolError) as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,19 +14,21 @@ waiting.
 
 Witnesses are diagonalized against the appearance log and every active
 preserved query set (plus current witnesses and set members, so witnesses
-stay pairwise distinct), and the construction refuses rather than guess
-when the appearance log is truncated below the stage it needs.  Witnesses
-are handed out in batches: the first assignment of every requirement, and
-each attention's reassignment of the weaker waiting ones.  A batch builds
-its avoid list once; each new witness takes the old one's slot and moves
-one bit of the diagonal, and the list is rebuilt only when the old witness
-is also listed from another source or a first witness would land before
-entries already listed.  Nothing changes the state within a batch but its
-own writes, so the list lives only as long as the batch.
+stay pairwise distinct).  When the appearance log is truncated below the
+stage a witness needs, it raises `TruncatedLog`, and the construction
+refuses rather than guess.  Witnesses are handed out in batches: the first
+assignment of every requirement, and each attention's reassignment of the
+weaker waiting ones.  A batch builds its avoid list once; each new witness
+takes the old one's slot and moves one bit of the diagonal, and the list is
+rebuilt only when the old witness is also listed from another source or a
+first witness would land before entries already listed.  Nothing changes the
+state within a batch but its own writes, so the list lives only as long as
+the batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -35,17 +37,13 @@ from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
 from .machine import Program, extend_to_oracle_tracks
 from .oracle import (DEFAULT_TRIM_BITS, SetOracle, replay_queries, run_programs,
                      run_with_oracle)
-from .ordinal import Ordinal, ZERO as ZERO_ORD, successor
+from .ordinal import Ordinal, ZERO as ZERO_ORD, parse_ordinal, successor
 from .reals import Real
 from .runner import BudgetPolicy, DEFAULT_BUDGET, QueryRecord
 
 WAITING = "waiting"
 BY_WITNESS = "satisfied-by-witness"
 BY_DIVERGENCE = "satisfied-by-divergence-at-budget"
-
-
-class ConstructionRefusal(Exception):
-    """A witness was demanded beyond what the appearance log soundly covers."""
 
 
 @dataclass
@@ -71,22 +69,20 @@ class Requirement:
 
 @dataclass
 class Restraint:
-    owner: int                    # priority of the certifying requirement
     guarded_side: str             # side whose queried reals must be preserved
-    stage: Ordinal
     preserved: tuple[Real, ...]
     query_log: tuple[QueryRecord, ...]
 
 
 @dataclass
 class FMState:
-    programs: list[Program]
     budget: BudgetPolicy
     trim_bits: int
     # each side's additions as (row, real), in the order they were made
     added: dict[str, list[tuple[int, Real]]] = field(
         default_factory=lambda: {"A": [], "B": []})
     requirements: list[Requirement] = field(default_factory=list)
+    # by the priority of the requirement that certified each
     restraints: dict[int, Restraint] = field(default_factory=dict)
     stage: Ordinal = ZERO_ORD
     events: list[dict] = field(default_factory=list)
@@ -144,18 +140,10 @@ class AvoidList:
         return True
 
 
-def _oracle_ready(p: Program) -> Program:
-    return extend_to_oracle_tracks(p) if p.track_count == 3 else p
-
-
 def _build_avoid(state: FMState) -> AvoidList:
-    """The avoid list at the current stage, from scratch; refuses when the
-    appearance log does not cover the stage's successor."""
-    try:
-        segment = state.appearance_log.segment(successor(state.stage))
-    except TruncatedLog as exc:
-        raise ConstructionRefusal(str(exc))
-    diagonal = Diagonal(segment)
+    """The avoid list at the current stage, from scratch; raises TruncatedLog
+    when the appearance log does not cover the stage's successor."""
+    diagonal = Diagonal(state.appearance_log.segment(successor(state.stage)))
     for owner in sorted(state.restraints):
         for r in state.restraints[owner].preserved:
             diagonal.add(r)
@@ -179,7 +167,8 @@ def _build_avoid(state: FMState) -> AvoidList:
 
 def fresh_witness(state: FMState, req: Requirement) -> Real:
     """Diagonal real avoiding the current appearance segment, every active
-    preserved query set, current witnesses and both sets' members."""
+    preserved query set, current witnesses and both sets' members; raises
+    TruncatedLog when the log does not cover the stage's successor."""
     return _build_avoid(state).witness()
 
 
@@ -205,14 +194,14 @@ def _assign_witnesses(state: FMState, reqs) -> None:
         avoid = _assign_witness(state, req, avoid)
 
 
-def check_attention(state: FMState, req: Requirement, budget: BudgetPolicy):
+def check_attention(state: FMState, req: Requirement):
     """Certified (result, query log) when the requirement's program halts
     with all-zero output against the current opposite set, else None."""
     if req.state != WAITING:
         return None
     oracle = state.side_oracle(req.opposite_side)
     prog = state.oracle_programs[req.prog]
-    res, qlog = run_with_oracle(prog, req.witness, oracle, budget)
+    res, qlog = run_with_oracle(prog, req.witness, oracle, state.budget)
     if res.outcome == "halted" and res.output.is_zero():
         return res, qlog
     return None
@@ -242,14 +231,8 @@ def receive_attention(state: FMState, req: Requirement, certified) -> None:
             del state.restraints[owner]
             state.log("injury", requirement=injured.label(), priority=owner,
                       injured_by=req.label())
-    preserved = []
-    pseen = set()
-    for rec in qlog:
-        if rec.real not in pseen:
-            pseen.add(rec.real)
-            preserved.append(rec.real)
-    state.restraints[req.priority] = Restraint(
-        req.priority, req.opposite_side, state.stage, tuple(preserved), qlog)
+    preserved = tuple(dict.fromkeys(rec.real for rec in qlog))
+    state.restraints[req.priority] = Restraint(req.opposite_side, preserved, qlog)
     req.state = BY_WITNESS
     state.log("restraint", requirement=req.label(), priority=req.priority,
               preserved=[r.render() for r in preserved])
@@ -265,11 +248,13 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
 
     The same programs serve as the background halter stream (their budgeted
     halting times are the event stages) and as the requirement programs run
-    against set oracles.  Returns the final state and the report, or a
-    flagged partial state with the report withheld."""
+    against set oracles.  Returns the final state and the report, or, when a
+    witness needs more of the appearance log than it covers (`TruncatedLog`),
+    the partial state flagged `refused: <message>` with the report withheld."""
     progs = list(programs)
-    state = FMState(progs, budget, trim_bits)
-    state.oracle_programs = [_oracle_ready(p) for p in progs]
+    state = FMState(budget, trim_bits)
+    state.oracle_programs = [extend_to_oracle_tracks(p) if p.track_count == 3
+                             else p for p in progs]
     results = run_programs(progs, budget)
     state.appearance_log = universal_run(results, budget)
     if state.appearance_log.truncated:
@@ -284,15 +269,14 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
             state.stage = stage
             state.log("halting-event", program=pid)
             for req in state.requirements:
-                att = check_attention(state, req, budget)
+                att = check_attention(state, req)
                 if att is not None:
                     receive_attention(state, req, att)
                     break
-    except ConstructionRefusal as exc:
+    except TruncatedLog as exc:
         state.flags.append("refused: %s" % exc)
         return state, None
-    report = _classify(state)
-    return state, report
+    return state, _classify(state)
 
 
 def _classify(state: FMState) -> dict:
@@ -302,38 +286,34 @@ def _classify(state: FMState) -> dict:
         if ev["type"] == "witness":
             lineage[ev["requirement"]].append((ev["stage"], ev["witness"]))
     entries = []
-    recheck_budget = state.budget.scaled(2)
     for req in state.requirements:
         entry = {"requirement": req.label(), "kind": req.kind,
                  "program": req.prog, "priority": req.priority,
                  "injuries": [[st.render(), by] for st, by in req.injuries],
                  "witness": req.witness.render(),
                  "lineage": lineage[req.label()]}
-        if req.state == BY_WITNESS:
-            rst = state.restraints[req.priority]
-            final_oracle = state.side_oracle(req.opposite_side)
-            undisturbed = replay_queries(rst.query_log, final_oracle)
+        certified = req.state == BY_WITNESS
+        oracle = state.side_oracle(req.opposite_side)
+        budget = state.budget if certified else state.budget.scaled(2)
+        res, _ = run_with_oracle(state.oracle_programs[req.prog], req.witness,
+                                 oracle, budget)
+        halts_zero = res.outcome == "halted" and res.output.is_zero()
+        if certified:
+            undisturbed = replay_queries(state.restraints[req.priority].query_log,
+                                         oracle)
             in_own = req.witness in set(state.members(req.own_side))
-            res, _ = run_with_oracle(state.oracle_programs[req.prog],
-                                     req.witness, final_oracle, state.budget)
-            still_zero = res.outcome == "halted" and res.output.is_zero()
-            if undisturbed and in_own and still_zero:
+            if undisturbed and in_own and halts_zero:
                 entry["classification"] = BY_WITNESS
             else:
                 entry["classification"] = "certification-disturbed"
                 state.flags.append("disturbed certification for %s" % req.label())
+        elif halts_zero:
+            entry["classification"] = "unserved-convergence"
+            state.flags.append("recheck failed for %s" % req.label())
         else:
-            oracle = state.side_oracle(req.opposite_side)
-            res, _ = run_with_oracle(state.oracle_programs[req.prog],
-                                     req.witness, oracle, recheck_budget)
-            converges_zero = res.outcome == "halted" and res.output.is_zero()
-            if converges_zero:
-                entry["classification"] = "unserved-convergence"
-                state.flags.append("recheck failed for %s" % req.label())
-            else:
-                req.state = BY_DIVERGENCE
-                entry["classification"] = BY_DIVERGENCE
-                entry["recheck"] = res.outcome
+            req.state = BY_DIVERGENCE
+            entry["classification"] = BY_DIVERGENCE
+            entry["recheck"] = res.outcome
         entries.append(entry)
     return {"schema": 1,
             "requirements": entries,
@@ -345,22 +325,43 @@ def _classify(state: FMState) -> dict:
 
 # --- event-log invariants ----------------------------------------------------
 
+# the fields `FMState.log` writes for each event type, besides type and stage
+_EVENT_FIELDS = {"halting-event": ("program",),
+                 "witness": ("requirement", "priority", "witness"),
+                 "attention": ("requirement", "priority", "witness", "halt_time"),
+                 "addition": ("side", "row", "real", "requirement"),
+                 "injury": ("requirement", "priority", "injured_by"),
+                 "restraint": ("requirement", "priority", "preserved")}
+
+
+def _well_formed(events, problems: list[str]):
+    """(index, event) for each event that carries every field of its type;
+    a problem naming the index of each other one."""
+    for k, ev in enumerate(events):
+        fields = ("type", "stage") + _EVENT_FIELDS.get(ev.get("type"), ())
+        missing = [f for f in fields if f not in ev]
+        if missing:
+            problems.append("event %d lacks %s" % (k, ", ".join(missing)))
+        else:
+            yield k, ev
+
+
 def check_event_log(state: FMState) -> list[str]:
     """Replayable checks: restraint preservation, the injury bound,
     additions-at-events, and witness hygiene, all from the event log."""
     problems = []
-    halting_stages = {e["stage"] for e in state.events if e["type"] == "halting-event"}
+    events = [ev for _k, ev in _well_formed(state.events, problems)]
+    halting_stages = {e["stage"] for e in events if e["type"] == "halting-event"}
+    injured_at = {(e["priority"], e["stage"]) for e in events
+                  if e["type"] == "injury"}
+    attentions = Counter(e["priority"] for e in events if e["type"] == "attention")
     by_label = {r.label(): r for r in state.requirements}
-    attention_by_priority: dict[int, int] = {}
     # priority -> (owner, restraint event record)
     active: dict[int, tuple[Requirement, dict]] = {}
 
-    for ev in state.events:
+    for ev in events:
         kind = ev["type"]
-        if kind == "attention":
-            attention_by_priority[ev["priority"]] = \
-                attention_by_priority.get(ev["priority"], 0) + 1
-        elif kind == "restraint":
+        if kind == "restraint":
             owner_req = by_label.get(ev["requirement"])
             if owner_req is None or owner_req.priority != ev["priority"]:
                 problems.append("restraint of %s at priority %s names no requirement"
@@ -393,18 +394,12 @@ def check_event_log(state: FMState) -> list[str]:
                         problems.append(
                             "addition %s disturbs restraint of priority %d"
                             % (ev["real"], owner))
-                    else:
-                        same_stage_injury = any(
-                            e["type"] == "injury" and e["priority"] == owner
-                            and e["stage"] == ev["stage"]
-                            for e in state.events)
-                        if not same_stage_injury:
-                            problems.append(
-                                "preserved real %s added at %s without logged injury"
-                                % (ev["real"], ev["stage"]))
+                    elif (owner, ev["stage"]) not in injured_at:
+                        problems.append(
+                            "preserved real %s added at %s without logged injury"
+                            % (ev["real"], ev["stage"]))
     for req in state.requirements:
-        allowed = sum(attention_by_priority.get(pr, 0)
-                      for pr in range(req.priority))
+        allowed = sum(attentions[pr] for pr in range(req.priority))
         if len(req.injuries) > allowed:
             problems.append("injury bound violated for %s: %d > %d"
                             % (req.label(), len(req.injuries), allowed))
@@ -419,12 +414,11 @@ def check_witness_hygiene(state: FMState) -> list[str]:
     """Every witness assignment was absent from the then-current appearance
     segment, every then-active preserved set, every then-current witness and
     both sets' then-current members (replayed from the log)."""
-    from .ordinal import parse_ordinal
     problems = []
     active_preserved: dict[int, set[str]] = {}
     witnesses: dict[str, str] = {}     # requirement label -> current witness
     members: set[str] = set()
-    for ev in state.events:
+    for k, ev in _well_formed(state.events, problems):
         if ev["type"] == "restraint":
             active_preserved[ev["priority"]] = set(ev["preserved"])
         elif ev["type"] == "injury":
@@ -432,10 +426,13 @@ def check_witness_hygiene(state: FMState) -> list[str]:
         elif ev["type"] == "addition":
             members.add(ev["real"])
         elif ev["type"] == "witness":
-            stage = parse_ordinal(ev["stage"])
+            try:
+                segment = {r.render() for r in state.appearance_log.segment(
+                    successor(parse_ordinal(ev["stage"])))}
+            except (ValueError, TruncatedLog) as exc:
+                problems.append("event %d: %s" % (k, exc))
+                continue
             witness = ev["witness"]
-            segment = {r.render()
-                       for r in state.appearance_log.segment(successor(stage))}
             if witness in segment:
                 problems.append("witness %s appears in the log segment at %s"
                                 % (witness, ev["stage"]))

@@ -4,7 +4,7 @@ These are the hand-built programs the higher-level suites survey: immediate
 zero-output halters, delayed halters with nonzero output, loopers, machines
 whose halting depends on oracle-tape bits, a two-query probe whose
 certified query set provokes an organic injury in the priority construction,
-and random tables drawn by one fixed recipe.
+a clocker of w^2+1, and random tables drawn by one fixed recipe.
 """
 
 import itertools
@@ -92,6 +92,23 @@ def query_probe():
         overrides[("w2", read)] = Rule((i, 1, o, 1), "S", "query")
     return total_program(4, overrides, query_state="query", yes_state="yes",
                          no_state="no")
+
+
+def omega_squared_clocker():
+    """Writes a transient scratch mark at cell 0 inside every block, then
+    settles into a 2-cycle at cell 1.  Block limits erase the transient, so
+    the limit snapshot recurs weakly (the mark was 1 in between): no loop
+    verdict may fire, the w^2 limit sets the mark, and the machine halts
+    one step later, clocking w^2+1."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=3):
+        i, s, o = read
+        overrides[("flip", read)] = Rule((i, 1 - s, o), "S", "flip")
+    for st in ("start", "limit"):
+        overrides[(st, (0, 0, 0))] = Rule((0, 1, 0), "S", "down")
+    overrides[("limit", (0, 1, 0))] = Rule((0, 1, 0), "S", "halt")
+    overrides[("down", (0, 1, 0))] = Rule((0, 0, 0), "R", "flip")
+    return total_program(3, overrides)
 
 
 def random_tables(n, tracks=3):

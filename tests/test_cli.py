@@ -13,9 +13,9 @@ import ittm
 from ittm import approx
 from ittm.approx import LIMIT_ROW_CAP, join_rows, join_size
 from ittm.cli import main
-from ittm.machine import p_flip, p_flip_lh, p_halt, render_program
+from ittm.machine import p_flip, p_flip_lh, p_halt, p_sweep, render_program
 from ittm.ordinal import parse_ordinal
-from ittm.reals import parse_real
+from ittm.reals import join, parse_real
 
 
 @pytest.fixture
@@ -106,6 +106,15 @@ def test_jump_cli(tmp_path):
     assert any(h["time"] == "w*1+1" for h in doc["halted"])
 
 
+def test_jump_cli_joins_a_real_oracle_with_its_halting_real(capsys):
+    assert main(["jump", "--states", "0", "--tracks", "4", "--bound", "6",
+                 "--budget", "64", "--oracle-real", "1(0)*"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["joined"] == "110101010101(0)*"
+    assert parse_real(doc["joined"]) == join(parse_real("1(0)*"),
+                                             parse_real(doc["halting_real"]))
+
+
 def test_matrix_cli(tmp_path):
     out = tmp_path / "matrix.json"
     log = tmp_path / "erasures.jsonl"
@@ -118,6 +127,12 @@ def test_matrix_cli(tmp_path):
     assert doc["rows"]["0"] == "(0)*"
     for line in log.read_text().splitlines():
         assert json.loads(line)["kind"] == "erasure"
+
+
+def test_matrix_cli_refuses_a_bad_order_term(capsys):
+    for term in ("w^w", "3w"):
+        assert main(["matrix", "--order", term]) == 2
+        assert capsys.readouterr().err == "usage error: bad ordinal term %r\n" % term
 
 
 def test_matrix_cli_total_for_finite_order(tmp_path):
@@ -243,6 +258,16 @@ def test_cli_mix_commands_keep_their_bytes(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
 
 
+def test_cli_bytes_do_not_depend_on_the_environment(monkeypatch):
+    # the argv alone fixes the output: an exported default budget changes
+    # nothing
+    monkeypatch.setenv("ITTM_DEFAULT_BUDGET", "512")
+    for argv, code, digest in CLI_MIX:
+        proc = _cli(argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest, argv
+
+
 # exit code, stdout sha256 and `--log` sha256 of matrix commands wider than
 # cli-mix's: more limit ranks, more programs and a limit row of rank w+1
 MATRIX_WIDE = [
@@ -270,8 +295,9 @@ def test_wide_matrix_commands_keep_their_bytes(recipe, code, out_digest,
 
 
 # exit code, stdout sha256 and trace-file sha256 of `run --format json` and
-# `trace --full-snapshots` on a one-block halt, a halt after a limit and a
-# hard-set program that exceeds its budget
+# `trace --full-snapshots` on a one-block halt, a halt after a limit, a
+# hard-set program that exceeds its budget, a translation block that then
+# loops, and a halt after a level-2 limit
 RUN_AND_TRACE = {
     "P_halt": ("64", 0, "422cbbbab999fe827421743e831ad7099b1d38d3621b5f935694ff0e8570962f",
                "26a86891c33c133c267468241481cfddb95bacbc20b00ef8b2943ac27419779a",
@@ -282,13 +308,23 @@ RUN_AND_TRACE = {
     "10825": ("1024", 1, "890dff9b9fad6b4d6994fe371a4bcf545fcc16e174d9daf16231506e78554444",
               "253873c71b312559248d2a2299c9f65b33277d69b9f20c194cf4da9714599198",
               "8744e71f364d4c2dd0b7603de3660f41c00d45a89b42f7c44a42d191f5ba602d"),
+    "P_sweep": ("64", 0, "ed9b3bc8d4595d7ca1c3a8c344410e2cdd240433321d4308d0f9b33da14035ba",
+                "c8695e0d8e58b4024136f28990b1e4647ed9552ef035cb634e797ec6a3baf978",
+                "270dc1328e67307d728a97b01d9cbd7d5a125f86842cc3fd05c225700f39a685"),
+    "omega_squared_clocker": (
+        "64", 0, "f9e4c2df9f6fb9ee467b9eda5477de8aacf7b2effe51bdfdf1d39fa8126e18b2",
+        "097a3fed28f5b1cc22e2d7c406fc102936c2fdd2b5e10cb855cfa74a137bd354",
+        "edf3645ed9b5d43c68160c4254487339244bdcdeeea8b4ffa2da81bfb204e42c"),
 }
 
 
 def test_run_and_trace_keep_their_bytes(tmp_path, capsys):
+    from conftest import omega_squared_clocker
     files = {"10825": str(Path(__file__).resolve().parents[1] / "perfbench" /
                           "hard_set" / "10825.itm")}
-    for name, p in (("P_halt", p_halt()), ("P_flip_lh", p_flip_lh())):
+    for name, p in (("P_halt", p_halt()), ("P_flip_lh", p_flip_lh()),
+                    ("P_sweep", p_sweep()),
+                    ("omega_squared_clocker", omega_squared_clocker())):
         files[name] = str(tmp_path / (name + ".itm"))
         Path(files[name]).write_text(render_program(p))
     out = tmp_path / "trace.jsonl"
@@ -349,22 +385,12 @@ def test_fm_cli(tmp_path):
     assert rerun_report.read_bytes() == report.read_bytes()
 
 
-def test_env_default_budget(halt_file, monkeypatch, capsys):
-    monkeypatch.setenv("ITTM_DEFAULT_BUDGET", "not-a-number")
-    assert main(["run", halt_file]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("ITTM_DEFAULT_BUDGET", "64")
-    assert main(["run", halt_file]) == 0
-    assert "HALTED" in capsys.readouterr().out
-
-
-def test_every_command_defaults_to_the_library_defaults(monkeypatch):
+def test_every_command_defaults_to_the_library_defaults():
     import argparse
     from ittm.approx import DEFAULT_ROW_CAP
     from ittm.cli import _budget, build_parser
     from ittm.oracle import DEFAULT_TRIM_BITS
     from ittm.runner import DEFAULT_BUDGET
-    monkeypatch.delenv("ITTM_DEFAULT_BUDGET", raising=False)
     ap = build_parser()
     commands = next(a for a in ap._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -378,7 +404,7 @@ def test_every_command_defaults_to_the_library_defaults(monkeypatch):
         if hasattr(args, "trim_bits"):
             assert args.trim_bits == DEFAULT_TRIM_BITS, command
             trimmed.add(command)
-        assert ("default %d " % DEFAULT_BUDGET.per_level_budget
+        assert ("(default %d)" % DEFAULT_BUDGET.per_level_budget
                 in " ".join(commands[command].format_help().split())), command
     assert trimmed == {"run", "trace", "jump", "fm"}
     assert ap.parse_args(["matrix", "--order", "w"]).rows == DEFAULT_ROW_CAP
@@ -402,7 +428,8 @@ def _cli(argv):
     ["fm", "--states", "9"],
     ["survey", "--bound", "-5"],
     ["jump", "--bound", "-1"],
-    ["matrix", "--order", "w", "--prefix-bits", "-1"],
+    ["matrix", "--order", "w^w"],
+    ["matrix", "--order", "3w"],
     ["run", "{halt}", "--oracle-real", "(0)*"],
     ["jump", "--oracle-real", "(0)*"],
     ["matrix", "--order", "3", "--states", "0", "--bound", "3", "--rows", "-1"],

@@ -3,14 +3,14 @@ import pytest
 from conftest import looper, nonzero_halter, query_probe, zero_halter
 
 import ittm.fm as fm
-from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, ConstructionRefusal, FMState,
+from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, FMState,
                      Requirement, Restraint, WAITING, check_attention,
                      check_event_log, check_witness_hygiene, fm_construct,
                      fresh_witness, receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
 from ittm.approx import TruncatedLog, diagonal_against, universal_run
 from ittm.oracle import enumeration_slice, run_programs
-from ittm.ordinal import ZERO as ZERO_ORD, from_int, successor
+from ittm.ordinal import from_int, successor
 from ittm.reals import ZERO as ZERO_REAL, parse_real
 from ittm.runner import DEFAULT_BUDGET, BudgetPolicy
 
@@ -19,7 +19,7 @@ B = BudgetPolicy(3, 96, 1024)
 
 def empty_state(programs=(), budget=B):
     progs = list(programs)
-    state = FMState(progs, budget, 16)
+    state = FMState(budget, 16)
     state.oracle_programs = [extend_to_oracle_tracks(p) if p.track_count == 3
                              else p for p in progs]
     state.appearance_log = universal_run(run_programs(progs, budget), budget)
@@ -37,7 +37,7 @@ def test_fresh_witness_with_nothing_to_avoid_is_zero():
 
 def test_fresh_witness_avoids_preserved_sets():
     state = empty_state()
-    state.restraints[1] = Restraint(1, "A", ZERO_ORD, (parse_real("0(0)*"),), ())
+    state.restraints[1] = Restraint("A", (parse_real("0(0)*"),), ())
     req = Requirement("R", 5, 10)
     w = fresh_witness(state, req)
     assert w.bit(0) == 1
@@ -47,8 +47,7 @@ def test_fresh_witness_avoids_preserved_sets():
 def test_fresh_witness_always_absent_from_inputs():
     state = empty_state([zero_halter(), p_halt(), p_flip()])
     state.requirements[0].witness = parse_real("101(0)*")
-    state.restraints[2] = Restraint(2, "B", ZERO_ORD,
-                                    (parse_real("11(0)*"), parse_real("(1)*")), ())
+    state.restraints[2] = Restraint("B", (parse_real("11(0)*"), parse_real("(1)*")), ())
     req = state.requirements[3]
     w = fresh_witness(state, req)
     assert w not in set(state.appearance_log.segment(from_int(1)))
@@ -61,7 +60,7 @@ def test_fresh_witness_refuses_truncated_log():
     state.stage = from_int(50)
     assert state.appearance_log.truncated
     assert state.appearance_log.complete_below < from_int(51)
-    with pytest.raises(ConstructionRefusal):
+    with pytest.raises(TruncatedLog):
         fresh_witness(state, state.requirements[0])
 
 
@@ -69,12 +68,12 @@ def test_check_attention_cases():
     state = empty_state([zero_halter(), p_flip(), p_halt()])
     for req in state.requirements:
         req.witness = ZERO_REAL
-    att = check_attention(state, state.requirements[0], B)   # zero halter
+    att = check_attention(state, state.requirements[0])   # zero halter
     assert att is not None
     res, qlog = att
     assert res.output.is_zero() and qlog == ()
-    assert check_attention(state, state.requirements[2], B) is None  # looper
-    assert check_attention(state, state.requirements[4], B) is None  # output 1
+    assert check_attention(state, state.requirements[2]) is None  # looper
+    assert check_attention(state, state.requirements[4]) is None  # output 1
 
 
 def test_receive_attention_first_event():
@@ -83,7 +82,7 @@ def test_receive_attention_first_event():
         req.witness = fresh_witness(state, req)
     state.stage = from_int(1)
     before = [r.witness for r in state.requirements]
-    att = check_attention(state, state.requirements[0], B)
+    att = check_attention(state, state.requirements[0])
     receive_attention(state, state.requirements[0], att)
     assert state.members("A") == [before[0]]
     assert state.requirements[0].state == BY_WITNESS
@@ -99,7 +98,7 @@ def test_receive_attention_lowest_priority_reassigns_nothing():
         req.witness = fresh_witness(state, req)
     state.stage = from_int(1)
     low = state.requirements[-1]
-    att = check_attention(state, low, B)
+    att = check_attention(state, low)
     receive_attention(state, low, att)
     events = [e for e in state.events if e["type"] == "witness"]
     assert events == []
@@ -116,12 +115,12 @@ def test_scripted_injury_two_phase():
     for req in state.requirements[2:]:
         req.witness = fresh_witness(state, req)
     state.stage = from_int(2)
-    att = check_attention(state, s0, B)
+    att = check_attention(state, s0)
     assert att is not None
     receive_attention(state, s0, att)
     assert parse_real("1(0)*") in state.restraints[1].preserved
     state.stage = from_int(3)
-    att = check_attention(state, r0, B)
+    att = check_attention(state, r0)
     assert att is not None
     receive_attention(state, r0, att)
     assert s0.state == WAITING
@@ -232,10 +231,7 @@ def reference_avoid(state):
 
 
 def reference_fresh_witness(state, req):
-    try:
-        return diagonal_against(reference_avoid(state))
-    except TruncatedLog as exc:
-        raise ConstructionRefusal(str(exc))
+    return diagonal_against(reference_avoid(state))
 
 
 @pytest.fixture
@@ -267,8 +263,8 @@ def checked_witnesses(counts, monkeypatch):
     def checked(state, req, avoid):
         try:
             expected = reference_fresh_witness(state, req)
-        except ConstructionRefusal as exc:
-            with pytest.raises(ConstructionRefusal) as kept_exc:
+        except TruncatedLog as exc:
+            with pytest.raises(TruncatedLog) as kept_exc:
                 assign(state, req, avoid)
             assert str(kept_exc.value) == str(exc)
             raise
@@ -349,8 +345,7 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     # a witness that is also a member does not own its slot, nor does S_1's,
     # which is also in a preserved set: each is rebuilt around
     state.added["A"].append((1, reqs[2].witness))
-    state.restraints[1] = Restraint(1, "A", ZERO_ORD,
-                                    (parse_real("(01)*"), reqs[3].witness), ())
+    state.restraints[1] = Restraint("A", (parse_real("(01)*"), reqs[3].witness), ())
     fm._assign_witnesses(state, reqs)
     assert checked_witnesses["witnesses"] == 12
     assert checked_witnesses["rebuilds"] == 1 + 3
@@ -403,3 +398,24 @@ def test_event_log_check_reports_unknown_requirements():
         "restraint of R_9 at priority 18 names no requirement",
         "restraint of R_0 at priority -1 names no requirement",
         "addition by R_9 names no requirement"]
+
+
+@pytest.mark.parametrize("event, log_problem, hygiene_problem", [
+    ({"type": "addition", "stage": "1", "side": "A", "real": "1(0)*"},
+     "event %d lacks row, requirement", "event %d lacks row, requirement"),
+    ({"type": "injury", "stage": "1", "requirement": "S_0", "injured_by": "R_0"},
+     "event %d lacks priority", "event %d lacks priority"),
+    ({"type": "witness", "stage": "w+", "requirement": "R_0", "priority": 0,
+      "witness": "1(0)*"},
+     None, "event %d: empty term in ordinal literal 'w+'"),
+], ids=["addition-without-requirement", "injury-without-priority",
+        "witness-at-no-stage"])
+def test_event_checks_report_malformed_events(event, log_problem,
+                                              hygiene_problem):
+    # a tampered log is reported by the index of the bad event, not raised
+    state, _report = fm_construct(enumeration_slice(4, 0, 3))
+    assert check_event_log(state) == check_witness_hygiene(state) == []
+    k = len(state.events)
+    state.events.append(event)
+    expected = [[p % k] if p else [] for p in (log_problem, hygiene_problem)]
+    assert [check_event_log(state), check_witness_hygiene(state)] == expected

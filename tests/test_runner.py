@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (looper, query_probe, random_tables, total_program,
-                      zero_halter)
+from conftest import (looper, omega_squared_clocker, query_probe, random_tables,
+                      total_program, zero_halter)
 
 from ittm import ordinal, reals, runner
 from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
@@ -975,25 +975,6 @@ def test_certified_limits_are_within_ever_one_across_survey():
                 continue
             for t in range(3):
                 assert and_not(blk.limit.tracks[t], blk.ever_one[t]).is_zero()
-
-
-def omega_squared_clocker():
-    """Writes a transient scratch mark at cell 0 inside every block, then
-    settles into a 2-cycle at cell 1.  Block limits erase the transient, so
-    the limit snapshot recurs weakly (the mark was 1 in between): no loop
-    verdict may fire, the w^2 limit sets the mark, and the machine halts
-    one step later, clocking w^2+1."""
-    from conftest import total_program
-    from ittm.machine import Rule
-    overrides = {}
-    for read in itertools.product((0, 1), repeat=3):
-        i, s, o = read
-        overrides[("flip", read)] = Rule((i, 1 - s, o), "S", "flip")
-    for st in ("start", "limit"):
-        overrides[(st, (0, 0, 0))] = Rule((0, 1, 0), "S", "down")
-    overrides[("limit", (0, 1, 0))] = Rule((0, 1, 0), "S", "halt")
-    overrides[("down", (0, 1, 0))] = Rule((0, 0, 0), "R", "flip")
-    return total_program(3, overrides)
 
 
 def test_omega_squared_halting_time():
