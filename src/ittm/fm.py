@@ -332,16 +332,37 @@ _EVENT_FIELDS = {"halting-event": ("program",),
                  "addition": ("side", "row", "real", "requirement"),
                  "injury": ("requirement", "priority", "injured_by"),
                  "restraint": ("requirement", "priority", "preserved")}
+# the kind of value `FMState.log` writes in each field; `preserved` is a
+# list of str
+_FIELD_TYPES = {"type": str, "stage": str, "program": int, "requirement": str,
+                "priority": int, "witness": str, "halt_time": str, "side": str,
+                "row": int, "real": str, "injured_by": str, "preserved": list}
+_KIND_NAMES = {str: "a str", int: "an int", list: "a list of str"}
+
+
+def _holds(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(r, str) for r in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _well_formed(events, problems: list[str]):
-    """(index, event) for each event that carries every field of its type;
-    a problem naming the index of each other one."""
+    """(index, event) for each event that carries every field of its type,
+    each holding the kind of value `FMState.log` writes there; a problem
+    naming the index of each other one."""
     for k, ev in enumerate(events):
-        fields = ("type", "stage") + _EVENT_FIELDS.get(ev.get("type"), ())
+        kind = ev.get("type")
+        fields = ("type", "stage") + (
+            _EVENT_FIELDS.get(kind, ()) if isinstance(kind, str) else ())
         missing = [f for f in fields if f not in ev]
         if missing:
             problems.append("event %d lacks %s" % (k, ", ".join(missing)))
+            continue
+        bad = [f for f in fields if not _holds(ev[f], _FIELD_TYPES[f])]
+        if bad:
+            problems.append("event %d: %s" % (k, "; ".join(
+                "%s %r is not %s" % (f, ev[f], _KIND_NAMES[_FIELD_TYPES[f]])
+                for f in bad)))
         else:
             yield k, ev
 

@@ -150,7 +150,9 @@ class Program:
         return list(seen)
 
     def __eq__(self, other):
-        return isinstance(other, Program) and render_program(self) == render_program(other)
+        # comparing the fields is comparing the text: `validate` keeps every
+        # state name one token, so a program's text reads back to its fields
+        return isinstance(other, Program) and _fields(self) == _fields(other)
 
     def __hash__(self):
         return hash(render_program(self))
@@ -160,6 +162,13 @@ class Program:
 
     def __repr__(self):
         return "Program[%d states, %d tracks]" % (len(self.states()), self.track_count)
+
+
+def _fields(p: Program) -> tuple:
+    """What a program's text is made of: its track count, its header states
+    and its table laid out."""
+    return (p.track_count, p.start_state, p.limit_state, p.halt_state,
+            p.query_state, p.yes_state, p.no_state, p.rules.states, p.rules.rules)
 
 
 def _enumerated(tracks: int, rules: RuleTable) -> Program:
@@ -182,6 +191,14 @@ def _enumerated(tracks: int, rules: RuleTable) -> Program:
 
 
 def render_program(p: Program) -> str:
+    """A program's text, which is its name: the header lines, then one line
+    per slot of its layout.  A slot that holds the shared default rule (the
+    very object `default_rule("halt", tracks)`, with which the enumeration
+    and `total_program` fill their tables) takes its line from the layout's
+    cached text, and only the other rules are formatted.  That is exact: an
+    object's text is fixed by its fields, so the identical rule has the
+    cached line's text.  A rule that only equals the default, such as one
+    `parse_program` makes, is formatted and gives the same bytes."""
     lines = ["tracks: %d" % p.track_count,
              "start: %s" % p.start_state,
              "limit: %s" % p.limit_state,
@@ -192,16 +209,32 @@ def render_program(p: Program) -> str:
         lines.append("yes: %s" % p.yes_state)
     if p.no_state is not None:
         lines.append("no: %s" % p.no_state)
-    text = _VECTOR_TEXT
-    lines += ["%s %s -> %s %s %s" % (state, text[read], rule.next_state,
-                                     text[rule.write], rule.move)
-              for (state, read), rule in p.rules.items()]
+    table = p.rules
+    fill = default_rule("halt", p.track_count)
+    heads, filled = _slot_text(table.states, p.track_count)
+    lines += [line if rule is fill else head + _rule_text(rule)
+              for head, line, rule in zip(heads, filled, table.rules)]
     return "\n".join(lines) + "\n"
 
 
 # vector -> its text as a rule writes it
 _VECTOR_TEXT = {v: "".join(map(str, v))
                 for reads in READ_VECTORS.values() for v in reads}
+
+
+def _rule_text(rule: Rule) -> str:
+    """The right-hand side of a rule line: "next write move"."""
+    return "%s %s %s" % (rule.next_state, _VECTOR_TEXT[rule.write], rule.move)
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_text(states: tuple[str, ...], tracks: int):
+    """Per slot of `layout(states, tracks)`, in order: its "state read -> "
+    text, and its whole line when it holds `default_rule("halt", tracks)`."""
+    heads = tuple("%s %s -> " % (state, _VECTOR_TEXT[read])
+                  for state, read in layout(states, tracks))
+    fill = _rule_text(default_rule("halt", tracks))
+    return heads, tuple(head + fill for head in heads)
 
 
 def parse_program(text: str) -> Program:

@@ -49,7 +49,7 @@ def _to_bits(word: int, n: int) -> Bits:
 
 
 def _to_text(word: int, n: int) -> str:
-    return format(word, "0%db" % n)[::-1] if n else ""
+    return bin(word)[:1:-1].ljust(n, "0") if n else ""
 
 
 def _from_bits(bits) -> int:

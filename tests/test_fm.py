@@ -408,8 +408,27 @@ def test_event_log_check_reports_unknown_requirements():
     ({"type": "witness", "stage": "w+", "requirement": "R_0", "priority": 0,
       "witness": "1(0)*"},
      None, "event %d: empty term in ordinal literal 'w+'"),
+    # a field of the wrong kind is reported, not raised as TypeError
+    ({"type": "injury", "stage": "1", "requirement": "S_0", "priority": [0],
+      "injured_by": "R_0"},
+     "event %d: priority [0] is not an int", "event %d: priority [0] is not an int"),
+    ({"type": "witness", "stage": "1", "requirement": "R_0", "priority": 0,
+      "witness": ["0(0)*"]},
+     "event %d: witness ['0(0)*'] is not a str",
+     "event %d: witness ['0(0)*'] is not a str"),
+    ({"type": "addition", "stage": "1", "side": "A", "row": 0, "real": ["x"],
+      "requirement": "R_0"},
+     "event %d: real ['x'] is not a str", "event %d: real ['x'] is not a str"),
+    ({"type": "restraint", "stage": "1", "requirement": "R_0", "priority": 0,
+      "preserved": ["0(0)*", 1]},
+     "event %d: preserved ['0(0)*', 1] is not a list of str",
+     "event %d: preserved ['0(0)*', 1] is not a list of str"),
+    ({"type": ["injury"], "stage": "1"},
+     "event %d: type ['injury'] is not a str", "event %d: type ['injury'] is not a str"),
 ], ids=["addition-without-requirement", "injury-without-priority",
-        "witness-at-no-stage"])
+        "witness-at-no-stage", "injury-with-list-priority",
+        "witness-with-list-witness", "addition-with-list-real",
+        "restraint-preserving-an-int", "type-a-list"])
 def test_event_checks_report_malformed_events(event, log_problem,
                                               hygiene_problem):
     # a tampered log is reported by the index of the bad event, not raised

@@ -363,3 +363,45 @@ def test_hard_set_files_render_back_byte_for_byte():
     for f in files:
         text = f.read_text(encoding="utf-8")
         assert render_program(parse_program(text)) == text, f.name
+
+
+def test_enumerated_digests_are_pinned():
+    """The names `survey` prints, over both track counts."""
+    from ittm.oracle import enumeration_slice
+    programs = enumeration_slice(60000, 2, 3) + enumeration_slice(20000, 3, 4)
+    names = "".join(p.digest() for p in programs)
+    assert hashlib.sha256(names.encode()).hexdigest() == \
+        "7b9c4472f9f1c07a07a3568dd40f5b1642aac7b5ee25b134f579b053854e56b8"
+
+
+def test_a_rule_equal_to_the_default_renders_like_the_shared_one():
+    """Parsing makes a new rule for every line, so the default slots of a
+    parsed program hold rules equal to the shared default but not it: they
+    take the formatting path and must give the cached line's bytes."""
+    from ittm.oracle import enumeration_slice
+    fill = default_rule("halt", 3)
+    for p in enumeration_slice(3000, 2, 3)[-3:] + [p_halt()]:
+        q = parse_program(render_program(p))
+        assert any(rule is fill for rule in p.rules.values())
+        assert fill in q.rules.values()
+        assert not any(rule is fill for rule in q.rules.values())
+        assert render_program(q) == render_program(p)
+        assert q.digest() == p.digest() and q == p
+
+
+def test_survey_names_format_only_the_overridden_rules(monkeypatch):
+    """cli-mix's `survey --states 2 --bound 2000` names 2,000 programs with
+    38,912 rule slots, of which 1,997 hold a rule other than the default:
+    only those go through the one helper that formats a rule."""
+    import ittm.machine as machine
+    from ittm.oracle import enumeration_slice
+    programs = enumeration_slice(2000, 2, 3)
+    assert sum(len(p.rules) for p in programs) == 38912
+    for p in programs[:3]:    # one per layout, all default: fills the caches
+        render_program(p)
+    formatted = []
+    format_rule = machine._rule_text
+    monkeypatch.setattr(machine, "_rule_text",
+                        lambda rule: formatted.append(rule) or format_rule(rule))
+    names = [p.digest() for p in programs]
+    assert len(formatted) == 1997 and len(set(names)) == 2000

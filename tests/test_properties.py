@@ -96,6 +96,45 @@ def test_program_render_parse_round_trip(fields):
          p.query_state, p.yes_state, p.no_state)
 
 
+@st.composite
+def table_pairs(draw):
+    """The fields of two tables: unrelated, the same table rebuilt from
+    equal rules, one move redrawn, or headers that differ only in the query
+    protocol (yes and no swapped, or the protocol dropped)."""
+    a = draw(TABLES)
+    b = dict(a, rules={key: Rule(rule.write, rule.move, rule.next_state)
+                       for key, rule in a["rules"].items()})
+    how = draw(st.sampled_from(("unrelated", "rebuilt", "one-move", "yes-no",
+                                "no-protocol")))
+    if how == "unrelated":
+        b = draw(TABLES)
+    elif how == "one-move":
+        key = draw(st.sampled_from(list(b["rules"])))
+        rule = b["rules"][key]
+        b["rules"][key] = Rule(rule.write, draw(st.sampled_from(MOVES)), rule.next_state)
+    elif how == "yes-no":
+        b["yes_state"], b["no_state"] = a.get("no_state"), a.get("yes_state")
+    elif how == "no-protocol":
+        b["query_state"] = b["yes_state"] = b["no_state"] = None
+    return a, b
+
+
+@PROPERTY
+@given(table_pairs())
+def test_programs_are_equal_exactly_when_their_texts_are(pair):
+    """`==` compares the laid-out tables, `hash` hashes the text: equal
+    programs have equal text and so equal hashes, and a table that differs
+    in any header, query protocol included, is unequal."""
+    try:
+        p, q = [Program(**fields) for fields in pair]
+    except ProgramError:
+        return
+    same = render_program(p) == render_program(q)
+    assert (p == q) == (q == p) == same
+    if same:
+        assert hash(p) == hash(q) and p.digest() == q.digest()
+
+
 BITS = st.text("01", min_size=1, max_size=5)
 RULE_LINE = st.builds("{} {} -> {} {} {}".format,
                       st.sampled_from(("start", "limit", "halt", "s0", "q")), BITS,

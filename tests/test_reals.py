@@ -1,7 +1,7 @@
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ittm.reals import (Real, ZERO, and_not, from_support, join, or_all,
                         or_real, parse_real, shift_union)
@@ -186,6 +186,20 @@ def test_real_matches_the_model(m, n):
     for other in (Real(prefix + tail, tail), Real(prefix, tail * 2),
                   Real(prefix + tail[:1], tail[1:] + tail[:1])):
         assert other == r and hash(other) == hash(r)
+
+
+@PROPERTY
+@example(0, 0)
+@example(0, 5)
+@example(5, 0)
+@example(1, 1)
+@example(5, 97)
+@given(st.integers(0, 1 << 120), st.integers(0, 130))
+def test_bit_text_matches_the_formatted_word(word, n):
+    """`_to_text` writes bit i of the word at position i, padded with 0s to
+    n bits: the zero-padded binary numeral reversed; n = 0 is empty."""
+    from ittm.reals import _to_text
+    assert _to_text(word, n) == (format(word, "0%db" % n)[::-1] if n else "")
 
 
 @PROPERTY
