@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .machine import Program
-from .ordinal import (Ordinal, OrderCode, ZERO as ZERO_ORD, OMEGA, cnf_add,
+from .ordinal import (Ordinal, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
 from .oracle import RealOracle
 from .reals import Real, ZERO as ZERO_REAL, _real, from_support
@@ -99,8 +99,11 @@ class Appearance:
 @dataclass(frozen=True)
 class AppearanceLog:
     records: list[Appearance]        # in stage order
-    truncated: bool
     complete_below: Ordinal | None   # None: covers every stage it claims
+
+    @property
+    def truncated(self) -> bool:
+        return self.complete_below is not None
 
     def require_complete(self, upto_stage: Ordinal) -> None:
         """Refuse when truncation may hide appearances below upto_stage."""
@@ -222,9 +225,7 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
                for real, (_terms, pid, t, stage) in order[:cap]]
     if len(order) > cap:
         horizons.append(order[cap][1][3])
-    truncated = bool(horizons)
-    complete_below = min(horizons) if horizons else None
-    return AppearanceLog(records, truncated, complete_below)
+    return AppearanceLog(records, min(horizons) if horizons else None)
 
 
 class Diagonal:
@@ -450,9 +451,12 @@ class JumpMatrix:
     change_log: tuple[ChangeEntry, ...]
     erasure_log: tuple[ErasureEntry, ...]
     stabilization: dict[Ordinal, Ordinal]
-    partial: bool
     partial_reasons: tuple[str, ...]
     bound: int
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.partial_reasons)
 
     def limit_ranks(self):
         return [r for r in self.ranks if r.is_limit()]
@@ -569,9 +573,10 @@ def _halt_events(programs, budget: BudgetPolicy, row: Real,
     return tuple(sorted(events))
 
 
-def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGET,
+def iterated_matrix(alpha: Ordinal, programs, budget: BudgetPolicy = DEFAULT_BUDGET,
                     row_cap: int = DEFAULT_ROW_CAP) -> JumpMatrix:
-    """Replay the transfinite-injury approximation of the iterated jump.
+    """Replay the transfinite-injury approximation of the iterated jump
+    along the order alpha itself: no bits of a code for it are read.
 
     All rows run simultaneously against the current approximation below
     them; a new halt in row r updates that row at its exact stage and erases
@@ -604,7 +609,6 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     since the last one.
     """
     progs = list(programs)
-    alpha = y.ordinal
     ranks, partial = materialized_ranks(alpha, row_cap)
     reasons = ["ranks-omitted"] if partial else []
     rows: dict[Ordinal, Real] = {r: ZERO_REAL for r in ranks}
@@ -685,7 +689,7 @@ def iterated_matrix(y: OrderCode, programs, budget: BudgetPolicy = DEFAULT_BUDGE
     return JumpMatrix(tuple(ranks), {r: rows[r] for r in ranks},
                       tuple(change_log), tuple(erasure_log),
                       {r: stabilization[r] for r in ranks},
-                      bool(reasons), tuple(reasons), len(progs))
+                      tuple(reasons), len(progs))
 
 
 def validate_erasures(matrix: JumpMatrix) -> list[str]:

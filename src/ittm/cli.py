@@ -18,7 +18,7 @@ from .fm import fm_construct
 from .machine import ProgramError, parse_program
 from .oracle import (DEFAULT_TRIM_BITS, ENUM_WORK_CAP, RealOracle, SetOracle,
                      enumeration_slice, jump_lightface, run_programs)
-from .ordinal import BudgetOrdinalOverflow, encode_order, parse_ordinal
+from .ordinal import BudgetOrdinalOverflow, parse_ordinal
 from .reals import ZERO as ZERO_REAL, parse_real
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, ExceededCert, HaltAt,
                      OracleProtocolError, RepeatCert, TranslationCert,
@@ -224,9 +224,8 @@ def cmd_matrix(args) -> int:
         alpha = parse_ordinal(args.order)
     except ValueError as exc:
         raise UsageError(str(exc))
-    code = encode_order(alpha, 256)  # iterated_matrix reads only the order
     programs = enumeration_slice(args.bound, args.states, 4)
-    matrix = iterated_matrix(code, programs, budget, args.rows)
+    matrix = iterated_matrix(alpha, programs, budget, args.rows)
     problems = validate_erasures(matrix)
     if args.log:
         lines = [_json_line({"schema": SCHEMA, "kind": "erasure",

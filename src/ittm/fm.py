@@ -8,9 +8,9 @@ requires attention when its program, run against the current opposite set
 on its witness, halts with all-zero output; it receives attention by adding
 the witness to its own side, certifying the run's query set as a restraint,
 and handing every weaker waiting requirement a fresh witness that avoids all
-certified queries.  Additions by stronger requirements may injure weaker
-restraints; injuries are logged and the injured requirement reverts to
-waiting.
+certified queries.  A requirement is certified exactly while it holds a
+restraint.  A stronger requirement's addition may injure it: the restraint
+is dropped and the injury logged, and the report reads injuries from the log.
 
 Witnesses are diagonalized against the appearance log and every active
 preserved query set (plus current witnesses and set members, so witnesses
@@ -41,7 +41,6 @@ from .ordinal import Ordinal, ZERO as ZERO_ORD, parse_ordinal, successor
 from .reals import Real
 from .runner import BudgetPolicy, DEFAULT_BUDGET, QueryRecord
 
-WAITING = "waiting"
 BY_WITNESS = "satisfied-by-witness"
 BY_DIVERGENCE = "satisfied-by-divergence-at-budget"
 
@@ -52,8 +51,6 @@ class Requirement:
     prog: int
     priority: int                 # R_p -> 2p, S_p -> 2p+1; lower acts first
     witness: Real | None = None
-    state: str = WAITING
-    injuries: list = field(default_factory=list)     # (stage, injuring priority)
 
     @property
     def own_side(self) -> str:
@@ -69,8 +66,7 @@ class Requirement:
 
 @dataclass
 class Restraint:
-    guarded_side: str             # side whose queried reals must be preserved
-    preserved: tuple[Real, ...]
+    preserved: tuple[Real, ...]   # guarded on the owner's opposite side
     query_log: tuple[QueryRecord, ...]
 
 
@@ -82,7 +78,7 @@ class FMState:
     added: dict[str, list[tuple[int, Real]]] = field(
         default_factory=lambda: {"A": [], "B": []})
     requirements: list[Requirement] = field(default_factory=list)
-    # by the priority of the requirement that certified each
+    # the restraints of the requirements certified now, by priority
     restraints: dict[int, Restraint] = field(default_factory=dict)
     stage: Ordinal = ZERO_ORD
     events: list[dict] = field(default_factory=list)
@@ -195,9 +191,9 @@ def _assign_witnesses(state: FMState, reqs) -> None:
 
 
 def check_attention(state: FMState, req: Requirement):
-    """Certified (result, query log) when the requirement's program halts
-    with all-zero output against the current opposite set, else None."""
-    if req.state != WAITING:
+    """Certified (result, query log) when the requirement holds no restraint
+    and its program halts with all-zero output on the opposite set, else None."""
+    if req.priority in state.restraints:
         return None
     oracle = state.side_oracle(req.opposite_side)
     prog = state.oracle_programs[req.prog]
@@ -217,28 +213,24 @@ def receive_attention(state: FMState, req: Requirement, certified) -> None:
               requirement=req.label())
     # a stronger requirement's addition may tear up weaker certifications
     for owner in sorted(state.restraints):
-        rst = state.restraints[owner]
-        if rst.guarded_side != side:
+        injured = state.requirements[owner]
+        if injured.opposite_side != side:
             continue
-        if req.witness in rst.preserved:
+        if req.witness in state.restraints[owner].preserved:
             if owner < req.priority:
                 state.flags.append(
                     "hygiene violation: %s disturbed a stronger restraint" % req.label())
                 continue
-            injured = state.requirements[owner]
-            injured.injuries.append((state.stage, req.priority))
-            injured.state = WAITING
             del state.restraints[owner]
             state.log("injury", requirement=injured.label(), priority=owner,
                       injured_by=req.label())
     preserved = tuple(dict.fromkeys(rec.real for rec in qlog))
-    state.restraints[req.priority] = Restraint(req.opposite_side, preserved, qlog)
-    req.state = BY_WITNESS
+    state.restraints[req.priority] = Restraint(preserved, qlog)
     state.log("restraint", requirement=req.label(), priority=req.priority,
               preserved=[r.render() for r in preserved])
     _assign_witnesses(state, [weaker for weaker in state.requirements
                               if weaker.priority > req.priority
-                              and weaker.state == WAITING])
+                              and weaker.priority not in state.restraints])
 
 
 def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
@@ -281,18 +273,21 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
 
 def _classify(state: FMState) -> dict:
     """Terminal classification with the doubled-budget divergence recheck."""
-    lineage = {req.label(): [] for req in state.requirements}
-    for ev in state.events:   # each (stage, witness) assignment, in order
+    entries = {req.label(): {"requirement": req.label(), "kind": req.kind,
+                             "program": req.prog, "priority": req.priority,
+                             "injuries": [], "witness": req.witness.render(),
+                             "lineage": []}
+               for req in state.requirements}
+    for ev in state.events:   # in order
         if ev["type"] == "witness":
-            lineage[ev["requirement"]].append((ev["stage"], ev["witness"]))
-    entries = []
+            entries[ev["requirement"]]["lineage"].append(
+                (ev["stage"], ev["witness"]))
+        elif ev["type"] == "injury":
+            entries[ev["requirement"]]["injuries"].append(
+                [ev["stage"], entries[ev["injured_by"]]["priority"]])
     for req in state.requirements:
-        entry = {"requirement": req.label(), "kind": req.kind,
-                 "program": req.prog, "priority": req.priority,
-                 "injuries": [[st.render(), by] for st, by in req.injuries],
-                 "witness": req.witness.render(),
-                 "lineage": lineage[req.label()]}
-        certified = req.state == BY_WITNESS
+        entry = entries[req.label()]
+        certified = req.priority in state.restraints
         oracle = state.side_oracle(req.opposite_side)
         budget = state.budget if certified else state.budget.scaled(2)
         res, _ = run_with_oracle(state.oracle_programs[req.prog], req.witness,
@@ -311,12 +306,10 @@ def _classify(state: FMState) -> dict:
             entry["classification"] = "unserved-convergence"
             state.flags.append("recheck failed for %s" % req.label())
         else:
-            req.state = BY_DIVERGENCE
             entry["classification"] = BY_DIVERGENCE
             entry["recheck"] = res.outcome
-        entries.append(entry)
     return {"schema": 1,
-            "requirements": entries,
+            "requirements": list(entries.values()),
             "a_members": [r.render() for r in state.members("A")],
             "b_members": [r.render() for r in state.members("B")],
             "events": len(state.events),
@@ -368,13 +361,15 @@ def _well_formed(events, problems: list[str]):
 
 
 def check_event_log(state: FMState) -> list[str]:
-    """Replayable checks: restraint preservation, the injury bound,
-    additions-at-events, and witness hygiene, all from the event log."""
+    """Replayable checks: restraint preservation, injuries only by stronger
+    requirements and within the injury bound, and additions at halting
+    events, all from the event log and the requirement list."""
     problems = []
     events = [ev for _k, ev in _well_formed(state.events, problems)]
     halting_stages = {e["stage"] for e in events if e["type"] == "halting-event"}
     injured_at = {(e["priority"], e["stage"]) for e in events
                   if e["type"] == "injury"}
+    injuries = Counter(e["priority"] for e in events if e["type"] == "injury")
     attentions = Counter(e["priority"] for e in events if e["type"] == "attention")
     by_label = {r.label(): r for r in state.requirements}
     # priority -> (owner, restraint event record)
@@ -394,6 +389,10 @@ def check_event_log(state: FMState) -> list[str]:
                 problems.append("injury of %s without an active restraint"
                                 % ev["requirement"])
             active.pop(ev["priority"], None)
+            injurer = by_label.get(ev["injured_by"])
+            if injurer is None or injurer.priority >= ev["priority"]:
+                problems.append("injury of %s by %s, not a stronger requirement"
+                                % (ev["requirement"], ev["injured_by"]))
         elif kind == "addition":
             if ev["stage"] not in halting_stages:
                 problems.append("addition at %s is not a halting-event stage"
@@ -421,13 +420,9 @@ def check_event_log(state: FMState) -> list[str]:
                             % (ev["real"], ev["stage"]))
     for req in state.requirements:
         allowed = sum(attentions[pr] for pr in range(req.priority))
-        if len(req.injuries) > allowed:
+        if injuries[req.priority] > allowed:
             problems.append("injury bound violated for %s: %d > %d"
-                            % (req.label(), len(req.injuries), allowed))
-        for st, by in req.injuries:
-            if by >= req.priority:
-                problems.append("injury of %s from non-stronger priority %d"
-                                % (req.label(), by))
+                            % (req.label(), injuries[req.priority], allowed))
     return problems
 
 

@@ -154,8 +154,7 @@ def test_criterion_5_matrix_invariants():
     orders = [from_int(1), from_int(2), from_int(3), OMEGA,
               parse_ordinal("w*1+1")]
     for alpha in orders:
-        code = encode_order(alpha, 256)
-        matrix = iterated_matrix(code, MATRIX_PROGRAMS, MATRIX_BUDGET, row_cap=5)
+        matrix = iterated_matrix(alpha, MATRIX_PROGRAMS, MATRIX_BUDGET, row_cap=5)
         assert validate_erasures(matrix) == [], alpha.render()
         for entry in matrix.erasure_log:
             assert entry.cause == "lower-row-change"

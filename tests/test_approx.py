@@ -16,8 +16,7 @@ from ittm.machine import (Rule, extend_to_oracle_tracks, p_flip, p_flip_lh,
                           p_halt, p_sweep)
 from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
-                          encode_order, from_int, pair_index, parse_ordinal,
-                          successor)
+                          from_int, pair_index, parse_ordinal, successor)
 from ittm.reals import ZERO as ZERO_REAL, Real, from_support, parse_real
 from ittm.runner import (BudgetPolicy, ExceededCert, RepeatCert, TranslationCert,
                          run_transfinite)
@@ -597,7 +596,7 @@ MATRIX_PROGS = [extend_to_oracle_tracks(p_halt()), oracle_bit_halter(1),
 
 
 def test_matrix_code_one_single_zero_row():
-    m = iterated_matrix(encode_order(from_int(1), 64), MATRIX_PROGS, B)
+    m = iterated_matrix(from_int(1), MATRIX_PROGS, B)
     assert m.ranks == (ZERO_ORD,)
     assert m.rows[ZERO_ORD].is_zero()
     assert not m.partial and m.change_log == () and m.erasure_log == ()
@@ -605,14 +604,14 @@ def test_matrix_code_one_single_zero_row():
 
 def test_matrix_code_two_row_one_is_the_jump():
     progs = [extend_to_oracle_tracks(p_halt()), extend_to_oracle_tracks(p_flip())]
-    m = iterated_matrix(encode_order(from_int(2), 64), progs, B)
+    m = iterated_matrix(from_int(2), progs, B)
     jump = approximate_jump(run_programs(progs, B, RealOracle(ZERO_REAL)))
     assert m.rows[from_int(1)] == jump.final_real()
     assert m.rows[from_int(1)] == parse_real("1(0)*")
 
 
 def test_matrix_code_three_erasure_replay():
-    m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
+    m = iterated_matrix(from_int(3), MATRIX_PROGS, B)
     first_change_row1 = next(c.stage for c in m.change_log
                              if c.rank == from_int(1))
     erased = [e for e in m.erasure_log if e.rank == from_int(2)]
@@ -625,7 +624,7 @@ def test_matrix_code_three_erasure_replay():
 
 
 def test_matrix_successor_rows_recheck():
-    m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
+    m = iterated_matrix(from_int(3), MATRIX_PROGS, B)
     for lo, hi in m.successor_pairs():
         redo = approximate_jump(
             run_programs(MATRIX_PROGS, B, RealOracle(m.rows[lo])))
@@ -633,8 +632,7 @@ def test_matrix_successor_rows_recheck():
 
 
 def test_matrix_limit_row_is_the_join():
-    m = iterated_matrix(encode_order(parse_ordinal("w*1+1"), 64), MATRIX_PROGS,
-                        B, row_cap=4)
+    m = iterated_matrix(parse_ordinal("w*1+1"), MATRIX_PROGS, B, row_cap=4)
     assert m.partial and "ranks-omitted" in m.partial_reasons
     lam = OMEGA
     assert lam in m.rows
@@ -767,7 +765,7 @@ def test_reused_halts_match_full_runs_on_the_cli_mix_order(monkeypatch, capsys):
 
 
 def test_matrix_stabilization_stages():
-    m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
+    m = iterated_matrix(from_int(3), MATRIX_PROGS, B)
     assert m.stabilization[ZERO_ORD] == ZERO_ORD          # row 0 never moves
     for rank in m.ranks:
         after = [c for c in m.change_log
@@ -776,8 +774,8 @@ def test_matrix_stabilization_stages():
 
 
 def test_matrix_determinism():
-    a = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
-    b = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
+    a = iterated_matrix(from_int(3), MATRIX_PROGS, B)
+    b = iterated_matrix(from_int(3), MATRIX_PROGS, B)
     assert a.change_log == b.change_log
     assert a.erasure_log == b.erasure_log
     assert a.rows == b.rows
@@ -797,7 +795,7 @@ def test_materialized_ranks_shapes():
 def test_is_limit_of_and_forged_rule_two_entries():
     # erasure at a limit of earlier erasures never fires on a finite log, so
     # an entry claiming it is rejected as an unknown cause
-    m = iterated_matrix(encode_order(from_int(3), 64), MATRIX_PROGS, B)
+    m = iterated_matrix(from_int(3), MATRIX_PROGS, B)
     forged = m.erasure_log + (ErasureEntry(OMEGA, from_int(2),
                                            "limit-of-erasures"),)
     import dataclasses

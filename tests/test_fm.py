@@ -1,10 +1,14 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from conftest import looper, nonzero_halter, query_probe, zero_halter
 
 import ittm.fm as fm
 from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, FMState,
-                     Requirement, Restraint, WAITING, check_attention,
+                     Requirement, Restraint, check_attention,
                      check_event_log, check_witness_hygiene, fm_construct,
                      fresh_witness, receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
@@ -37,7 +41,7 @@ def test_fresh_witness_with_nothing_to_avoid_is_zero():
 
 def test_fresh_witness_avoids_preserved_sets():
     state = empty_state()
-    state.restraints[1] = Restraint("A", (parse_real("0(0)*"),), ())
+    state.restraints[1] = Restraint((parse_real("0(0)*"),), ())
     req = Requirement("R", 5, 10)
     w = fresh_witness(state, req)
     assert w.bit(0) == 1
@@ -47,7 +51,7 @@ def test_fresh_witness_avoids_preserved_sets():
 def test_fresh_witness_always_absent_from_inputs():
     state = empty_state([zero_halter(), p_halt(), p_flip()])
     state.requirements[0].witness = parse_real("101(0)*")
-    state.restraints[2] = Restraint("B", (parse_real("11(0)*"), parse_real("(1)*")), ())
+    state.restraints[2] = Restraint((parse_real("11(0)*"), parse_real("(1)*")), ())
     req = state.requirements[3]
     w = fresh_witness(state, req)
     assert w not in set(state.appearance_log.segment(from_int(1)))
@@ -85,8 +89,7 @@ def test_receive_attention_first_event():
     att = check_attention(state, state.requirements[0])
     receive_attention(state, state.requirements[0], att)
     assert state.members("A") == [before[0]]
-    assert state.requirements[0].state == BY_WITNESS
-    assert 0 in state.restraints
+    assert list(state.restraints) == [0]    # R_0 alone is certified
     # every weaker waiting requirement was handed a fresh witness
     for req in state.requirements[1:]:
         assert req.witness != before[req.priority]
@@ -123,10 +126,10 @@ def test_scripted_injury_two_phase():
     att = check_attention(state, r0)
     assert att is not None
     receive_attention(state, r0, att)
-    assert s0.state == WAITING
-    assert s0.injuries == [(from_int(3), 0)]
-    assert 1 not in state.restraints
-    assert [e["type"] for e in state.events].count("injury") == 1
+    assert 1 not in state.restraints         # S_0 is waiting again
+    assert [(e["stage"], e["requirement"], e["priority"], e["injured_by"])
+            for e in state.events if e["type"] == "injury"] == \
+        [("3", "S_0", 1, "R_0")]
 
 
 def test_fm_construct_empty():
@@ -193,13 +196,14 @@ def test_fm_construct_deterministic():
 
 def test_injury_bound_holds():
     state, _report = fm_construct(INJURY_PROGS, B)
-    attentions = {}
-    for ev in state.events:
-        if ev["type"] == "attention":
-            attentions[ev["priority"]] = attentions.get(ev["priority"], 0) + 1
+    attentions = Counter(ev["priority"] for ev in state.events
+                         if ev["type"] == "attention")
+    injuries = Counter(ev["priority"] for ev in state.events
+                       if ev["type"] == "injury")
+    assert injuries == {1: 1}
     for req in state.requirements:
         allowed = sum(n for pr, n in attentions.items() if pr < req.priority)
-        assert len(req.injuries) <= allowed
+        assert injuries[req.priority] <= allowed
 
 
 # --- the batch's avoid list against the from-scratch rule --------------------
@@ -345,7 +349,7 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     # a witness that is also a member does not own its slot, nor does S_1's,
     # which is also in a preserved set: each is rebuilt around
     state.added["A"].append((1, reqs[2].witness))
-    state.restraints[1] = Restraint("A", (parse_real("(01)*"), reqs[3].witness), ())
+    state.restraints[1] = Restraint((parse_real("(01)*"), reqs[3].witness), ())
     fm._assign_witnesses(state, reqs)
     assert checked_witnesses["witnesses"] == 12
     assert checked_witnesses["rebuilds"] == 1 + 3
@@ -438,3 +442,48 @@ def test_event_checks_report_malformed_events(event, log_problem,
     state.events.append(event)
     expected = [[p % k] if p else [] for p in (log_problem, hygiene_problem)]
     assert [check_event_log(state), check_witness_hygiene(state)] == expected
+
+
+# --- the injury path: pinned bytes and forged injuries -----------------------
+
+def _sha256_of_lines(records):
+    return hashlib.sha256("".join(
+        json.dumps(x, sort_keys=True, separators=(",", ":")) + "\n"
+        for x in records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("programs, budget, events_sha, report_sha", [
+    (CRITERION_6_PROGS, CRITERION_6_BUDGET,
+     "325b90d183655a8bd483d9760b8a6db23f3703470d5a3d4c60f95a6e4f065ef0",
+     "5f12aab43f1da052da138d5716f06134a6df02b9016b6264003f3c2043d40369"),
+    (INJURY_PROGS, B,
+     "55c097c714357a417ff62b3777c2da717c3f210be1018744bf7a0dc3d3a3ac82",
+     "0a47aabbc1bcc6655922faab1fa32a49acd78e63df7d1104a8eeec87223ae3c0"),
+], ids=["criterion-6", "organic-injury"])
+def test_injury_path_bytes_are_pinned(programs, budget, events_sha, report_sha):
+    # enumerated programs never query, so these two constructions are the
+    # ones whose events and reports carry an injury and preserved reals
+    state, report = fm_construct(programs, budget)
+    assert _count(state, "injury") == 1
+    assert _sha256_of_lines(state.events) == events_sha
+    assert _sha256_of_lines([report]) == report_sha
+
+
+@pytest.mark.parametrize("after, nth, injury, problem", [
+    ("S_1", 0, {"stage": "6", "requirement": "S_1", "priority": 3,
+                "injured_by": "R_2"},
+     "injury of S_1 by R_2, not a stronger requirement"),
+    ("S_0", 1, {"stage": "3", "requirement": "S_0", "priority": 1,
+                "injured_by": "R_0"},
+     "injury bound violated for S_0: 2 > 1"),
+], ids=["by-a-weaker-requirement", "past-the-injury-bound"])
+def test_event_log_check_reports_forged_injuries(after, nth, injury, problem):
+    # each forged injury is well formed and drops a standing restraint, so
+    # only the injurer's strength or the injury bound can give it away
+    state, _report = fm_construct(CRITERION_6_PROGS, CRITERION_6_BUDGET)
+    assert check_event_log(state) == []
+    at = [k for k, ev in enumerate(state.events)
+          if ev["type"] == "restraint" and ev["requirement"] == after][nth]
+    assert state.events[at]["stage"] == injury["stage"]
+    state.events.insert(at + 1, {"type": "injury", **injury})
+    assert check_event_log(state) == [problem]
