@@ -11,6 +11,7 @@ and handing every weaker waiting requirement a fresh witness that avoids all
 certified queries.  A requirement is certified exactly while it holds a
 restraint.  A stronger requirement's addition may injure it: the restraint
 is dropped and the injury logged, and the report reads injuries from the log.
+`check_event_log` replays that bookkeeping from the log alone.
 
 Witnesses are diagonalized against the appearance log and every active
 preserved query set (plus current witnesses and set members, so witnesses
@@ -28,7 +29,6 @@ the batch.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -340,9 +340,9 @@ def _holds(value, kind) -> bool:
 
 
 def _well_formed(events, problems: list[str]):
-    """(index, event) for each event that carries every field of its type,
-    each holding the kind of value `FMState.log` writes there; a problem
-    naming the index of each other one."""
+    """(index, event) for each event up to the first that lacks a field of
+    its type or holds another kind of value there than `FMState.log`
+    writes; that one is reported by its index."""
     for k, ev in enumerate(events):
         kind = ev.get("type")
         fields = ("type", "stage") + (
@@ -350,117 +350,116 @@ def _well_formed(events, problems: list[str]):
         missing = [f for f in fields if f not in ev]
         if missing:
             problems.append("event %d lacks %s" % (k, ", ".join(missing)))
-            continue
+            return
         bad = [f for f in fields if not _holds(ev[f], _FIELD_TYPES[f])]
         if bad:
             problems.append("event %d: %s" % (k, "; ".join(
                 "%s %r is not %s" % (f, ev[f], _KIND_NAMES[_FIELD_TYPES[f]])
                 for f in bad)))
-        else:
-            yield k, ev
+            return
+        yield k, ev
+
+
+def _due(kind: str, stage: str, req: Requirement, **fields) -> dict:
+    """The fields fixed for `req`'s event of type `kind`, due at `stage`."""
+    return {"type": kind, "stage": stage, "requirement": req.label(),
+            "priority": req.priority, **fields}
+
+
+def _mismatch(ev: dict, due: dict) -> str:
+    """Each field in which a logged event differs from the one due."""
+    return "; ".join("%s %r where %r is due" % (f, ev.get(f), value)
+                     for f, value in due.items() if ev.get(f) != value)
 
 
 def check_event_log(state: FMState) -> list[str]:
-    """Replayable checks: restraint preservation, injuries only by stronger
-    requirements and within the injury bound, and additions at halting
-    events, all from the event log and the requirement list."""
-    problems = []
-    events = [ev for _k, ev in _well_formed(state.events, problems)]
-    halting_stages = {e["stage"] for e in events if e["type"] == "halting-event"}
-    injured_at = {(e["priority"], e["stage"]) for e in events
-                  if e["type"] == "injury"}
-    injuries = Counter(e["priority"] for e in events if e["type"] == "injury")
-    attentions = Counter(e["priority"] for e in events if e["type"] == "attention")
-    by_label = {r.label(): r for r in state.requirements}
-    # priority -> (owner, restraint event record)
-    active: dict[int, tuple[Requirement, dict]] = {}
-
-    for ev in events:
-        kind = ev["type"]
-        if kind == "restraint":
-            owner_req = by_label.get(ev["requirement"])
-            if owner_req is None or owner_req.priority != ev["priority"]:
-                problems.append("restraint of %s at priority %s names no requirement"
-                                % (ev["requirement"], ev["priority"]))
-            else:
-                active[ev["priority"]] = (owner_req, ev)
-        elif kind == "injury":
-            if ev["priority"] not in active:
-                problems.append("injury of %s without an active restraint"
-                                % ev["requirement"])
-            active.pop(ev["priority"], None)
-            injurer = by_label.get(ev["injured_by"])
-            if injurer is None or injurer.priority >= ev["priority"]:
-                problems.append("injury of %s by %s, not a stronger requirement"
-                                % (ev["requirement"], ev["injured_by"]))
-        elif kind == "addition":
-            if ev["stage"] not in halting_stages:
-                problems.append("addition at %s is not a halting-event stage"
-                                % ev["stage"])
-            serving = by_label.get(ev["requirement"])
-            if serving is None:
-                problems.append("addition by %s names no requirement"
-                                % ev["requirement"])
-                continue
-            if ev["row"] != serving.prog:
-                problems.append("addition row %s is not the producing program %d"
-                                % (ev["row"], serving.prog))
-            side = ev["side"]
-            for owner, (owner_req, rst_ev) in active.items():
-                if owner_req.opposite_side != side:
-                    continue
-                if ev["real"] in rst_ev["preserved"]:
-                    if owner <= serving.priority:
-                        problems.append(
-                            "addition %s disturbs restraint of priority %d"
-                            % (ev["real"], owner))
-                    elif (owner, ev["stage"]) not in injured_at:
-                        problems.append(
-                            "preserved real %s added at %s without logged injury"
-                            % (ev["real"], ev["stage"]))
-    for req in state.requirements:
-        allowed = sum(attentions[pr] for pr in range(req.priority))
-        if injuries[req.priority] > allowed:
-            problems.append("injury bound violated for %s: %d > %d"
-                            % (req.label(), injuries[req.priority], allowed))
-    return problems
-
-
-def check_witness_hygiene(state: FMState) -> list[str]:
-    """Every witness assignment was absent from the then-current appearance
-    segment, every then-active preserved set, every then-current witness and
-    both sets' then-current members (replayed from the log)."""
-    problems = []
-    active_preserved: dict[int, set[str]] = {}
-    witnesses: dict[str, str] = {}     # requirement label -> current witness
-    members: set[str] = set()
+    """Replay the construction's bookkeeping from the requirement list and
+    the event log alone: first witnesses, then halting events at stages that
+    never decrease, each naming a program and followed by at most one
+    attention from a requirement that holds no restraint, and after that its
+    addition, injuries, restraint and new witnesses.  Witnesses are checked
+    for hygiene, additions against stronger restraints.  The replay stops at
+    the first event out of place, since every later expectation rests on
+    it.  Only a refused construction may leave events due, and the members
+    must be the logged additions."""
+    problems: list[str] = []
+    reqs = state.requirements
+    witnesses: dict[int, str] = {}          # priority -> current witness
+    restraints: dict[int, set[str]] = {}    # priority -> preserved reals
+    added: dict[str, list[tuple[int, str]]] = {"A": [], "B": []}
+    due = [_due("witness", "0", req) for req in reqs]
+    waiting: dict[str, Requirement] = {}    # who may attend to the last event
+    # the last halting stage, its text, and its appearance segment once built
+    stage, halted, segment = ZERO_ORD, "0", None
+    read = 0
     for k, ev in _well_formed(state.events, problems):
-        if ev["type"] == "restraint":
-            active_preserved[ev["priority"]] = set(ev["preserved"])
-        elif ev["type"] == "injury":
-            active_preserved.pop(ev["priority"], None)
-        elif ev["type"] == "addition":
-            members.add(ev["real"])
-        elif ev["type"] == "witness":
+        read, kind, wrong = k + 1, ev["type"], ""
+        attending, waiting = waiting.get(ev.get("requirement")), {}
+        if due:
+            wrong = _mismatch(ev, due.pop(0))
+        elif kind == "halting-event":
+            if not 0 <= ev["program"] < len(reqs) // 2:
+                wrong = "halting event names no program %d" % ev["program"]
             try:
-                segment = {r.render() for r in state.appearance_log.segment(
-                    successor(parse_ordinal(ev["stage"])))}
-            except (ValueError, TruncatedLog) as exc:
-                problems.append("event %d: %s" % (k, exc))
-                continue
-            witness = ev["witness"]
-            if witness in segment:
-                problems.append("witness %s appears in the log segment at %s"
-                                % (witness, ev["stage"]))
-            for owner, preserved in active_preserved.items():
-                if witness in preserved:
-                    problems.append("witness %s lies in preserved set of %d"
-                                    % (witness, owner))
-            if witness in witnesses.values():
-                problems.append("witness %s is already a current witness at %s"
-                                % (witness, ev["stage"]))
-            if witness in members:
-                problems.append("witness %s is already a member at %s"
-                                % (witness, ev["stage"]))
-            witnesses[ev["requirement"]] = witness
+                now = parse_ordinal(ev["stage"])
+            except ValueError as exc:
+                now, wrong = stage, str(exc)
+            if now < stage:
+                wrong = "stage %s is below the last halting stage %s" % (
+                    ev["stage"], halted)
+            stage, halted, segment = now, ev["stage"], None
+            waiting = {r.label(): r for r in reqs if r.priority not in restraints}
+        elif kind == "attention" and attending is not None:
+            req, w = attending, witnesses[attending.priority]
+            wrong = _mismatch(ev, _due("attention", halted, req, witness=w))
+            hit = sorted(o for o, kept in restraints.items()
+                         if w in kept and reqs[o].opposite_side == req.own_side)
+            due = [{"type": "addition", "stage": halted, "side": req.own_side,
+                    "row": req.prog, "real": w, "requirement": req.label()}]
+            due += [_due("injury", halted, reqs[o], injured_by=req.label())
+                    for o in hit if o > req.priority]
+            due.append(_due("restraint", halted, req))
+            due += [_due("witness", halted, q) for q in reqs
+                    if q.priority > req.priority
+                    and (q.priority not in restraints or q.priority in hit)]
+        else:
+            wrong = "%s at %s is out of place" % (kind, ev["stage"])
+        if wrong:
+            problems.append("event %d: %s" % (k, wrong))
+            return problems
+        if kind == "witness":
+            if segment is None:
+                try:
+                    segment = {r.render() for r in state.appearance_log.segment(
+                        successor(stage))}
+                except TruncatedLog as exc:
+                    problems.append("event %d: %s" % (k, exc))
+                    return problems
+            # the reals it must avoid, by source, in the avoid list's order
+            w, at = ev["witness"], ev["stage"]
+            avoided = [("appears in the log segment at %s" % at, segment)]
+            avoided += [("lies in preserved set of %d" % o, kept)
+                        for o, kept in restraints.items()]
+            avoided += [("is already a current witness at %s" % at, witnesses.values()),
+                        ("is already a member at %s" % at,
+                         [r for rows in added.values() for _row, r in rows])]
+            problems.extend("witness %s %s" % (w, why)
+                            for why, reals in avoided if w in reals)
+            witnesses[ev["priority"]] = w
+        elif kind == "addition":    # of the last attention's `req`; it hit `hit`
+            problems.extend("addition %s disturbs restraint of priority %d"
+                            % (ev["real"], o) for o in hit if o < req.priority)
+            added[ev["side"]].append((ev["row"], ev["real"]))
+        elif kind == "injury":
+            del restraints[ev["priority"]]
+        elif kind == "restraint":
+            restraints[ev["priority"]] = set(ev["preserved"])
+    if read < len(state.events):        # stopped at a malformed event
+        return problems
+    if due and not any(f.startswith("refused: ") for f in state.flags):
+        problems.append("the log ends early, with the %(type)s of "
+                        "%(requirement)s at %(stage)s due" % due[0])
+    for side, rows in added.items():
+        if rows != [(row, r.render()) for row, r in state.added[side]]:
+            problems.append("the members of %s are not the logged additions" % side)
     return problems

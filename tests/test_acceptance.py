@@ -17,8 +17,7 @@ from conftest import (looper, nonzero_halter, oracle_bit_halter, query_probe,
 
 from ittm.approx import (approximate_jump, iterated_matrix, join_rows,
                          validate_erasures)
-from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, check_event_log,
-                     check_witness_hygiene, fm_construct)
+from ittm.fm import BY_DIVERGENCE, BY_WITNESS, check_event_log, fm_construct
 from ittm.machine import (extend_to_oracle_tracks, p_flip, p_flip_lh, p_halt,
                           p_sweep)
 from ittm.oracle import (RealOracle, enumeration_slice, jump_lightface,
@@ -193,7 +192,6 @@ def test_criterion_6_fm_invariants():
     state, report = fm_construct(FM_PROGRAMS, FM_BUDGET)
     assert report is not None and report["flags"] == []
     assert check_event_log(state) == []
-    assert check_witness_hygiene(state) == []
     classifications = {e["requirement"]: e["classification"]
                        for e in report["requirements"]}
     assert set(classifications.values()) <= {BY_WITNESS, BY_DIVERGENCE}

@@ -9,8 +9,8 @@ from conftest import looper, nonzero_halter, query_probe, zero_halter
 import ittm.fm as fm
 from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, FMState,
                      Requirement, Restraint, check_attention,
-                     check_event_log, check_witness_hygiene, fm_construct,
-                     fresh_witness, receive_attention)
+                     check_event_log, fm_construct, fresh_witness,
+                     receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
 from ittm.approx import TruncatedLog, diagonal_against, universal_run
 from ittm.oracle import enumeration_slice, run_programs
@@ -137,6 +137,7 @@ def test_fm_construct_empty():
     assert state.members("A") == [] and state.members("B") == []
     assert state.events == []
     assert report["requirements"] == []
+    assert check_event_log(state) == []
 
 
 def test_fm_construct_zero_halter_served_in_priority_order():
@@ -153,6 +154,7 @@ def test_fm_construct_zero_halter_served_in_priority_order():
     assert attentions[1]["stage"] == halting[1]
     assert len(state.members("A")) == 1 and len(state.members("B")) == 1
     assert report["flags"] == []
+    assert check_event_log(state) == []
 
 
 def test_fm_construct_loopers_only():
@@ -165,6 +167,7 @@ def test_fm_construct_loopers_only():
         assert entry["classification"] == BY_DIVERGENCE
         assert entry["recheck"] == "loops"
     assert report["flags"] == []
+    assert check_event_log(state) == []
 
 
 INJURY_PROGS = [query_probe(), nonzero_halter(1), nonzero_halter(2), looper(0)]
@@ -184,7 +187,6 @@ def test_fm_construct_organic_injury():
             and ev["requirement"] == entry["requirement"]]
     assert report["flags"] == []
     assert check_event_log(state) == []
-    assert check_witness_hygiene(state) == []
 
 
 def test_fm_construct_deterministic():
@@ -299,7 +301,7 @@ def test_kept_avoid_list_matches_rebuild_through_injuries(checked_witnesses,
     assert any(e["preserved"] for e in state.events if e["type"] == "restraint")
     assert checked_witnesses["rebuilds"] > 1 + _count(state, "attention")
     assert checked_witnesses["witnesses"] == _count(state, "witness")
-    assert check_witness_hygiene(state) == []
+    assert check_event_log(state) == []
 
 
 @pytest.mark.parametrize("states, bound", [(0, 4), (0, 16), (0, 48), (1, 40)])
@@ -308,7 +310,7 @@ def test_kept_avoid_list_matches_rebuild_on_enumerations(checked_witnesses,
     state, report = fm_construct(enumeration_slice(bound, states, 3))
     assert report is not None
     assert checked_witnesses["witnesses"] == _count(state, "witness") > 0
-    assert check_witness_hygiene(state) == []
+    assert check_event_log(state) == []
 
 
 def test_kept_avoid_list_refuses_as_the_rebuild_did(checked_witnesses,
@@ -322,6 +324,11 @@ def test_kept_avoid_list_refuses_as_the_rebuild_did(checked_witnesses,
     assert ref_report is None
     assert state.flags == ref_state.flags
     assert state.events == ref_state.events
+    # the refusal cut a batch short, which only the refused flag allows
+    assert check_event_log(state) == []
+    state.flags.pop()
+    [problem] = check_event_log(state)
+    assert problem.startswith("the log ends early, with the witness of ")
 
 
 def test_kept_avoid_list_when_a_witness_appears_later(checked_witnesses):
@@ -339,7 +346,6 @@ def test_kept_avoid_list_when_a_witness_appears_later(checked_witnesses):
     fm._assign_witnesses(state, state.requirements)
     assert checked_witnesses["rebuilds"] == rebuilds + 2
     assert checked_witnesses["witnesses"] == 2 * len(state.requirements)
-    assert check_witness_hygiene(state) == []
 
 
 def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
@@ -360,7 +366,6 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     fm._assign_witnesses(state, state.requirements)
     assert checked_witnesses["witnesses"] == 16
     assert checked_witnesses["rebuilds"] == 4 + 4
-    assert check_witness_hygiene(state) == []
 
 
 def test_avoid_list_rebuilds_only_per_attention(counts):
@@ -369,79 +374,89 @@ def test_avoid_list_rebuilds_only_per_attention(counts):
     state, _report = fm_construct(enumeration_slice(48, 0, 3), DEFAULT_BUDGET)
     assert _count(state, "witness") == 3528
     assert counts["rebuilds"] == 1 + _count(state, "attention") == 49
+    assert check_event_log(state) == []
 
 
 def test_witness_hygiene_replays_distinctness():
+    # S_3's witness at stage 2 is edited to a real it must avoid.  The value
+    # of a witness is free, so the replay reports each source that holds it
+    # and goes on: S_3 is handed new witnesses later and never attends.
     state, _report = fm_construct(INJURY_PROGS, B)
-    assert check_witness_hygiene(state) == []
-    last = state.events[-1]["stage"]
+    assert check_event_log(state) == []
+    [k] = [k for k, ev in enumerate(state.events) if ev["type"] == "witness"
+           and ev["requirement"] == "S_3" and ev["stage"] == "2"]
+    current = {ev["requirement"]: ev["witness"] for ev in state.events[:k]
+               if ev["type"] == "witness"}
     member = next(e["real"] for e in state.events if e["type"] == "addition")
-    current = {e["requirement"]: e["witness"]
-               for e in state.events if e["type"] == "witness"}
-    state.events.append({"type": "witness", "stage": last, "requirement": "R_3",
-                         "priority": 6, "witness": member})
-    state.events.append({"type": "witness", "stage": last, "requirement": "S_3",
-                         "priority": 7, "witness": current["R_1"]})
-    problems = check_witness_hygiene(state)
-    assert any("already a member" in p for p in problems)
-    assert any("already a current witness" in p for p in problems)
+    assert member == current["S_0"]      # S_0 is certified, so keeps it
+    for witness, sources in [
+            (current["R_1"], ["is already a current witness at 2"]),
+            (member, ["lies in preserved set of 1",
+                      "is already a current witness at 2",
+                      "is already a member at 2"])]:
+        state.events[k]["witness"] = witness
+        assert check_event_log(state) == [
+            "witness %s %s" % (witness, why) for why in sources]
 
 
 def test_event_log_check_reports_unknown_requirements():
+    # each event takes the place of the first logged event of its type, on
+    # a copy of the log, since the replay stops at the first out of place
     state, _report = fm_construct(INJURY_PROGS, B)
     assert check_event_log(state) == []
-    halting = next(e["stage"] for e in state.events
-                   if e["type"] == "halting-event")
-    state.events.append({"type": "restraint", "stage": halting,
-                         "requirement": "R_9", "priority": 18, "preserved": []})
-    state.events.append({"type": "restraint", "stage": halting,
-                         "requirement": "R_0", "priority": -1, "preserved": []})
-    state.events.append({"type": "addition", "stage": halting, "side": "A",
-                         "row": 9, "real": "1(0)*", "requirement": "R_9"})
-    assert check_event_log(state) == [
-        "restraint of R_9 at priority 18 names no requirement",
-        "restraint of R_0 at priority -1 names no requirement",
-        "addition by R_9 names no requirement"]
+    events = state.events
+    for event, problem in [
+            ({"type": "restraint", "requirement": "R_9", "priority": 18,
+              "preserved": []},
+             "requirement 'R_9' where 'S_0' is due; priority 18 where 1 is due"),
+            ({"type": "restraint", "requirement": "R_0", "priority": -1,
+              "preserved": []},
+             "requirement 'R_0' where 'S_0' is due; priority -1 where 1 is due"),
+            ({"type": "addition", "side": "B", "row": 9, "real": "11(0)*",
+              "requirement": "R_9"},
+             "row 9 where 0 is due; requirement 'R_9' where 'S_0' is due")]:
+        k = next(k for k, ev in enumerate(events) if ev["type"] == event["type"])
+        state.events = (events[:k] + [dict(event, stage=events[k]["stage"])]
+                        + events[k + 1:])
+        assert check_event_log(state) == ["event %d: %s" % (k, problem)]
 
 
-@pytest.mark.parametrize("event, log_problem, hygiene_problem", [
+@pytest.mark.parametrize("event, problem", [
     ({"type": "addition", "stage": "1", "side": "A", "real": "1(0)*"},
-     "event %d lacks row, requirement", "event %d lacks row, requirement"),
+     "event %d lacks row, requirement"),
     ({"type": "injury", "stage": "1", "requirement": "S_0", "injured_by": "R_0"},
-     "event %d lacks priority", "event %d lacks priority"),
+     "event %d lacks priority"),
     ({"type": "witness", "stage": "w+", "requirement": "R_0", "priority": 0,
       "witness": "1(0)*"},
-     None, "event %d: empty term in ordinal literal 'w+'"),
+     "event %d: witness at w+ is out of place"),
+    ({"type": "halting-event", "stage": "w+", "program": 0},
+     "event %d: empty term in ordinal literal 'w+'"),
     # a field of the wrong kind is reported, not raised as TypeError
     ({"type": "injury", "stage": "1", "requirement": "S_0", "priority": [0],
       "injured_by": "R_0"},
-     "event %d: priority [0] is not an int", "event %d: priority [0] is not an int"),
+     "event %d: priority [0] is not an int"),
     ({"type": "witness", "stage": "1", "requirement": "R_0", "priority": 0,
       "witness": ["0(0)*"]},
-     "event %d: witness ['0(0)*'] is not a str",
      "event %d: witness ['0(0)*'] is not a str"),
     ({"type": "addition", "stage": "1", "side": "A", "row": 0, "real": ["x"],
       "requirement": "R_0"},
-     "event %d: real ['x'] is not a str", "event %d: real ['x'] is not a str"),
+     "event %d: real ['x'] is not a str"),
     ({"type": "restraint", "stage": "1", "requirement": "R_0", "priority": 0,
       "preserved": ["0(0)*", 1]},
-     "event %d: preserved ['0(0)*', 1] is not a list of str",
      "event %d: preserved ['0(0)*', 1] is not a list of str"),
     ({"type": ["injury"], "stage": "1"},
-     "event %d: type ['injury'] is not a str", "event %d: type ['injury'] is not a str"),
+     "event %d: type ['injury'] is not a str"),
 ], ids=["addition-without-requirement", "injury-without-priority",
-        "witness-at-no-stage", "injury-with-list-priority",
-        "witness-with-list-witness", "addition-with-list-real",
-        "restraint-preserving-an-int", "type-a-list"])
-def test_event_checks_report_malformed_events(event, log_problem,
-                                              hygiene_problem):
+        "witness-at-no-stage", "halting-event-at-no-stage",
+        "injury-with-list-priority", "witness-with-list-witness",
+        "addition-with-list-real", "restraint-preserving-an-int", "type-a-list"])
+def test_event_checks_report_malformed_events(event, problem):
     # a tampered log is reported by the index of the bad event, not raised
     state, _report = fm_construct(enumeration_slice(4, 0, 3))
-    assert check_event_log(state) == check_witness_hygiene(state) == []
+    assert check_event_log(state) == []
     k = len(state.events)
     state.events.append(event)
-    expected = [[p % k] if p else [] for p in (log_problem, hygiene_problem)]
-    assert [check_event_log(state), check_witness_hygiene(state)] == expected
+    assert check_event_log(state) == [problem % k]
 
 
 # --- the injury path: pinned bytes and forged injuries -----------------------
@@ -467,23 +482,158 @@ def test_injury_path_bytes_are_pinned(programs, budget, events_sha, report_sha):
     assert _count(state, "injury") == 1
     assert _sha256_of_lines(state.events) == events_sha
     assert _sha256_of_lines([report]) == report_sha
+    assert check_event_log(state) == []
 
 
 @pytest.mark.parametrize("after, nth, injury, problem", [
     ("S_1", 0, {"stage": "6", "requirement": "S_1", "priority": 3,
                 "injured_by": "R_2"},
-     "injury of S_1 by R_2, not a stronger requirement"),
+     "type 'injury' where 'witness' is due; requirement 'S_1' where 'R_2' is"
+     " due; priority 3 where 4 is due"),
     ("S_0", 1, {"stage": "3", "requirement": "S_0", "priority": 1,
                 "injured_by": "R_0"},
-     "injury bound violated for S_0: 2 > 1"),
+     "type 'injury' where 'witness' is due; requirement 'S_0' where 'R_1' is"
+     " due; priority 1 where 2 is due"),
 ], ids=["by-a-weaker-requirement", "past-the-injury-bound"])
 def test_event_log_check_reports_forged_injuries(after, nth, injury, problem):
-    # each forged injury is well formed and drops a standing restraint, so
-    # only the injurer's strength or the injury bound can give it away
+    # each forged injury is well formed and drops a standing restraint, but
+    # no addition hit it: the witnesses of the restraint's batch are due
     state, _report = fm_construct(CRITERION_6_PROGS, CRITERION_6_BUDGET)
     assert check_event_log(state) == []
     at = [k for k, ev in enumerate(state.events)
           if ev["type"] == "restraint" and ev["requirement"] == after][nth]
     assert state.events[at]["stage"] == injury["stage"]
     state.events.insert(at + 1, {"type": "injury", **injury})
-    assert check_event_log(state) == [problem]
+    assert check_event_log(state) == ["event %d: %s" % (at + 1, problem)]
+
+
+# --- forged logs: the replay stops at the forged event -----------------------
+
+def _slice_16():
+    """fm_construct(enumeration_slice(16, 0, 3)) at (3, 256, 256): 472 events,
+    every stage 0 or 1, no injury and no preserved real."""
+    state, _report = fm_construct(enumeration_slice(16, 0, 3),
+                                  BudgetPolicy(3, 256, 256))
+    assert len(state.events) == 472
+    return state
+
+
+def _nth(events, kind, n):
+    return [k for k, ev in enumerate(events) if ev["type"] == kind][n]
+
+
+def _real_never_a_witness(events):
+    k = _nth(events, "addition", 2)
+    events[k]["real"] = "0101(0)*"
+    return k
+
+
+def _attention_deleted(events):
+    k = _nth(events, "attention", 2)
+    del events[k]
+    return k
+
+
+def _addition_repeated_at_the_last_halting_stage(events):
+    last = events[_nth(events, "halting-event", -1)]["stage"]
+    events.append(dict(events[_nth(events, "addition", 2)], stage=last))
+    return len(events) - 1
+
+
+def _addition_on_the_wrong_side(events):
+    k = _nth(events, "addition", 2)
+    events[k]["side"] = {"A": "B", "B": "A"}[events[k]["side"]]
+    return k
+
+
+def _log_reversed(events):
+    events.reverse()
+    return 0
+
+
+def _halting_event_names_no_program(events):
+    k = _nth(events, "halting-event", 3)
+    events[k]["program"] = 16
+    return k
+
+
+def _injury_labelled_with_another_requirement(events):
+    # S_0's label with S_1's priority, right after S_1's restraint
+    k = 1 + next(k for k, ev in enumerate(events)
+                 if ev["type"] == "restraint" and ev["requirement"] == "S_1")
+    events.insert(k, {"type": "injury", "stage": "6", "requirement": "S_0",
+                      "priority": 3, "injured_by": "R_0"})
+    return k
+
+
+@pytest.mark.parametrize("construct, forge, problem", [
+    (_slice_16, _real_never_a_witness, "real '0101(0)*' where '11(0)*' is due"),
+    (_slice_16, _attention_deleted, "addition at 1 is out of place"),
+    (_slice_16, _addition_repeated_at_the_last_halting_stage,
+     "addition at 1 is out of place"),
+    (_slice_16, _addition_on_the_wrong_side, "side 'B' where 'A' is due"),
+    (_slice_16, _log_reversed,
+     "stage '1' where '0' is due; requirement 'S_15' where 'R_0' is due;"
+     " priority 31 where 0 is due"),
+    (_slice_16, _halting_event_names_no_program,
+     "halting event names no program 16"),
+    (lambda: fm_construct(CRITERION_6_PROGS, CRITERION_6_BUDGET)[0],
+     _injury_labelled_with_another_requirement,
+     "type 'injury' where 'witness' is due; requirement 'S_0' where 'R_2' is"
+     " due; priority 3 where 4 is due"),
+], ids=["real-never-a-witness", "attention-deleted", "addition-repeated",
+        "addition-on-the-wrong-side", "log-reversed", "program-unknown",
+        "injury-of-another-label"])
+def test_event_log_check_stops_at_a_forged_event(construct, forge, problem):
+    # every later expectation rests on the forged event, so it is the only
+    # problem reported
+    state = construct()
+    assert check_event_log(state) == []
+    k = forge(state.events)
+    assert check_event_log(state) == ["event %d: %s" % (k, problem)]
+
+
+def _addition_at_the_wrong_row(events):
+    k = _nth(events, "addition", 2)
+    events[k]["row"] += 1
+    return ["event %d: row 2 where 1 is due" % k]
+
+
+def _addition_at_no_halting_stage(events):
+    k = _nth(events, "addition", 2)
+    events[k]["stage"] = "2"
+    return ["event %d: stage '2' where '1' is due" % k]
+
+
+def _injury_unlogged(events):
+    k = _nth(events, "injury", 0)
+    del events[k]
+    return ["event %d: type 'restraint' where 'injury' is due; requirement"
+            " 'R_0' where 'S_0' is due; priority 0 where 1 is due; injured_by"
+            " None where 'R_0' is due" % k]
+
+
+def _stronger_restraint_disturbed(events):
+    # R_0's restraint is made to preserve the real S_0 adds after it; the
+    # construction would flag the disturbance and log no injury
+    r = _nth(events, "restraint", 0)
+    assert events[r]["requirement"] == "R_0"
+    real = next(ev["real"] for ev in events[r:]
+                if ev["type"] == "addition" and ev["requirement"] == "S_0")
+    events[r]["preserved"].append(real)
+    return ["witness %s lies in preserved set of 0" % real,
+            "addition %s disturbs restraint of priority 0" % real]
+
+
+@pytest.mark.parametrize("construct, forge", [
+    (_slice_16, _addition_at_the_wrong_row),
+    (_slice_16, _addition_at_no_halting_stage),
+    (lambda: fm_construct(INJURY_PROGS, B)[0], _injury_unlogged),
+    (_slice_16, _stronger_restraint_disturbed),
+], ids=["wrong-row", "no-halting-stage", "injury-unlogged",
+        "stronger-restraint-disturbed"])
+def test_event_log_check_keeps_the_addition_checks(construct, forge):
+    state = construct()
+    assert check_event_log(state) == []
+    problems = forge(state.events)
+    assert check_event_log(state) == problems
