@@ -105,17 +105,13 @@ class AppearanceLog:
     def truncated(self) -> bool:
         return self.complete_below is not None
 
-    def require_complete(self, upto_stage: Ordinal) -> None:
-        """Refuse when truncation may hide appearances below upto_stage."""
+    def segment(self, upto_stage: Ordinal) -> list[Real]:
+        """Distinct reals first appearing below upto_stage, in appearance
+        order; refuses when truncation may hide earlier appearances."""
         if self.complete_below is not None and self.complete_below < upto_stage:
             raise TruncatedLog(
                 "appearance log complete below %s only, need %s"
                 % (self.complete_below.render(), upto_stage.render()))
-
-    def segment(self, upto_stage: Ordinal) -> list[Real]:
-        """Distinct reals first appearing below upto_stage, in appearance
-        order; refuses when truncation may hide earlier appearances."""
-        self.require_complete(upto_stage)
         end = bisect_left(self.records, upto_stage, key=attrgetter("stage"))
         return [rec.real for rec in self.records[:end]]
 
@@ -130,7 +126,7 @@ def _exceeded_cut(res: RunResult) -> Ordinal:
     last = res.blocks[-1]
     if last.limit is not None:
         return successor(last.limit.stage)
-    return cnf_add(last.start.stage, from_int(len(last.explicit)))
+    return cnf_add(last.start.stage, from_int(len(last.rows)))
 
 
 def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceLog:
@@ -199,18 +195,12 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
                 snaps.append(res.final_limit)
             if res.outcome == "exceeded":
                 horizon = _exceeded_cut(res)
-        prev = ()
         for snap in snaps:
             terms = snap.stage.terms
             for t, real in enumerate(snap.tracks):
-                # a snapshot shares the Real of each track its predecessor
-                # left unchanged, which was offered at a smaller stage
-                if t < len(prev) and prev[t] is real:
-                    continue
                 seen = first.get(real)
                 if seen is None or terms < seen[0]:
                     first[real] = (terms, pid, t, snap.stage)
-            prev = snap.tracks
         if horizon is not None:
             horizons.append(horizon)
     for key, ((_terms, offset, pid, t), start) in readers.items():
@@ -264,27 +254,25 @@ class Diagonal:
         self.word ^= (old.bit(k) ^ new.bit(k)) << k
 
     def real(self) -> Real:
-        """The diagonal itself, with a zero tail."""
-        return ZERO_REAL.flipped(self.word)
+        """The diagonal itself, with a zero tail.  It is fresh: it differs
+        from the k-th listed real at bit k, so it equals none of them.  This
+        is checked on every call, and a listed diagonal raises rather than
+        asserts, so `python -O` keeps the check."""
+        out = ZERO_REAL.flipped(self.word)
+        if out in self.position:
+            raise AssertionError("the diagonal equals a listed real")
+        return out
 
 
 def diagonal_against(reals) -> Real:
     """A real differing from the k-th distinct listed real at bit k, zero
     tail."""
-    diagonal = Diagonal(reals)
-    out = diagonal.real()
-    if out in diagonal:   # raised, not asserted, so `python -O` keeps it
-        raise AssertionError("the diagonal equals a listed real")
-    return out
+    return Diagonal(reals).real()
 
 
 def diagonalize_appearances(log: AppearanceLog, upto_stage: Ordinal) -> Real:
     """A real provably absent from every tape below upto_stage."""
-    seg = log.segment(upto_stage)
-    out = diagonal_against(seg)
-    if out in set(seg):
-        raise AssertionError("the diagonal appears below the stage")
-    return out
+    return diagonal_against(log.segment(upto_stage))
 
 
 # --- stabilization and eventual writing ------------------------------------
@@ -345,10 +333,9 @@ class Stabilization:
 
 
 def stabilization_stage(p: Program, cell: tuple[int, int],
-                        budget: BudgetPolicy = DEFAULT_BUDGET,
-                        input_real: Real = ZERO_REAL) -> Stabilization:
-    """Least stage from which the cell's value is constant through the
-    certified horizon, or a proof of cofinal oscillation."""
+                        budget: BudgetPolicy = DEFAULT_BUDGET) -> Stabilization:
+    """Least stage from which the cell's value, on input 0, is constant
+    through the certified horizon, or a proof of cofinal oscillation."""
     track, index = cell
     def wake_changes(block):
         # the cell freezes at its limit value once the head range passes
@@ -358,7 +345,7 @@ def stabilization_stage(p: Program, cell: tuple[int, int],
         return [(cert.mu + k * cert.pi + i, _wake(key, k, i).bit(index))
                 for k in range(1, index // cert.shift + 2)
                 for i in range(cert.pi) if k > 1 or i > 0]
-    res = run_transfinite(p, input_real, budget)
+    res = run_transfinite(p, ZERO_REAL, budget)
     return Stabilization(*_stability(
         res, lambda tracks: tracks[track].bit(index), wake_changes))
 
@@ -424,7 +411,7 @@ def approximate_jump(results: list[RunResult]) -> ApproximationStream:
             diverges.add(pid)
         else:
             exceeded.add(pid)
-    events = tuple(sorted(pending, key=lambda e: (e[0], e[1])))
+    events = tuple(sorted(pending))
     return ApproximationStream(events, frozenset(exceeded), frozenset(diverges))
 
 

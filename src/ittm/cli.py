@@ -71,9 +71,9 @@ def _load_program(path: str):
 
 
 def _oracle(args):
-    if getattr(args, "oracle", None) and getattr(args, "oracle_real", None):
+    if args.oracle and args.oracle_real:
         raise UsageError("give at most one of --oracle and --oracle-real")
-    if getattr(args, "oracle", None):
+    if args.oracle:
         try:
             with open(args.oracle, "r", encoding="utf-8") as fh:
                 lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -83,7 +83,7 @@ def _oracle(args):
         except ValueError as exc:
             raise UsageError("bad oracle file: %s" % exc)
         return SetOracle(members, args.trim_bits)
-    if getattr(args, "oracle_real", None):
+    if args.oracle_real:
         try:
             return RealOracle(parse_real(args.oracle_real))
         except ValueError as exc:

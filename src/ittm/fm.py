@@ -114,12 +114,6 @@ class AvoidList:
                                    # len(requirements) a member
     diagonal: Diagonal
 
-    def witness(self) -> Real:
-        out = self.diagonal.real()
-        if out in self.diagonal:   # raised, not asserted, so `python -O` keeps it
-            raise AssertionError("the witness equals a real it must avoid")
-        return out
-
     def write(self, i: int, old: Real | None, new: Real) -> bool:
         """Hand requirement i the unlisted witness `new` in place of `old`.
         False when that would move later entries, so the list must be
@@ -161,11 +155,11 @@ def _build_avoid(state: FMState) -> AvoidList:
     return AvoidList(pinned, last_slot, diagonal)
 
 
-def fresh_witness(state: FMState, req: Requirement) -> Real:
+def fresh_witness(state: FMState) -> Real:
     """Diagonal real avoiding the current appearance segment, every active
     preserved query set, current witnesses and both sets' members; raises
     TruncatedLog when the log does not cover the stage's successor."""
-    return _build_avoid(state).witness()
+    return _build_avoid(state).diagonal.real()
 
 
 def _assign_witness(state: FMState, req: Requirement,
@@ -174,7 +168,7 @@ def _assign_witness(state: FMState, req: Requirement,
     for the batch's next assignment, or None when it must be rebuilt."""
     if avoid is None:
         avoid = _build_avoid(state)
-    witness = avoid.witness()
+    witness = avoid.diagonal.real()
     kept = avoid.write(req.priority, req.witness, witness)
     req.witness = witness
     state.log("witness", requirement=req.label(), priority=req.priority,

@@ -32,7 +32,7 @@ from typing import ClassVar, Sequence
 
 from .machine import (MOVES, READ_VECTORS, Program, ProgramError, Rule,
                       RuleTable, _enumerated, default_rule, layout)
-from .ordinal import Ordinal
+from .ordinal import Ordinal, pair_index
 from .reals import Real, ZERO as ZERO_REAL, from_support, join
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, OracleProtocolError,
                      QueryRecord, RunResult, run_transfinite)
@@ -246,7 +246,6 @@ class BoldfaceResult:
 def jump_boldface(programs, inputs: Sequence[Real], oracle=None,
                   budget: BudgetPolicy = DEFAULT_BUDGET) -> BoldfaceResult:
     """Halting pairs <p, x> over a finite input set."""
-    from .ordinal import pair_index
     progs = list(programs)
     inputs = list(inputs)
     by_input = [run_programs(progs, budget, oracle, x) for x in inputs]

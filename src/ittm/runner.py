@@ -609,16 +609,3 @@ def run_transfinite(p: Program, input_real: Real = ZERO_REAL,
     except BudgetOrdinalOverflow:
         return RunResult("exceeded", tuple(blocks), limits,
                          reason="ordinal-overflow")
-
-
-@dataclass(frozen=True)
-class ClockableTime:
-    time: Ordinal | None
-    exceeded: bool
-
-
-def clockable_time(p: Program, budget: BudgetPolicy = DEFAULT_BUDGET) -> ClockableTime:
-    res = run_transfinite(p, ZERO_REAL, budget)
-    if res.outcome == "halted":
-        return ClockableTime(res.time, False)
-    return ClockableTime(None, res.outcome == "exceeded")

@@ -802,6 +802,13 @@ def test_is_limit_of_and_forged_rule_two_entries():
     tampered = dataclasses.replace(m, erasure_log=forged)
     problems = validate_erasures(tampered)
     assert any("unknown cause 'limit-of-erasures'" in p for p in problems)
+    # a known cause at a stage where no lower row changes
+    assert len(m.erasure_log) == 1
+    forged = m.erasure_log + (ErasureEntry(parse_ordinal("w*5"), from_int(2),
+                                           "lower-row-change"),)
+    tampered = dataclasses.replace(m, erasure_log=forged)
+    assert validate_erasures(tampered) == [
+        "erasure 1 at w*5 lacks a same-stage lower-row change"]
 
 
 def test_diagonal_absent_across_survey_logs():

@@ -12,9 +12,10 @@ from ittm.fm import (BY_DIVERGENCE, BY_WITNESS, FMState,
                      check_event_log, fm_construct, fresh_witness,
                      receive_attention)
 from ittm.machine import extend_to_oracle_tracks, p_flip, p_halt
-from ittm.approx import TruncatedLog, diagonal_against, universal_run
+from ittm.approx import (AppearanceLog, TruncatedLog, diagonal_against,
+                         universal_run)
 from ittm.oracle import enumeration_slice, run_programs
-from ittm.ordinal import from_int, successor
+from ittm.ordinal import ZERO as ZERO_ORD, from_int, successor
 from ittm.reals import ZERO as ZERO_REAL, parse_real
 from ittm.runner import DEFAULT_BUDGET, BudgetPolicy
 
@@ -35,15 +36,13 @@ def empty_state(programs=(), budget=B):
 
 def test_fresh_witness_with_nothing_to_avoid_is_zero():
     state = empty_state()
-    req = Requirement("R", 0, 0)
-    assert fresh_witness(state, req) == ZERO_REAL
+    assert fresh_witness(state) == ZERO_REAL
 
 
 def test_fresh_witness_avoids_preserved_sets():
     state = empty_state()
     state.restraints[1] = Restraint((parse_real("0(0)*"),), ())
-    req = Requirement("R", 5, 10)
-    w = fresh_witness(state, req)
+    w = fresh_witness(state)
     assert w.bit(0) == 1
     assert w != ZERO_REAL
 
@@ -52,8 +51,7 @@ def test_fresh_witness_always_absent_from_inputs():
     state = empty_state([zero_halter(), p_halt(), p_flip()])
     state.requirements[0].witness = parse_real("101(0)*")
     state.restraints[2] = Restraint((parse_real("11(0)*"), parse_real("(1)*")), ())
-    req = state.requirements[3]
-    w = fresh_witness(state, req)
+    w = fresh_witness(state)
     assert w not in set(state.appearance_log.segment(from_int(1)))
     assert w not in {parse_real("101(0)*"), parse_real("11(0)*"), parse_real("(1)*")}
 
@@ -65,7 +63,7 @@ def test_fresh_witness_refuses_truncated_log():
     assert state.appearance_log.truncated
     assert state.appearance_log.complete_below < from_int(51)
     with pytest.raises(TruncatedLog):
-        fresh_witness(state, state.requirements[0])
+        fresh_witness(state)
 
 
 def test_check_attention_cases():
@@ -83,7 +81,7 @@ def test_check_attention_cases():
 def test_receive_attention_first_event():
     state = empty_state([zero_halter(), p_halt()])
     for req in state.requirements:
-        req.witness = fresh_witness(state, req)
+        req.witness = fresh_witness(state)
     state.stage = from_int(1)
     before = [r.witness for r in state.requirements]
     att = check_attention(state, state.requirements[0])
@@ -98,7 +96,7 @@ def test_receive_attention_first_event():
 def test_receive_attention_lowest_priority_reassigns_nothing():
     state = empty_state([zero_halter()])
     for req in state.requirements:
-        req.witness = fresh_witness(state, req)
+        req.witness = fresh_witness(state)
     state.stage = from_int(1)
     low = state.requirements[-1]
     att = check_attention(state, low)
@@ -116,7 +114,7 @@ def test_scripted_injury_two_phase():
     r0.witness = parse_real("1(0)*")
     s0.witness = parse_real("11(0)*")
     for req in state.requirements[2:]:
-        req.witness = fresh_witness(state, req)
+        req.witness = fresh_witness(state)
     state.stage = from_int(2)
     att = check_attention(state, s0)
     assert att is not None
@@ -636,4 +634,30 @@ def test_event_log_check_keeps_the_addition_checks(construct, forge):
     state = construct()
     assert check_event_log(state) == []
     problems = forge(state.events)
+    assert check_event_log(state) == problems
+
+
+def _last_halting_stage_lowered(state):
+    k = _nth(state.events, "halting-event", -1)
+    state.events[k]["stage"] = "0"
+    return ["event %d: stage 0 is below the last halting stage 1" % k]
+
+
+def _appearance_log_cut_at_zero(state):
+    state.appearance_log = AppearanceLog(state.appearance_log.records, ZERO_ORD)
+    return ["event 0: appearance log complete below 0 only, need 1"]
+
+
+def _member_unlogged(state):
+    state.added["A"].append((0, parse_real("1(0)*")))
+    return ["the members of A are not the logged additions"]
+
+
+@pytest.mark.parametrize("forge", [
+    _last_halting_stage_lowered, _appearance_log_cut_at_zero, _member_unlogged,
+], ids=["halting-stage-falls", "segment-uncovered", "member-unlogged"])
+def test_event_log_check_reports_what_the_replay_cannot_follow(forge):
+    state = _slice_16()
+    assert check_event_log(state) == []
+    problems = forge(state)
     assert check_event_log(state) == problems

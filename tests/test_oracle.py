@@ -14,8 +14,7 @@ from ittm.oracle import (RealOracle, count_programs,
                          jump_lightface, replay_queries, run_programs,
                          run_with_oracle, set_oracle)
 from ittm.reals import ZERO as ZERO_REAL, parse_real
-from ittm.runner import (BudgetPolicy, OracleProtocolError, clockable_time,
-                         run_transfinite)
+from ittm.runner import BudgetPolicy, OracleProtocolError, run_transfinite
 
 B = BudgetPolicy(3, 64, 256)
 
@@ -280,14 +279,14 @@ def test_jump_with_empty_set_oracle_matches_plain_jump():
     assert bare.halted_set() == frozenset({0})
 
 
-def test_jump_matches_independent_clockable_times():
+def test_jump_matches_independent_halting_times():
     progs = enumeration_slice(90, 0, 3)
     jr = jump_lightface(progs, None, B)
     want = {}
     for pid, p in enumerate(progs):
-        ct = clockable_time(p, B)
-        if ct.time is not None:
-            want[pid] = ct.time
+        res = run_transfinite(p, ZERO_REAL, B)
+        if res.time is not None:
+            want[pid] = res.time
     assert dict(jr.halted) == want
 
 
