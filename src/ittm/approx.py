@@ -157,9 +157,15 @@ def universal_run(results: list[RunResult], budget: BudgetPolicy) -> AppearanceL
     Keys compare as (stage terms, program, track), since an ordinal's Cantor
     normal form terms order it.  While the runs are read, the runs come in
     program order and a run's candidates in stage order, so a candidate wins
-    only at a strictly smaller stage.  A result met again (a shared
-    one-block halt) is skipped: its candidates, at the same stages from a
-    later program, never win, and its horizon is listed already."""
+    only at a strictly smaller stage.  A result met again is skipped,
+    whatever it holds: `run_programs` hands one result to every program of
+    a behaviour, loops, translations and multi-block halts included, and a
+    one-block halt is shared through its block.  Read again, from a later
+    program, its snapshots and limits would come at the same stages and
+    never win, its wake readers would have the same (start, offset) and a
+    larger program and never be the least, and its horizon would repeat
+    one listed already, leaving min(horizons) as it is.  So the log is the
+    one that a fresh result per program gives."""
     cap = budget.appearance_cap
     first: dict[Real, tuple] = {}    # real -> (stage terms, program, track, stage)
     readers: dict[tuple, tuple] = {}   # wake key -> least reader, its start

@@ -35,7 +35,7 @@ from .machine import (MOVES, READ_VECTORS, Program, ProgramError, Rule,
 from .ordinal import Ordinal, pair_index
 from .reals import Real, ZERO as ZERO_REAL, from_support, join
 from .runner import (BudgetPolicy, DEFAULT_BUDGET, OracleProtocolError,
-                     QueryRecord, RunResult, run_transfinite)
+                     QueryRecord, RunResult, run_transfinite, slots_read)
 
 ENUM_WORK_CAP = 4
 _WORK_NAMES = ("s0", "s1", "s2", "s3")
@@ -190,13 +190,91 @@ def _bare_oracle(p: Program):
     return None
 
 
+# The longest run, in rows over all its blocks, whose slots `run_programs`
+# derives.  In one batch of the 2,000 random tables of tests/conftest.py at
+# (4, 256, 256), on a 2-vCPU VM with Python 3.11: with no bound, 220
+# derivations read 36,668 rows in 0.043 s and the batch made 1,589 runs;
+# with this bound, 291 read 1,537 rows in 0.003 s and it made 1,591.  The
+# enumeration prefixes derive no run of more than 4 rows.
+_DERIVE_ROWS = 256
+
+
 def run_programs(programs, budget: BudgetPolicy, oracle=None,
                  input_real: Real = ZERO_REAL) -> list[RunResult]:
-    """Run each program once, in order, against the oracle (or, without
-    one, against the empty set for query-protocol machines)."""
-    return [run_transfinite(p, input_real, budget,
-                            oracle if oracle is not None else _bare_oracle(p))
-            for p in programs]
+    """Run each distinct behaviour once, in order, against the oracle (or,
+    without one, against the empty set for query-protocol machines).
+
+    An oracle-free run depends on its program only through the track count,
+    the start, limit and halt states, and the rules at the slots it reads
+    (see `runner.slots_read`).  So programs that agree there share one
+    `RunResult`, found in a trie that lives for this call.  A root holds
+    those four header fields.  Below it each node reads one slot, the next
+    one a run reads for the first time, which depends only on the rules
+    read so far, and branches on the rule found there.  A program whose walk
+    ends at a leaf gets that leaf's result, and one whose walk falls off is
+    run and hung there as a leaf whose slots are not derived yet.  Only when
+    a later walk reaches such a leaf are its slots derived from its result:
+    the leaf then moves down below one new node for each slot past its
+    depth, and the walk goes on.  Oracle runs and query-protocol programs
+    read oracle cells and log queries, so they are always run."""
+    if oracle is not None:
+        return [run_transfinite(p, input_real, budget, oracle) for p in programs]
+    programs = list(programs)
+    results = []
+    # Nodes are numbers.  reads[n] is the slot node n reads, one tuple per
+    # distinct slot, and edges[n << 32 | c] is the child of node n under the
+    # rule of code c: a node, or ~k for the leaf of results[k].  Codes and
+    # node numbers count dict and list entries, so they stay below 2**32,
+    # and a node adds no object for the collector to count or walk.
+    roots, edges, reads = {}, {}, []
+    slots_met, rule_codes = {}, {}
+    # A rule's code by its id skips hashing the rule, which runs Python
+    # code; ids stay valid while `programs` holds every rule.
+    rule_ids = {}
+    unread = set()   # k for each leaf ~k whose slots are not derived yet
+    for k, p in enumerate(programs):
+        if p.query_state is not None:
+            results.append(run_transfinite(p, input_real, budget,
+                                           _bare_oracle(p)))
+            continue
+        slots, rules = p.rules.slots, p.rules.rules
+        parent, edge = roots, (p.track_count, p.start_state, p.limit_state,
+                               p.halt_state)
+        child, depth = roots.get(edge), 0
+        while child is not None:
+            if child >= 0:
+                rule = rules[slots[reads[child]]]
+                code = rule_ids.get(id(rule))
+                if code is None:
+                    code = rule_ids[id(rule)] = rule_codes.setdefault(
+                        rule, len(rule_codes))
+                parent, edge = edges, child << 32 | code
+                child = edges.get(edge)
+                depth += 1
+                continue
+            j = ~child
+            if j not in unread:
+                break
+            read = slots_read(results[j], _DERIVE_ROWS)
+            if read is None:
+                break
+            unread.remove(j)
+            table = programs[j].rules
+            for slot in reversed(read[depth:]):
+                node = len(reads)
+                reads.append(slots_met.setdefault(slot, slot))
+                code = rule_codes.setdefault(table[slot], len(rule_codes))
+                edges[node << 32 | code] = child
+                child = node
+            parent[edge] = child
+        if child is None:
+            parent[edge] = ~k
+            unread.add(k)
+        elif ~child not in unread:
+            results.append(results[~child])
+            continue
+        results.append(run_transfinite(p, input_real, budget))
+    return results
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,26 @@ on the list.  Say the blocks took j and j', the second list being a tail of
 the first.  Then j' is on the first list with the key of j, so j' = j.  A
 change to how candidates are kept or chosen must check this again.
 
+`oracle.run_programs` shares whole results one level higher: within one
+call it runs each distinct behaviour once, finding programs that agree on
+every slot a run reads (`slots_read`).  This is exact for oracle-free runs
+of programs without the query protocol.  Such a run depends on its program
+through the track count and the start state (the start snapshot), the halt
+state (the halt test), the limit state (every limit snapshot, and so the
+block and loop keys) and, at each step, the rule at the slot (state, read)
+of the row it steps from: the next state, the writes and the move.  An edge
+clamp is an `L` rule read at cell 0, and the head is in the row, so the
+clamps and with them the translation candidates follow too.  The call fixes
+the input and the budget.  So a program with the same four header fields
+and the same rules at every slot another program's run reads makes the same
+first step, reads the same slot next, and so on: the same rows, the same
+blocks (the same `BlockSummary`s by the key above), the same limits and the
+same `LoopCert`.  Every field of the result is equal, and each certificate
+re-checks under either program, since `verify_certificate` steps through
+slots where the two tables agree.  The slots are read off the result's rows,
+so a result cut by an ordinal overflow, which lacks the block it was
+building, is never shared this way.
+
 A result is one frozen object: the blocks tuple, built when the run ends,
 the limits above level 1 and, for a loop, the recurring limit.  A halt's
 time is the block start's stage plus its step count and its output is one
@@ -524,6 +544,33 @@ def _halt_output(block: BlockSummary) -> Real:
     if block.certificate.steps:
         out = out.flipped(block.rows[-1][4])
     return ever if out == ever else out
+
+
+def slots_read(res: RunResult, limit: int) -> list | None:
+    """The (state, read) slots an oracle-free run read, in first-read order,
+    or None when its blocks hold more than `limit` rows.  Step k of a block
+    reads row k-1: its state, and under its head each start track with the
+    row's delta flipped, read from one int window per track.  A block's last
+    row is never read within it: it halts, repeats a row read before, or
+    becomes the next block's start.  A run cut by an ordinal overflow gives
+    None too: the overflow can come while a block builds its limit, and the
+    result does not hold that block, though the run read its slots."""
+    if (res.reason == "ordinal-overflow"
+            or sum([len(block.rows) for block in res.blocks]) > limit):
+        return None
+    order = {}
+    for block in res.blocks:
+        rows = block.rows
+        if len(rows) == 1:
+            continue
+        start = rows[0]
+        head = start.head
+        cur = [t.window(0, head + len(rows)) for t in start.tracks]
+        order[start.state, tuple([c >> head & 1 for c in cur])] = None
+        for state, head, *deltas in rows[1:-1]:
+            order[state, tuple([(c ^ d) >> head & 1
+                                for c, d in zip(cur, deltas)])] = None
+    return list(order)
 
 
 def _halted(blocks: list, limits: tuple) -> RunResult:

@@ -142,6 +142,20 @@ def test_criterion_4_jump_coherence(survey):
     assert elapsed < 60
 
 
+def test_batch_runs_equal_the_fixture_runs(survey):
+    """`run_programs` runs each distinct behaviour once; over the prefix its
+    results equal the fixture's single runs field by field."""
+    started = time.time()
+    results = run_programs(survey["programs"], SURVEY_BUDGET)
+    elapsed = time.time() - started
+    assert results == survey["results"]
+    distinct = len({id(res) for res in results})
+    assert distinct < len(results) / 20
+    print("batch of %d programs: %d distinct results in %.2fs; the fixture's"
+          " single runs took %.2fs" % (len(results), distinct, elapsed,
+                                       survey["build_seconds"]))
+
+
 MATRIX_PROGRAMS = [extend_to_oracle_tracks(p_halt()), oracle_bit_halter(1),
                    extend_to_oracle_tracks(p_flip()), oracle_bit_halter(0),
                    extend_to_oracle_tracks(nonzero_halter(2))]

@@ -332,6 +332,25 @@ def test_universal_run_matches_the_reference_dovetailer():
     assert both.truncated and both.complete_below < from_int(7)
 
 
+def test_the_log_of_shared_results_equals_the_log_of_single_runs():
+    """A batch hands one result to every program with its behaviour: loops,
+    translations and multi-block halts included.  The dovetailer reads each
+    result once, from its least program, and the log is the one that a
+    result per program gives."""
+    from ittm.oracle import enumeration_slice
+    from ittm.runner import DEFAULT_BUDGET
+    for progs, budget in ((enumeration_slice(2000, 2, 3), DEFAULT_BUDGET),
+                          (random_tables(2000), BudgetPolicy(4, 256, 64))):
+        shared = run_programs(progs, budget)
+        single = [run_transfinite(p, ZERO_REAL, budget) for p in progs]
+        assert len({id(res) for res in shared}) < len({id(res) for res in single})
+        kinds = {type(block.certificate) for res in shared for block in res.blocks}
+        assert {RepeatCert, TranslationCert} <= kinds
+        log = universal_run(shared, budget)
+        assert log == universal_run(single, budget)
+        assert log.truncated
+
+
 # --- diagonalization ---------------------------------------------------------
 
 def test_diagonal_examples():

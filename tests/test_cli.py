@@ -499,3 +499,29 @@ def test_each_command_runs_each_program_once(monkeypatch, tmp_path):
           "--report", str(tmp_path / "report.json")])
     # the requirement runs against set oracles come on top
     assert sum(o is None for o in oracles) == 16
+
+
+def test_the_cli_mix_batches_run_each_distinct_behaviour_once(monkeypatch,
+                                                              tmp_path):
+    """The survey and jump commands of the benchmark's cli-mix workload run
+    96 of their 2,000 programs: the others read the same rules as one of
+    those.  fm's 48 programs are 48 distinct behaviours."""
+    runner = importlib.import_module("ittm.runner")
+    original = runner.run_transfinite
+    oracles = []
+    def counting(*args, **kwargs):
+        oracles.append(kwargs.get("oracle", args[3] if len(args) > 3 else None))
+        return original(*args, **kwargs)
+    for name in ("runner", "oracle", "approx", "fm", "cli"):
+        module = importlib.import_module("ittm." + name)
+        if getattr(module, "run_transfinite", None) is original:
+            monkeypatch.setattr(module, "run_transfinite", counting)
+    for command in ("survey", "jump"):
+        oracles.clear()
+        main([command, "--states", "2", "--bound", "2000",
+              "--out", str(tmp_path / (command + ".json"))])
+        assert len(oracles) == 96 and set(oracles) == {None}
+    oracles.clear()
+    main(["fm", "--states", "0", "--bound", "48",
+          "--report", str(tmp_path / "report.json")])
+    assert sum(o is None for o in oracles) == 48

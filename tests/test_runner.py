@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import importlib
 import itertools
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from conftest import (looper, omega_squared_clocker, query_probe, random_tables,
                       total_program, zero_halter)
 
 from ittm import ordinal, reals, runner
-from ittm.machine import (Program, Rule, p_flip, p_flip_lh, p_halt, p_sweep,
-                          parse_program)
+from ittm.machine import (Program, Rule, extend_to_oracle_tracks, p_flip,
+                          p_flip_lh, p_halt, p_sweep, parse_program)
 from ittm.ordinal import OMEGA, ZERO as ZERO_ORD, cnf_add, from_int, parse_ordinal
 from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
                          run_with_oracle)
@@ -802,6 +803,161 @@ def test_kept_survey_results_share_their_limit_blocks():
               if blk.limit is not None]
     assert len(limits) > 500
     assert len({id(blk) for blk in limits}) < len(limits) / 10
+
+
+# --- one run per distinct behaviour in a batch ------------------------------
+
+def _counting_runs(monkeypatch):
+    """The (program, oracle) of every run that `run_programs` makes."""
+    oracle_module = importlib.import_module("ittm.oracle")
+    original = oracle_module.run_transfinite
+    calls = []
+    def counting(p, input_real=ZERO_REAL, budget=B, oracle=None, query_log=None):
+        calls.append((p, oracle))
+        return original(p, input_real, budget, oracle, query_log)
+    monkeypatch.setattr(oracle_module, "run_transfinite", counting)
+    return calls
+
+
+def _check_batch(progs, budget, input_real=ZERO_REAL):
+    """A batch's results equal fresh runs field by field, and every block of
+    a result that an earlier program holds re-checks under the later one."""
+    results = run_programs(progs, budget, input_real=input_real)
+    held = set()
+    for p, res in zip(progs, results):
+        assert res == run_transfinite(p, input_real, budget)
+        if id(res) in held:
+            for block in res.blocks:
+                assert verify_certificate(p, block.start, block.certificate)
+        held.add(id(res))
+    return results
+
+
+def test_batch_results_equal_fresh_runs_on_the_random_tables(monkeypatch):
+    """At depth 1 every run that reaches a limit overflows while its first
+    block builds that limit, and the result does not hold the block."""
+    calls = _counting_runs(monkeypatch)
+    progs = random_tables(2000)
+    cases = [(ZERO_REAL, BudgetPolicy(4, 256, 256)),
+             (parse_real("1(10)*"), BudgetPolicy(4, 256, 256)),
+             (ZERO_REAL, BudgetPolicy(1, 64, 64))]
+    for x, budget in cases:
+        calls.clear()
+        results = _check_batch(progs, budget, x)
+        assert len(calls) < len(progs)
+        assert len({id(res) for res in results}) <= len(calls)
+    assert "ordinal-overflow" in {res.reason for res in results}
+    assert _check_batch([p_flip(), p_halt()], BudgetPolicy(1, 64, 64))[1].halted
+
+
+def test_programs_that_differ_only_at_a_slot_neither_reads_share_one_result(
+        monkeypatch):
+    calls = _counting_runs(monkeypatch)
+    halt_first, flip = p_halt(), p_flip()
+    unread = [total_program(3, {**dict(halt_first.rules),
+                                ("start", (1, 1, 1)): Rule((1, 1, 1), "R", "start"),
+                                ("limit", (0, 0, 0)): Rule((0, 1, 0), "S", "limit")}),
+              total_program(3, {**dict(flip.rules),
+                                ("start", (1, 0, 0)): Rule((0, 0, 0), "L", "halt")})]
+    results = _check_batch([halt_first, flip] + unread, B)
+    assert results[2] is results[0] and results[3] is results[1]
+    assert [p for p, _ in calls] == [halt_first, flip]
+
+
+def test_a_clamped_left_and_a_stay_at_cell_0_share_no_result(monkeypatch):
+    """Equal rows, equal results, and still no shared result: the two
+    programs read the same slots but find different rules there."""
+    calls = _counting_runs(monkeypatch)
+    reads = list(itertools.product((0, 1), repeat=3))
+    def drifter(move):
+        return total_program(3, {
+            ("start", (0, 0, 0)): Rule((0, 1, 0), move, "a"),
+            **{("a", r): Rule(r, "R", "b") for r in reads},
+            **{("b", r): Rule(r, "R", "b") for r in reads}})
+    staying, clamped = drifter("S"), drifter("L")
+    results = _check_batch([staying, clamped, drifter("S"), drifter("L")], B)
+    assert results[0] == results[1] and results[0] is not results[1]
+    assert results[2] is results[0] and results[3] is results[1]
+    assert results[0].blocks[0].certificate == TranslationCert(2, 1, 1)
+    assert len(calls) == 2
+
+
+def test_renaming_the_limit_or_the_halt_state_shares_nothing(monkeypatch):
+    """Each pair reads the same slots and finds the same rules there, but
+    names a different limit or halt state."""
+    calls = _counting_runs(monkeypatch)
+    reads = list(itertools.product((0, 1), repeat=3))
+    flip = p_flip()
+    # the limit state renamed, and `limit` kept as a work state
+    omega = Program(track_count=3, start_state="start", limit_state="omega",
+                    halt_state="halt",
+                    rules={**dict(flip.rules), **{("omega", r): Rule(r, "S", "halt")
+                                                  for r in reads}})
+    halt_first = p_halt()
+    # the halt state renamed, and `halt` kept as a work state
+    stop = Program(track_count=3, start_state="start", limit_state="limit",
+                   halt_state="stop",
+                   rules={**dict(halt_first.rules),
+                          **{("halt", r): Rule((1, 1, 1), "S", "stop")
+                             for r in reads}})
+    pairs = [(flip, omega), (flip, _renamed(flip, "limit", "omega")),
+             (halt_first, stop), (halt_first, _renamed(halt_first, "halt", "stop"))]
+    for p, q in pairs:
+        calls.clear()
+        first, second = _check_batch([p, q], B)
+        assert first is not second and len(calls) == 2
+    assert _check_batch([flip, omega], B)[1].halted
+
+
+def test_batches_key_slots_by_state_and_read_across_layouts(monkeypatch):
+    """`0a` sorts before `a`, so the slot (a, 000) sits at position 16 of one
+    layout and 24 of the other, and position 16 holds the same rule in
+    both."""
+    calls = _counting_runs(monkeypatch)
+    zero = (0, 0, 0)
+    p = total_program(3, {("start", zero): Rule(zero, "S", "a"),
+                          ("a", zero): Rule((0, 0, 1), "S", "halt")})
+    q = total_program(3, {("start", zero): Rule(zero, "S", "a"),
+                          ("0a", zero): Rule((0, 0, 1), "S", "halt"),
+                          ("a", zero): Rule(zero, "S", "halt")})
+    assert p.rules.rules[16] == q.rules.rules[16]
+    assert p.rules.slots["a", zero] == 16 and q.rules.slots["a", zero] == 24
+    first, second = _check_batch([p, q], B)
+    assert first.output != second.output and len(calls) == 2
+
+
+def test_oracle_and_query_batches_run_every_program(monkeypatch):
+    calls = _counting_runs(monkeypatch)
+    progs = enumeration_slice(200, 0, 4)
+    real = RealOracle(parse_real("1(0)*"))
+    assert run_programs(progs, B, real) == [run_transfinite(p, ZERO_REAL, B, real)
+                                            for p in progs]
+    assert [p for p, _ in calls] == progs
+    probes = [query_probe(), query_probe(), extend_to_oracle_tracks(p_halt()),
+              query_probe()]
+    for oracle in (None, SetOracle(frozenset({from_support([0])}))):
+        calls.clear()
+        results = run_programs(probes, B, oracle)
+        assert [p for p, _ in calls] == probes
+        assert all(o is not None for p, o in calls if p.query_state is not None)
+        for p, res in zip(probes, results):
+            if p.query_state is not None:
+                answered = oracle or SetOracle(frozenset())
+                fresh, log = run_with_oracle(p, ZERO_REAL, answered, B)
+                assert res == fresh and len(log) == 2
+                stepped, _ = _check_explicit_against_stepping(p, res, B, answered)
+                assert list(log) == stepped
+
+
+def test_kept_batch_results_hold_few_tracked_objects():
+    """12,000 programs make 142 distinct results, which hold 1,427 new
+    tracked objects; a list of single runs holds 3,617.  The trie itself
+    holds none once the call returns."""
+    budget = BudgetPolicy(3, 256, 256)
+    progs = enumeration_slice(12000, 2, 3)
+    run_programs(progs, budget)   # fills the shared small ordinals and starts
+    kept, results = _tracked_objects_made_by(lambda: run_programs(progs, budget))
+    assert len(kept) <= 0.15 * len(results)
 
 
 def test_soundness_checks_survive_python_O():
