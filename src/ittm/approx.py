@@ -32,10 +32,10 @@ from operator import attrgetter
 from .machine import Program
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
-from .oracle import RealOracle
+from .oracle import RealOracle, run_programs
 from .reals import Real, ZERO as ZERO_REAL, _real, from_support
 from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, RepeatCert,
-                     RunResult, TranslationCert, run_transfinite)
+                     RunResult, TranslationCert, cells_read, run_transfinite)
 
 
 class TruncatedLog(Exception):
@@ -546,23 +546,25 @@ def _halt_events(programs, budget: BudgetPolicy, row: Real,
     halts[pid] lists (cells, bits, time) for the one-block halts of program
     pid seen so far: the run read only oracle cells 0 .. cells-1, which held
     `bits`.  A row that agrees with an entry on those cells takes its time
-    without a run (see `iterated_matrix`)."""
-    oracle = RealOracle(row)
-    events = []
-    for pid, (p, seen) in enumerate(zip(programs, halts)):
+    without a run, which the runner docstring argues exact, as
+    `approximate_jump` reads only a run's outcome and time.  The other
+    programs run in one `run_programs` batch."""
+    events, missed = [], []
+    for pid, seen in enumerate(halts):
         time = next((t for cells, bits, t in seen
                      if row.window(0, cells) == bits), None)
         if time is None:
-            res = run_transfinite(p, ZERO_REAL, budget, oracle)
-            if res.outcome != "halted":
-                continue
-            time = res.time
+            missed.append(pid)
+        else:
+            events.append((time, pid))
+    results = run_programs([programs[pid] for pid in missed], budget,
+                           RealOracle(row))
+    for pid, res in zip(missed, results):
+        if res.outcome == "halted":
+            events.append((res.time, pid))
             if len(res.blocks) == 1:
-                block = res.blocks[0]
-                cells = 1 + max([block.start.head] +
-                                [r[1] for r in block.rows[1:]])
-                seen.append((cells, row.window(0, cells), time))
-        events.append((time, pid))
+                cells = cells_read(res)
+                halts[pid].append((cells, row.window(0, cells), res.time))
     return tuple(sorted(events))
 
 
@@ -578,23 +580,10 @@ def iterated_matrix(alpha: Ordinal, programs, budget: BudgetPolicy = DEFAULT_BUD
     row wider than LIMIT_ROW_CAP bits stops the replay, and the matrix keeps
     only the ranks below it.
 
-    Each program runs once per distinct set of oracle cells it reads.  The
-    rows differ mostly in cells the programs never reach, so a one-block
-    halt is kept as (cells read, their bits, time), and a later row that
-    agrees on those cells takes the time without a run (`_halt_events`).
-    This is exact.  A real oracle's track is read-only, and the start head
-    and the input are fixed, so two rows that agree on the cells under the
-    head step through identical rows, and a repeat found under one is found
-    under the other.  The one place a block reads the oracle row beyond the
-    head is its translation-candidate index, built from `prefix_and_period`
-    of every track.  That index only ever emits a sound `TranslationCert`,
-    one under which the run never halts.  So a run that halts at step n
-    under one row had no certificate before n under either row, and halts at
-    n under both.  The argument covers halts only: an exceeded, repeat,
-    translation or multi-block run can depend on the whole row, so it is
-    never kept, and `approximate_jump` reads nothing of a run but its
-    outcome and time.  Events are also kept per whole row, for the rows met
-    again after an erasure.
+    The rows differ mostly in cells the programs never reach, so a one-block
+    halt is kept with the oracle cells it read, and a later row that agrees
+    on them takes its time without a run (`_halt_events`).  Events are also
+    kept per whole row, for the rows met again after an erasure.
 
     A limit row is the OR of the pair codes of the rows below it
     (`join_rows`).  Each rank's code is made once per change of its row, on

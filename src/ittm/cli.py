@@ -249,7 +249,7 @@ def cmd_matrix(args) -> int:
 def cmd_fm(args) -> int:
     budget = _budget(args)
     programs = enumeration_slice(args.bound, args.states, args.tracks)
-    state, report = fm_construct(programs, budget, args.trim_bits)
+    state, report = fm_construct(programs, budget)
     if args.events:
         lines = [_json_line(dict(ev, schema=SCHEMA)) for ev in state.events]
         _write_text(args.events, "".join(lines))
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     fm.add_argument("--states", type=int, choices=_STATES, default=0)
     fm.add_argument("--tracks", type=int, choices=(3, 4), default=3)
     fm.add_argument("--bound", type=_natural, default=16)
-    fm.add_argument("--trim-bits", type=_natural, default=DEFAULT_TRIM_BITS)
     fm.add_argument("--events", help="event JSONL path")
     fm.add_argument("--report", help="report JSON path")
     _add_budget_args(fm)

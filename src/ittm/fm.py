@@ -35,8 +35,7 @@ from operator import itemgetter
 from .approx import (AppearanceLog, Diagonal, TruncatedLog, approximate_jump,
                      universal_run)
 from .machine import Program, extend_to_oracle_tracks
-from .oracle import (DEFAULT_TRIM_BITS, SetOracle, replay_queries, run_programs,
-                     run_with_oracle)
+from .oracle import SetOracle, replay_queries, run_programs, run_with_oracle
 from .ordinal import Ordinal, ZERO as ZERO_ORD, parse_ordinal, successor
 from .reals import Real
 from .runner import BudgetPolicy, DEFAULT_BUDGET, QueryRecord
@@ -73,7 +72,6 @@ class Restraint:
 @dataclass
 class FMState:
     budget: BudgetPolicy
-    trim_bits: int
     # each side's additions as (row, real), in the order they were made
     added: dict[str, list[tuple[int, Real]]] = field(
         default_factory=lambda: {"A": [], "B": []})
@@ -93,7 +91,7 @@ class FMState:
         return [r for _row, r in sorted(self.added[side], key=itemgetter(0))]
 
     def side_oracle(self, side: str) -> SetOracle:
-        return SetOracle(frozenset(self.members(side)), self.trim_bits)
+        return SetOracle(frozenset(self.members(side)))
 
     def log(self, kind: str, **fields):
         if self._stage_text[0] is not self.stage:
@@ -227,8 +225,7 @@ def receive_attention(state: FMState, req: Requirement, certified) -> None:
                               and weaker.priority not in state.restraints])
 
 
-def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
-                 trim_bits: int = DEFAULT_TRIM_BITS
+def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET
                  ) -> tuple[FMState, dict | None]:
     """Run the full priority loop over the given program space.
 
@@ -238,7 +235,7 @@ def fm_construct(programs, budget: BudgetPolicy = DEFAULT_BUDGET,
     witness needs more of the appearance log than it covers (`TruncatedLog`),
     the partial state flagged `refused: <message>` with the report withheld."""
     progs = list(programs)
-    state = FMState(budget, trim_bits)
+    state = FMState(budget)
     state.oracle_programs = [extend_to_oracle_tracks(p) if p.track_count == 3
                              else p for p in progs]
     results = run_programs(progs, budget)

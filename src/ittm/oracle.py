@@ -8,7 +8,8 @@ state, costing one step.
 
 Three protocol rules: an oracle run needs a 4-track program, a program that
 declares the query protocol is never run against a real, and an oracle-free
-`run_programs` answers such a program by the empty set.  The first two are
+`run_programs` answers such a program by the empty set (and always runs it:
+a query reads the whole fourth track, not one slot).  The first two are
 checked once, in `runner.initial_snapshot`, where every run starts.  A
 program that declares the protocol has four tracks: `machine.validate`
 refuses any other when the program is made.
@@ -182,14 +183,6 @@ def run_with_oracle(p: Program, input_real: Real, o, budget: BudgetPolicy
     return res, tuple(log)
 
 
-def _bare_oracle(p: Program):
-    """Oracle for an oracle-free run: machines that declare the query
-    protocol are answered by the empty set, the stage-zero approximation."""
-    if p.query_state is not None:
-        return SetOracle(frozenset())
-    return None
-
-
 # The longest run, in rows over all its blocks, whose slots `run_programs`
 # derives.  In one batch of the 2,000 random tables of tests/conftest.py at
 # (4, 256, 256), on a 2-vCPU VM with Python 3.11: with no bound, 220
@@ -204,21 +197,19 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
     """Run each distinct behaviour once, in order, against the oracle (or,
     without one, against the empty set for query-protocol machines).
 
-    An oracle-free run depends on its program only through the track count,
-    the start, limit and halt states, and the rules at the slots it reads
-    (see `runner.slots_read`).  So programs that agree there share one
+    Against any oracle or none, a run of a program without the query
+    protocol depends on its program only through the track count, the
+    start, limit and halt states, and the rules at the slots it reads (see
+    `runner.slots_read`).  So programs that agree there share one
     `RunResult`, found in a trie that lives for this call.  A root holds
     those four header fields.  Below it each node reads one slot, the next
-    one a run reads for the first time, which depends only on the rules
-    read so far, and branches on the rule found there.  A program whose walk
-    ends at a leaf gets that leaf's result, and one whose walk falls off is
-    run and hung there as a leaf whose slots are not derived yet.  Only when
-    a later walk reaches such a leaf are its slots derived from its result:
+    one a run reads for the first time, which depends only on the rules read
+    so far, and branches on the rule found there.  A program whose walk ends
+    at a leaf gets that leaf's result, and one whose walk falls off is run
+    and hung there as a leaf whose slots are not derived yet.  Only when a
+    later walk reaches such a leaf are its slots derived from its result:
     the leaf then moves down below one new node for each slot past its
-    depth, and the walk goes on.  Oracle runs and query-protocol programs
-    read oracle cells and log queries, so they are always run."""
-    if oracle is not None:
-        return [run_transfinite(p, input_real, budget, oracle) for p in programs]
+    depth, and the walk goes on.  Query-protocol programs are always run."""
     programs = list(programs)
     results = []
     # Nodes are numbers.  reads[n] is the slot node n reads, one tuple per
@@ -235,7 +226,7 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
     for k, p in enumerate(programs):
         if p.query_state is not None:
             results.append(run_transfinite(p, input_real, budget,
-                                           _bare_oracle(p)))
+                                           oracle or SetOracle(frozenset())))
             continue
         slots, rules = p.rules.slots, p.rules.rules
         parent, edge = roots, (p.track_count, p.start_state, p.limit_state,
@@ -273,7 +264,7 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
         elif ~child not in unread:
             results.append(results[~child])
             continue
-        results.append(run_transfinite(p, input_real, budget))
+        results.append(run_transfinite(p, input_real, budget, oracle))
     return results
 
 

@@ -72,23 +72,38 @@ change to how candidates are kept or chosen must check this again.
 
 `oracle.run_programs` shares whole results one level higher: within one
 call it runs each distinct behaviour once, finding programs that agree on
-every slot a run reads (`slots_read`).  This is exact for oracle-free runs
-of programs without the query protocol.  Such a run depends on its program
-through the track count and the start state (the start snapshot), the halt
-state (the halt test), the limit state (every limit snapshot, and so the
-block and loop keys) and, at each step, the rule at the slot (state, read)
-of the row it steps from: the next state, the writes and the move.  An edge
-clamp is an `L` rule read at cell 0, and the head is in the row, so the
-clamps and with them the translation candidates follow too.  The call fixes
-the input and the budget.  So a program with the same four header fields
-and the same rules at every slot another program's run reads makes the same
-first step, reads the same slot next, and so on: the same rows, the same
-blocks (the same `BlockSummary`s by the key above), the same limits and the
-same `LoopCert`.  Every field of the result is equal, and each certificate
-re-checks under either program, since `verify_certificate` steps through
-slots where the two tables agree.  The slots are read off the result's rows,
-so a result cut by an ordinal overflow, which lacks the block it was
-building, is never shared this way.
+every slot a run reads (`slots_read`).  This is exact for programs without
+the query protocol, against any oracle or none.  Such a run depends on its
+program through the track count and the start state (the start snapshot),
+the halt state (the halt test), the limit state (every limit snapshot, and
+so the block and loop keys) and, at each step, the rule at the slot (state,
+read) of the row it steps from: the next state, the writes and the move.
+An edge clamp is an `L` rule read at cell 0, and the head is in the row, so
+the clamps and with them the translation candidates follow too.  The call
+fixes the input, the budget and the oracle, and so the whole start
+snapshot, oracle track included.  A real oracle's track is read-only, its
+bit under the head is part of the slot, and the translation-candidate index
+reads its `prefix_and_period` from the fixed start; a set oracle is
+consulted only in the query state.  So a program with the same four header
+fields and the same rules at every slot another program's run reads makes
+the same first step, reads the same slot next, and so on: the same rows,
+the same blocks (the same `BlockSummary`s by the key above), the same
+limits and the same `LoopCert`.  Every field of the result is equal, and
+each certificate re-checks under either program, since `verify_certificate`
+steps through slots where the two tables agree.  The slots are read off the
+result's rows, so a result cut by an ordinal overflow, which lacks the
+block it was building, is never shared this way.
+
+`approx.iterated_matrix` shares a one-block halt of one program across the
+real oracles that agree on the cells it read (`cells_read`).  Under two
+such oracles the run steps through identical rows, and a repeat found under
+one is found under the other.  Beyond the head a block reads the oracle
+only through its translation-candidate index, which only ever emits a
+sound `TranslationCert`, one under which the run never halts.  So a run
+that halts at step n under one oracle had no certificate before n under
+either, and halts at n under both, with the same output track.  An
+exceeded, repeat, translation or multi-block run can depend on the whole
+oracle, so it is never shared this way.
 
 A result is one frozen object: the blocks tuple, built when the run ends,
 the limits above level 1 and, for a loop, the recurring limit.  A halt's
@@ -547,14 +562,15 @@ def _halt_output(block: BlockSummary) -> Real:
 
 
 def slots_read(res: RunResult, limit: int) -> list | None:
-    """The (state, read) slots an oracle-free run read, in first-read order,
-    or None when its blocks hold more than `limit` rows.  Step k of a block
-    reads row k-1: its state, and under its head each start track with the
-    row's delta flipped, read from one int window per track.  A block's last
-    row is never read within it: it halts, repeats a row read before, or
-    becomes the next block's start.  A run cut by an ordinal overflow gives
-    None too: the overflow can come while a block builds its limit, and the
-    result does not hold that block, though the run read its slots."""
+    """The (state, read) slots a run without the query protocol read, in
+    first-read order, or None when its blocks hold more than `limit` rows.
+    Step k of a block reads row k-1: its state, and under its head each
+    start track with the row's delta flipped, read from one int window per
+    track.  A block's last row is never read within it: it halts, repeats a
+    row read before, or becomes the next block's start.  A run cut by an
+    ordinal overflow gives None too: the overflow can come while a block
+    builds its limit, and the result does not hold that block, though the
+    run read its slots."""
     if (res.reason == "ordinal-overflow"
             or sum([len(block.rows) for block in res.blocks]) > limit):
         return None
@@ -571,6 +587,12 @@ def slots_read(res: RunResult, limit: int) -> list | None:
             order[state, tuple([(c ^ d) >> head & 1
                                 for c, d in zip(cur, deltas)])] = None
     return list(order)
+
+
+def cells_read(res: RunResult) -> int:
+    """How many cells from 0 a one-block run read: one past its highest head."""
+    (block,) = res.blocks
+    return 1 + max([block.start.head] + [row[1] for row in block.rows[1:]])
 
 
 def _halted(blocks: list, limits: tuple) -> RunResult:

@@ -711,13 +711,17 @@ def oracle_seeker():
     return total_program(4, overrides)
 
 
+def fresh_runs(progs, budget, row):
+    return [run_transfinite(p, ZERO_REAL, budget, RealOracle(row)) for p in progs]
+
+
 def full_jump_events(progs, budget, row):
-    return approximate_jump(run_programs(progs, budget, RealOracle(row))).events
+    return approximate_jump(fresh_runs(progs, budget, row)).events
 
 
 def test_reused_halts_match_full_runs_on_random_periodic_rows(monkeypatch):
     import random
-    from ittm import approx
+    from ittm import approx, oracle
     from ittm.oracle import enumeration_slice
     rng = random.Random(19)
     def bits(n):
@@ -735,15 +739,15 @@ def test_reused_halts_match_full_runs_on_random_periodic_rows(monkeypatch):
         oracle_bit_halter(0), oracle_bit_halter(1), oracle_seeker(),
         extend_to_oracle_tracks(p_flip())]
     runs = []
-    original = approx.run_transfinite
+    original = oracle.run_transfinite
     def counting(*args, **kwargs):
         runs.append(1)
         return original(*args, **kwargs)
-    monkeypatch.setattr(approx, "run_transfinite", counting)
+    monkeypatch.setattr(oracle, "run_transfinite", counting)
     halts = [[] for _ in progs]
     outcomes = {}
     for row in rows:
-        results = run_programs(progs, B, RealOracle(row))
+        results = fresh_runs(progs, B, row)
         assert approx._halt_events(progs, B, row, halts) == \
             approximate_jump(results).events
         for pid, res in enumerate(results):
@@ -761,8 +765,8 @@ def test_reused_halts_match_full_runs_on_random_periodic_rows(monkeypatch):
     assert outcomes[seeker - 1][0] == outcomes[seeker - 2][0] == \
         {"halted", "loops"}
     assert all(entry[0] == 1 for entry in halts[seeker - 1] + halts[seeker - 2])
-    # most lookups are served from the lists
-    assert len(runs) < len(progs) * len(rows) // 3
+    # most lookups are served from the lists and the batches
+    assert len(runs) < len(progs) * len(rows) // 10
 
 
 def test_reused_halts_match_full_runs_on_the_cli_mix_order(monkeypatch, capsys):

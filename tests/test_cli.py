@@ -406,7 +406,7 @@ def test_every_command_defaults_to_the_library_defaults():
             trimmed.add(command)
         assert ("(default %d)" % DEFAULT_BUDGET.per_level_budget
                 in " ".join(commands[command].format_help().split())), command
-    assert trimmed == {"run", "trace", "jump", "fm"}
+    assert trimmed == {"run", "trace", "jump"}
     assert ap.parse_args(["matrix", "--order", "w"]).rows == DEFAULT_ROW_CAP
 
 
@@ -505,7 +505,8 @@ def test_the_cli_mix_batches_run_each_distinct_behaviour_once(monkeypatch,
                                                               tmp_path):
     """The survey and jump commands of the benchmark's cli-mix workload run
     96 of their 2,000 programs: the others read the same rules as one of
-    those.  fm's 48 programs are 48 distinct behaviours."""
+    those.  fm's 48 programs are 48 distinct behaviours.  matrix makes 28
+    runs, each against its row as a real oracle."""
     runner = importlib.import_module("ittm.runner")
     original = runner.run_transfinite
     oracles = []
@@ -525,3 +526,7 @@ def test_the_cli_mix_batches_run_each_distinct_behaviour_once(monkeypatch,
     main(["fm", "--states", "0", "--bound", "48",
           "--report", str(tmp_path / "report.json")])
     assert sum(o is None for o in oracles) == 48
+    oracles.clear()
+    main(["matrix", "--order", "w*2", "--states", "0", "--bound", "20",
+          "--out", str(tmp_path / "matrix.json")])
+    assert len(oracles) == 28 and {o.kind for o in oracles} == {"real"}

@@ -24,7 +24,7 @@ B = BudgetPolicy(3, 96, 1024)
 
 def empty_state(programs=(), budget=B):
     progs = list(programs)
-    state = FMState(budget, 16)
+    state = FMState(budget)
     state.oracle_programs = [extend_to_oracle_tracks(p) if p.track_count == 3
                              else p for p in progs]
     state.appearance_log = universal_run(run_programs(progs, budget), budget)

@@ -259,7 +259,7 @@ FLAGS = {
     "survey": COMMON + ENUMERATION + ("--cap", "--out"),
     "jump": COMMON + ORACLE + ENUMERATION + ("--out",),
     "matrix": COMMON + ("--bound", "--states", "--order", "--rows", "--log", "--out"),
-    "fm": COMMON + ENUMERATION + ("--cap", "--trim-bits", "--events", "--report"),
+    "fm": COMMON + ENUMERATION + ("--cap", "--events", "--report"),
 }
 STRAYS = ("--prefix-bits", "--wat", "--help", "-", "--format")
 

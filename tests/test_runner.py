@@ -22,9 +22,9 @@ from ittm.oracle import (RealOracle, SetOracle, enumeration_slice, run_programs,
 from ittm.reals import (Real, ZERO as ZERO_REAL, from_support, or_all, or_real,
                         parse_real, shift_union)
 from ittm.runner import (BudgetPolicy, ExceededCert, HaltAt, LoopCert,
-                         RepeatCert, RunResult, Snapshot, StepFromHalt,
-                         TranslationCert, initial_snapshot, run_block,
-                         run_transfinite, step, verify_certificate)
+                         OracleProtocolError, RepeatCert, RunResult, Snapshot,
+                         StepFromHalt, TranslationCert, initial_snapshot,
+                         run_block, run_transfinite, step, verify_certificate)
 
 B = BudgetPolicy(3, 64, 256)
 # an acceptance-survey program that no budget up to 4096 certifies
@@ -819,16 +819,17 @@ def _counting_runs(monkeypatch):
     return calls
 
 
-def _check_batch(progs, budget, input_real=ZERO_REAL):
+def _check_batch(progs, budget, input_real=ZERO_REAL, oracle=None):
     """A batch's results equal fresh runs field by field, and every block of
     a result that an earlier program holds re-checks under the later one."""
-    results = run_programs(progs, budget, input_real=input_real)
+    results = run_programs(progs, budget, oracle, input_real)
     held = set()
     for p, res in zip(progs, results):
-        assert res == run_transfinite(p, input_real, budget)
+        assert res == run_transfinite(p, input_real, budget, oracle)
         if id(res) in held:
             for block in res.blocks:
-                assert verify_certificate(p, block.start, block.certificate)
+                assert verify_certificate(p, block.start, block.certificate,
+                                          oracle)
         held.add(id(res))
     return results
 
@@ -926,13 +927,34 @@ def test_batches_key_slots_by_state_and_read_across_layouts(monkeypatch):
     assert first.output != second.output and len(calls) == 2
 
 
-def test_oracle_and_query_batches_run_every_program(monkeypatch):
+def test_oracle_batch_results_equal_fresh_runs(monkeypatch):
+    """Against a real and a set oracle, on periodic rows, both inputs and at
+    depth 1, where results are cut by an overflow."""
+    calls = _counting_runs(monkeypatch)
+    progs = enumeration_slice(1000, 1, 4) + random_tables(300, 4)
+    rows = [parse_real(text) for text in ("(0)*", "1(0)*", "0(01)*", "101(110)*")]
+    cases = [(ZERO_REAL, BudgetPolicy(4, 256, 256)),
+             (parse_real("1(10)*"), BudgetPolicy(4, 256, 256)),
+             (ZERO_REAL, BudgetPolicy(1, 64, 64))]
+    reasons = set()
+    for row in rows:
+        for oracle in (RealOracle(row), SetOracle(frozenset({row}))):
+            for x, budget in cases:
+                calls.clear()
+                results = _check_batch(progs, budget, x, oracle)
+                assert len(calls) < len(progs)
+                assert {o for _p, o in calls} == {oracle}
+                reasons |= {res.reason for res in results}
+    assert "ordinal-overflow" in reasons
+
+
+def test_oracle_batches_share_runs_and_query_programs_always_run(monkeypatch):
     calls = _counting_runs(monkeypatch)
     progs = enumeration_slice(200, 0, 4)
     real = RealOracle(parse_real("1(0)*"))
     assert run_programs(progs, B, real) == [run_transfinite(p, ZERO_REAL, B, real)
                                             for p in progs]
-    assert [p for p, _ in calls] == progs
+    assert len(calls) == 57
     probes = [query_probe(), query_probe(), extend_to_oracle_tracks(p_halt()),
               query_probe()]
     for oracle in (None, SetOracle(frozenset({from_support([0])}))):
@@ -947,6 +969,10 @@ def test_oracle_and_query_batches_run_every_program(monkeypatch):
                 assert res == fresh and len(log) == 2
                 stepped, _ = _check_explicit_against_stepping(p, res, B, answered)
                 assert list(log) == stepped
+    # an oracle needs 4 tracks, whatever the batch ran before
+    for batch in ([p_halt()], progs[:3] + [p_halt()]):
+        with pytest.raises(OracleProtocolError):
+            run_programs(batch, B, real)
 
 
 def test_kept_batch_results_hold_few_tracked_objects():
