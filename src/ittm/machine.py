@@ -24,7 +24,7 @@ import functools
 import hashlib
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MOVES = ("L", "R", "S")
 
@@ -53,11 +53,21 @@ class TotalityError(ProgramError):
         super().__init__("missing rules for: %s%s" % (shown, more))
 
 
+def vector_code(bits) -> int:
+    """A read or write vector as one int: track t's bit at bit t."""
+    return sum([1 << t for t, b in enumerate(bits) if b == 1])
+
+
 @dataclass(frozen=True, slots=True)
 class Rule:
     write: tuple[int, ...]
     move: str
     next_state: str
+    # the write vector's `vector_code`, which `runner.run_block` flips by
+    write_code: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "write_code", vector_code(self.write))
 
 
 class RuleTable(Mapping):
@@ -110,6 +120,17 @@ def layout(states: tuple[str, ...], tracks: int) -> dict:
         raise ValueError("states %r are not in rendering order" % (states,))
     return {key: i for i, key in
             enumerate(itertools.product(states, READ_VECTORS[tracks]))}
+
+
+@functools.lru_cache(maxsize=256)
+def layout_by_code(states: tuple[str, ...], tracks: int) -> dict:
+    """state -> the slot of `layout(states, tracks)` for each read code, so
+    `layout_by_code(states, tracks)[state][vector_code(read)]` is
+    `layout(states, tracks)[state, read]`."""
+    slots = layout(states, tracks)
+    reads = sorted(READ_VECTORS[tracks], key=vector_code)
+    return {state: tuple([slots[state, read] for read in reads])
+            for state in states}
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -209,7 +209,10 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
     and hung there as a leaf whose slots are not derived yet.  Only when a
     later walk reaches such a leaf are its slots derived from its result:
     the leaf then moves down below one new node for each slot past its
-    depth, and the walk goes on.  Query-protocol programs are always run."""
+    depth, and the walk goes on.  A leaf whose slots cannot be derived (a
+    run of more than `_DERIVE_ROWS` rows, or one cut by an ordinal
+    overflow) gives its place to the program whose walk reached it, which
+    is run and hung there.  Query-protocol programs are always run."""
     programs = list(programs)
     results = []
     # Nodes are numbers.  reads[n] is the slot node n reads, one tuple per
@@ -247,9 +250,10 @@ def run_programs(programs, budget: BudgetPolicy, oracle=None,
             if j not in unread:
                 break
             read = slots_read(results[j], _DERIVE_ROWS)
-            if read is None:
-                break
             unread.remove(j)
+            if read is None:
+                child = None    # this run takes the leaf's place
+                break
             table = programs[j].rules
             for slot in reversed(read[depth:]):
                 node = len(reads)

@@ -16,16 +16,24 @@ computed under a certificate that makes them exact:
   the wake of one cycle repeating.
 
 A block steps on ints, not on `Real`s.  Each track is its start `Real` plus
-one int `delta` of the cells flipped since the block began, so a step reads
-start bit ^ delta bit under the head and flips a delta bit when it writes a
-different value.  Each step stores the row (state, head, *deltas).  The start
-tracks are fixed within a block, so two configurations are equal iff their
-rows are: the row is the exact repeat key, with no canonical form.  The
-per-track union of the rows j .. i that both rules need is row j's tracks
-plus every cell a later step turned to 1, one `Real.flipped` per track; the
-read-only oracle track keeps delta 0 and is never rebuilt.  The snapshots of
-a block are built from its rows on the first read of `BlockSummary.explicit`,
-and `verify_certificate` re-checks each certificate by stepping on `Real`s.
+one int `delta` of the cells flipped since the block began, and one int
+`cur` of its cells now: a window of the start, grown as the head reaches its
+end, with `delta` flipped in.  A step reads one code, track t's bit under
+the head at bit t (a 3-track block reads a constant 0 as its fourth track),
+and finds its slot as `layout_by_code(states, tracks)[state][code]`, which
+is `layout`'s slot for (state, read).  The rule's write is a code too, so
+the tracks the step flips are `(code ^ write_code) & writable`, with a real
+oracle's read-only track left out of `writable`, and the cells it turns to 1
+are those flips where the read code had a 0.  A flip toggles one bit of the
+track's `cur` and `delta`.  Each step stores the row (state, head, *deltas).
+The start tracks are fixed within a block, so two configurations are equal
+iff their rows are: the row is the exact repeat key, with no canonical form.
+The per-track union of the rows j .. i that both rules need is row j's
+tracks plus every cell a later step turned to 1, one `Real.flipped` per
+track; the read-only oracle track keeps delta 0 and is never rebuilt.  The
+snapshots of a block are built from its rows on the first read of
+`BlockSummary.explicit`, and `verify_certificate` re-checks each certificate
+by stepping on `Real`s.
 
 Limits of limits reuse the same idea one level up: block-start snapshots
 recur, and a cell is 1 at the w^k-limit iff it is 1 somewhere inside
@@ -144,7 +152,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import lcm
 
-from .machine import Program
+from .machine import Program, layout_by_code
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, cnf_add, from_int, successor,
                       limit_step, BudgetOrdinalOverflow)
 from .reals import (Real, ZERO as ZERO_REAL, or_all, or_real, and_not,
@@ -380,6 +388,11 @@ def step(s: Snapshot, p: Program, oracle=None, query_log=None) -> Snapshot:
     return _step(s, p, oracle, query_log)[0]
 
 
+# the tracks whose bits a code sets, by code
+_TRACKS = tuple(tuple([t for t in range(4) if code >> t & 1])
+                for code in range(16))
+
+
 def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
               oracle=None, query_log=None) -> BlockSummary:
     """Step from a block start until halt or an exact limit certificate."""
@@ -387,15 +400,18 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         return BlockSummary(_halt_at(0), start.tracks, None, (start,))
     kind = _oracle_kind(oracle)
     tracks = start.tracks
-    writable = range(3 if kind == "real" else len(tracks))  # oracle track is read-only
-    slots, rules = p.rules.slots, p.rules.rules
+    n = len(tracks)
+    # the tracks a write may flip, as a code: the oracle track is read-only
+    writable = 7 if n == 3 or kind == "real" else 15
+    by_code, rules = layout_by_code(p.rules.states, n), p.rules.rules
     halt_state, query_state = p.halt_state, p.query_state
     state, head = start.state, start.head
-    # cur[t]: cells 0 .. width-1 of track t now; delta[t]: cells flipped since
-    # the start; ups: (step, track, cell) for each cell turned to 1
+    # cur[t]: cells 0 .. width-1 of track t now, and a constant 0 for the
+    # fourth track of a 3-track block; delta[t]: cells flipped since the
+    # start; ups: (step, track, cell) for each cell turned to 1
     width = head + 64
-    cur = [t.window(0, width) for t in tracks]
-    delta = [0] * len(tracks)
+    cur = [t.window(0, width) for t in tracks] + [0] * (4 - n)
+    delta = [0] * n
     ups = []
     rows = [(state, head, *delta)]
     seen = {rows[0]: 0}
@@ -455,20 +471,20 @@ def run_block(start: Snapshot, p: Program, budget: BudgetPolicy,
         else:
             if head >= width:
                 grow = head + 64
-                cur = [c | t.window(width, grow) << width
-                       for c, t in zip(cur, tracks)]
+                cur[:n] = [c | t.window(width, grow) << width
+                           for c, t in zip(cur, tracks)]
                 width += grow
-            read = tuple([c >> head & 1 for c in cur])
-            rule = rules[slots[state, read]]
-            write = rule.write
-            for t in writable:
-                bit = write[t]
-                if read[t] != bit:
-                    m = 1 << head
+            code = (cur[0] >> head & 1 | (cur[1] >> head & 1) << 1
+                    | (cur[2] >> head & 1) << 2 | (cur[3] >> head & 1) << 3)
+            rule = rules[by_code[state][code]]
+            flip = (code ^ rule.write_code) & writable
+            if flip:
+                m = 1 << head
+                for t in _TRACKS[flip]:
                     cur[t] ^= m
                     delta[t] ^= m
-                    if bit:
-                        ups.append((i, t, head))
+                for t in _TRACKS[flip & ~code]:
+                    ups.append((i, t, head))
             if rule.move == "R":
                 head += 1
             elif rule.move == "L":

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from ittm.machine import (Program, ProgramError, ProgramSyntaxError, Rule,
-                          RuleTable, TotalityError, default_rule,
-                          extend_to_oracle_tracks, layout, parse_program, p_flip,
-                          p_flip_lh, p_halt, p_sweep, render_program,
-                          total_program, validate)
+from ittm.machine import (READ_VECTORS, Program, ProgramError,
+                          ProgramSyntaxError, Rule, RuleTable, TotalityError,
+                          default_rule, extend_to_oracle_tracks, layout,
+                          layout_by_code, parse_program, p_flip, p_flip_lh,
+                          p_halt, p_sweep, render_program, total_program,
+                          validate, vector_code)
 
 MINIMAL = "\n".join(
     ["tracks: 3", "start: s0", "limit: s0", "halt: h",
@@ -405,3 +406,30 @@ def test_survey_names_format_only_the_overridden_rules(monkeypatch):
                         lambda rule: formatted.append(rule) or format_rule(rule))
     names = [p.digest() for p in programs]
     assert len(formatted) == 1997 and len(set(names)) == 2000
+
+
+def test_layout_by_code_finds_every_slot_of_the_layout():
+    """`runner.run_block` finds a slot from its read code, track t's bit at
+    bit t: `layout_by_code(states, tracks)[state][vector_code(read)]` is
+    `layout(states, tracks)[state, read]` for every read vector.  Over every
+    enumerated layout at 3 and 4 tracks, a parsed hard-set program, a table
+    whose start is its limit state and the query probe's states."""
+    from conftest import query_probe
+    from ittm.oracle import ENUM_WORK_CAP, enumeration_slice
+    hard = Path(__file__).resolve().parents[1] / "perfbench" / "hard_set" / "10825.itm"
+    programs = [*enumeration_slice(ENUM_WORK_CAP + 1, ENUM_WORK_CAP, 3),
+                *enumeration_slice(ENUM_WORK_CAP + 1, ENUM_WORK_CAP, 4),
+                parse_program(hard.read_text()), parse_program(MINIMAL),
+                query_probe()]
+    for p in programs:
+        states, tracks = p.rules.states, p.track_count
+        slots, by_code = layout(states, tracks), layout_by_code(states, tracks)
+        assert p.rules.slots is slots and list(by_code) == list(states)
+        for state in states:
+            assert len(by_code[state]) == 2 ** tracks
+            for read in READ_VECTORS[tracks]:
+                code = vector_code(read)
+                assert code == sum(bit << t for t, bit in enumerate(read))
+                assert by_code[state][code] == slots[state, read]
+        assert all(rule.write_code == vector_code(rule.write)
+                   for rule in p.rules.values())

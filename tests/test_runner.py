@@ -163,6 +163,29 @@ def omega_cubed_clocker():
     return total_program(3, overrides)
 
 
+def dipping_drifter(tracks):
+    """The hard-set drifter 10828 on any input: it marks a cell of the output
+    track, steps left, then right twice, so it drifts one cell right per
+    three steps and never certifies.  Each mark copies the cell's input bit,
+    or with four tracks its fourth-track bit, to the scratch track, and every
+    step writes the fourth track's bit inverted, which a read-only oracle
+    track must ignore."""
+    overrides = {}
+    for read in itertools.product((0, 1), repeat=tracks):
+        i, s, o, *b = read
+        rest = tuple([1 - x for x in b])
+        overrides["start", read] = (
+            Rule((i, b[0] if b else i, 1, *rest), "L", "start") if o == 0 else
+            Rule((i, s, 1, *rest), "R", "start"))
+    return total_program(tracks, overrides)
+
+
+def dense_oracle():
+    """A real oracle with a 3000-cell prefix and a period-3 tail."""
+    return RealOracle(Real(tuple(int(k * k % 11 < 5) for k in range(3000)),
+                           (1, 1, 0)))
+
+
 def _check_explicit_against_stepping(p, res, budget, oracle=None):
     """Each block's explicit snapshots equal a chain of `step` from its start,
     read by iteration, every index, negative index and slice, and so do the
@@ -201,7 +224,7 @@ def test_explicit_snapshots_match_stepping_from_each_block_start():
     for progs, budget in ((enumeration_slice(2000, 2, 3), small),
                           ([looper(6)], BudgetPolicy(3, 4, 64)),
                           ([parse_program(HARD_10825.read_text())],
-                           BudgetPolicy(3, 160, 64))):
+                           BudgetPolicy(3, 400, 64))):
         for p in progs:
             kinds |= _check_explicit_against_stepping(
                 p, run_transfinite(p, ZERO_REAL, budget), budget)[1]
@@ -221,11 +244,34 @@ def test_explicit_snapshots_match_stepping_from_each_block_start():
                        for blk in res.blocks[1:])
             _check_explicit_against_stepping(p, res, budget)
     # a read-only oracle track with a long prefix
-    oracle = RealOracle(Real(tuple(int(k * k % 11 < 5) for k in range(3000)),
-                             (1, 1, 0)))
+    oracle = dense_oracle()
     for p in enumeration_slice(300, 0, 4):
         res = run_programs([p], small, oracle)[0]
         _check_explicit_against_stepping(p, res, small, oracle)
+
+
+def test_explicit_snapshots_match_stepping_past_the_third_window():
+    """`run_block` reads cells 0 .. 63 from one int window per track and
+    grows the windows as the head reaches 64 and 192.  Heads past cell 192
+    read the third window: on a non-zero input, against the dense oracle
+    (whose track each snapshot keeps unflipped, though the drifter writes it
+    inverted at every step) and in the hard-set drifter 10828."""
+    odd = parse_real("1(10)*")
+    oracle = dense_oracle()
+    long, tables = BudgetPolicy(3, 700, 64), random_tables(490, 4)
+    cases = [(dipping_drifter(3), odd, None, long),
+             (dipping_drifter(4), ZERO_REAL, oracle, long),
+             (tables[34], ZERO_REAL, oracle, BudgetPolicy(3, 400, 64)),
+             (tables[489], ZERO_REAL, oracle, BudgetPolicy(3, 400, 64)),
+             (parse_program(HARD_10825.with_name("10828.itm").read_text()),
+              ZERO_REAL, None, long)]
+    for p, input_real, oracle, budget in cases:
+        res = run_transfinite(p, input_real, budget, oracle)
+        assert max(row[1] for blk in res.blocks for row in blk.rows[1:]) > 192
+        _check_explicit_against_stepping(p, res, budget, oracle)
+        if oracle is not None:
+            assert all(snap.tracks[3] == oracle.real
+                       for blk in res.blocks for snap in blk.explicit)
 
 
 def test_query_log_matches_stepping():
@@ -946,6 +992,25 @@ def test_oracle_batch_results_equal_fresh_runs(monkeypatch):
                 assert {o for _p, o in calls} == {oracle}
                 reasons |= {res.reason for res in results}
     assert "ordinal-overflow" in reasons
+
+
+def test_a_leaf_that_cannot_be_derived_gives_its_place_to_the_next_run(
+        monkeypatch):
+    """At depth 1 a run that reaches a limit is cut by an overflow, so its
+    slots cannot be derived.  The next program whose walk reaches its leaf
+    runs and is hung there in its place, so a batch makes as many runs in
+    either order."""
+    calls = _counting_runs(monkeypatch)
+    budget = BudgetPolicy(1, 64, 64)
+    tables, enumerated = random_tables(150, 4), enumeration_slice(300, 1, 4)
+    for oracle, both in ((None, 266), (RealOracle(parse_real("(0)*")), 267)):
+        for progs, runs in ((tables, 144), (enumerated, 144),
+                            (tables + enumerated, both),
+                            (enumerated + tables, both)):
+            calls.clear()
+            results = _check_batch(progs, budget, ZERO_REAL, oracle)
+            assert len(calls) == runs
+        assert "ordinal-overflow" in {res.reason for res in results}
 
 
 def test_oracle_batches_share_runs_and_query_programs_always_run(monkeypatch):
