@@ -237,20 +237,28 @@ class Diagonal:
     def __init__(self, reals=()):
         self.position: dict[Real, int] = {}
         self.word = 0
-        for r in reals:
-            self.add(r)
-
-    def __contains__(self, r: Real) -> bool:
-        return r in self.position
+        self.extend(reals)
 
     def __len__(self) -> int:
         return len(self.position)
 
-    def add(self, r: Real) -> None:
-        """List r last, unless it is listed already."""
-        if r not in self.position:
-            k = self.position[r] = len(self.position)
-            self.word |= (1 - r.bit(k)) << k
+    def add(self, r: Real) -> bool:
+        """List r last, unless it is listed already; whether it was not."""
+        k = len(self.position)
+        if self.position.setdefault(r, k) != k:
+            return False
+        self.word |= (1 - r.bit(k)) << k
+        return True
+
+    def extend(self, reals) -> None:
+        """`add` each real in turn, hashing each once."""
+        position, word = self.position, self.word
+        k = len(position)
+        for r in reals:
+            if position.setdefault(r, k) == k:
+                word |= (1 - r.bit(k)) << k
+                k += 1
+        self.word = word
 
     def replace(self, old: Real, new: Real) -> None:
         """List the unlisted real `new` at the index of `old`."""
@@ -264,7 +272,8 @@ class Diagonal:
         from the k-th listed real at bit k, so it equals none of them.  This
         is checked on every call, and a listed diagonal raises rather than
         asserts, so `python -O` keeps the check."""
-        out = ZERO_REAL.flipped(self.word)
+        word = self.word
+        out = _real(word, word.bit_length(), 0, 1)   # ZERO_REAL.flipped(word)
         if out in self.position:
             raise AssertionError("the diagonal equals a listed real")
         return out

@@ -178,14 +178,18 @@ def cmd_survey(args) -> int:
     budget = _budget(args)
     programs = enumeration_slice(args.bound, args.states, args.tracks)
     results = run_programs(programs, budget)
+    # programs of one behaviour share their result: render each result once
+    found = {}
     entries = []
     for pid, res in enumerate(results):
-        entry = {"index": pid, "digest": programs[pid].digest(),
-                 "outcome": res.outcome}
-        if res.outcome == "halted":
-            entry["time"] = res.time.render()
-            entry["output"] = res.output.render()
-        entries.append(entry)
+        fields = found.get(id(res))
+        if fields is None:
+            fields = found[id(res)] = {"outcome": res.outcome}
+            if res.outcome == "halted":
+                fields["time"] = res.time.render()
+                fields["output"] = res.output.render()
+        entries.append({"index": pid, "digest": programs[pid].digest(),
+                        **fields})
     log = universal_run(results, budget)
     doc = {"schema": SCHEMA, "bound": args.bound, "states": args.states,
            "tracks": args.tracks,
@@ -206,9 +210,12 @@ def cmd_jump(args) -> int:
     oracle = _oracle(args)
     programs = enumeration_slice(args.bound, args.states, args.tracks)
     jr = jump_lightface(programs, oracle, budget)
+    # programs of one behaviour share their halting time: render each once
+    times = {id(t): t for _p, t in jr.halted}
+    times = {key: t.render() for key, t in times.items()}
     doc = {"schema": SCHEMA, "bound": jr.bound,
            "oracle": oracle.describe() if oracle else None,
-           "halted": [{"program": p, "time": t.render()} for p, t in jr.halted],
+           "halted": [{"program": p, "time": times[id(t)]} for p, t in jr.halted],
            "diverges": sorted(jr.diverges),
            "exceeded": sorted(jr.exceeded),
            "halting_real": jr.halting_real().render()}

@@ -24,7 +24,9 @@ takes the old one's slot and moves one bit of the diagonal, and the list is
 rebuilt only when the old witness is also listed from another source or a
 first witness would land before entries already listed.  Nothing changes the
 state within a batch but its own writes, so the list lives only as long as
-the batch.
+the batch, and it holds the stage's text for the batch's events.  A
+witness's text is written from the diagonal word, without rendering the
+witness.
 """
 
 from __future__ import annotations
@@ -93,10 +95,14 @@ class FMState:
     def side_oracle(self, side: str) -> SetOracle:
         return SetOracle(frozenset(self.members(side)))
 
-    def log(self, kind: str, **fields):
+    def stage_text(self) -> str:
+        """The current stage's text, rendered once per stage."""
         if self._stage_text[0] is not self.stage:
             self._stage_text = (self.stage, self.stage.render())
-        rec = {"type": kind, "stage": self._stage_text[1]}
+        return self._stage_text[1]
+
+    def log(self, kind: str, **fields):
+        rec = {"type": kind, "stage": self.stage_text()}
         rec.update(fields)
         self.events.append(rec)
 
@@ -111,20 +117,25 @@ class AvoidList:
     last_slot: int                 # whose witness is listed last: -1 none,
                                    # len(requirements) a member
     diagonal: Diagonal
+    stage: str                     # the stage's text, fixed for the batch
 
     def write(self, i: int, old: Real | None, new: Real) -> bool:
-        """Hand requirement i the unlisted witness `new` in place of `old`.
+        """Hand requirement i the list's diagonal `new` in place of `old`.
         False when that would move later entries, so the list must be
-        rebuilt."""
+        rebuilt.  Listing `new` at index k flips bit k of the diagonal: if
+        the slot held `old`, the bit was 1 - old.bit(k) = new.bit(k), and a
+        new last slot had bit 0, as new.bit(k) is."""
+        position = self.diagonal.position
         if old is None:
             if self.last_slot > i:
                 return False
-            self.diagonal.add(new)
+            k = position[new] = len(position)
             self.last_slot = i
         elif old in self.pinned:
             return False
         else:
-            self.diagonal.replace(old, new)
+            k = position[new] = position.pop(old)
+        self.diagonal.word ^= 1 << k
         return True
 
 
@@ -132,25 +143,24 @@ def _build_avoid(state: FMState) -> AvoidList:
     """The avoid list at the current stage, from scratch; raises TruncatedLog
     when the appearance log does not cover the stage's successor."""
     diagonal = Diagonal(state.appearance_log.segment(successor(state.stage)))
-    for owner in sorted(state.restraints):
-        for r in state.restraints[owner].preserved:
-            diagonal.add(r)
+    diagonal.extend(r for owner in sorted(state.restraints)
+                    for r in state.restraints[owner].preserved)
     members = state.members("A") + state.members("B")
     pinned = set(members)
     last_slot = -1
     for i, req in enumerate(state.requirements):
         w = req.witness
-        if w in diagonal:
-            pinned.add(w)
-        elif w is not None:
-            diagonal.add(w)
+        if w is None:
+            continue
+        if diagonal.add(w):
             last_slot = i
+        else:
+            pinned.add(w)
     listed = len(diagonal)
-    for r in members:
-        diagonal.add(r)
+    diagonal.extend(members)
     if len(diagonal) > listed:
         last_slot = len(state.requirements)
-    return AvoidList(pinned, last_slot, diagonal)
+    return AvoidList(pinned, last_slot, diagonal, state.stage_text())
 
 
 def fresh_witness(state: FMState) -> Real:
@@ -166,12 +176,20 @@ def _assign_witness(state: FMState, req: Requirement,
     for the batch's next assignment, or None when it must be rebuilt."""
     if avoid is None:
         avoid = _build_avoid(state)
+    word = avoid.diagonal.word
     witness = avoid.diagonal.real()
     kept = avoid.write(req.priority, req.witness, witness)
     req.witness = witness
-    state.log("witness", requirement=req.label(), priority=req.priority,
-              witness=witness.render())
+    state.events.append({"type": "witness", "stage": avoid.stage,
+                         "requirement": req.label(), "priority": req.priority,
+                         "witness": _witness_text(word)})
     return avoid if kept else None
+
+
+def _witness_text(word: int) -> str:
+    """The text of the diagonal real of `word` (`ZERO.flipped(word)`),
+    written from the word: its bits in order, then the zero tail."""
+    return bin(word)[:1:-1] + "(0)*" if word else "(0)*"
 
 
 def _assign_witnesses(state: FMState, reqs) -> None:

@@ -213,29 +213,36 @@ def _enumerated(tracks: int, rules: RuleTable) -> Program:
 
 def render_program(p: Program) -> str:
     """A program's text, which is its name: the header lines, then one line
-    per slot of its layout.  A slot that holds the shared default rule (the
-    very object `default_rule("halt", tracks)`, with which the enumeration
-    and `total_program` fill their tables) takes its line from the layout's
-    cached text, and only the other rules are formatted.  That is exact: an
-    object's text is fixed by its fields, so the identical rule has the
-    cached line's text.  A rule that only equals the default, such as one
-    `parse_program` makes, is formatted and gives the same bytes."""
-    lines = ["tracks: %d" % p.track_count,
-             "start: %s" % p.start_state,
-             "limit: %s" % p.limit_state,
-             "halt: %s" % p.halt_state]
-    if p.query_state is not None:
-        lines.append("query: %s" % p.query_state)
-    if p.yes_state is not None:
-        lines.append("yes: %s" % p.yes_state)
-    if p.no_state is not None:
-        lines.append("no: %s" % p.no_state)
+    per slot of its layout.  The text is spliced from cached pieces: the
+    header, and the layout's text with the shared default rule (the very
+    object `default_rule("halt", tracks)`, with which the enumeration and
+    `total_program` fill their tables) in every slot.  Only the lines of the
+    other rules are formatted and spliced in.  That is exact: an object's
+    text is fixed by its fields, so the identical rule has the cached line's
+    text.  A rule that only equals the default, such as one `parse_program`
+    makes, is formatted and gives the same bytes."""
     table = p.rules
     fill = default_rule("halt", p.track_count)
-    heads, filled = _slot_text(table.states, p.track_count)
-    lines += [line if rule is fill else head + _rule_text(rule)
-              for head, line, rule in zip(heads, filled, table.rules)]
-    return "\n".join(lines) + "\n"
+    heads, text, starts = _layout_text(table.states, p.track_count)
+    parts = [_header_text(p.track_count, p.start_state, p.limit_state,
+                          p.halt_state, p.query_state, p.yes_state, p.no_state)]
+    at = 0
+    for i, rule in enumerate(table.rules):
+        if rule is not fill:
+            parts += text[at:starts[i]], heads[i], _rule_text(rule), "\n"
+            at = starts[i + 1]
+    parts.append(text[at:])
+    return "".join(parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _header_text(tracks: int, start: str, limit: str, halt: str,
+                 query: str | None, yes: str | None, no: str | None) -> str:
+    """The header lines of a program's text, each ending in a newline."""
+    named = [("start", start), ("limit", limit), ("halt", halt),
+             ("query", query), ("yes", yes), ("no", no)]
+    return "tracks: %d\n" % tracks + "".join(
+        "%s: %s\n" % (name, state) for name, state in named if state is not None)
 
 
 # vector -> its text as a rule writes it
@@ -249,13 +256,18 @@ def _rule_text(rule: Rule) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _slot_text(states: tuple[str, ...], tracks: int):
-    """Per slot of `layout(states, tracks)`, in order: its "state read -> "
-    text, and its whole line when it holds `default_rule("halt", tracks)`."""
+def _layout_text(states: tuple[str, ...], tracks: int):
+    """The rule lines of `layout(states, tracks)` with
+    `default_rule("halt", tracks)` in every slot: per slot its "state read
+    -> " text, then the lines as one text, then where each line starts in
+    it and, last, the text's length."""
     heads = tuple("%s %s -> " % (state, _VECTOR_TEXT[read])
                   for state, read in layout(states, tracks))
-    fill = _rule_text(default_rule("halt", tracks))
-    return heads, tuple(head + fill for head in heads)
+    line = _rule_text(default_rule("halt", tracks)) + "\n"
+    text = "".join(head + line for head in heads)
+    starts = tuple(itertools.accumulate((len(head) + len(line) for head in heads),
+                                        initial=0))
+    return heads, text, starts
 
 
 def parse_program(text: str) -> Program:
@@ -465,14 +477,22 @@ def p_sweep() -> Program:
     return total_program(3, overrides)
 
 
+@functools.lru_cache(maxsize=1024)
+def _oracle_track_rules(rule: Rule) -> tuple[Rule, Rule]:
+    """The 4-track rules for `rule` read with track 4 at 0 and at 1: each
+    writes back what it read there."""
+    return tuple(Rule(rule.write + (b,), rule.move, rule.next_state)
+                 for b in (0, 1))
+
+
 def extend_to_oracle_tracks(p: Program) -> Program:
     """4-track version of a 3-track program that never touches track 4."""
     if p.track_count != 3:
         raise ValueError("only 3-track programs can be extended")
     rules = {}
     for (state, read), rule in p.rules.items():
-        for b in (0, 1):
-            rules[(state, read + (b,))] = Rule(rule.write + (b,), rule.move, rule.next_state)
+        rules[state, read + (0,)], rules[state, read + (1,)] = (
+            _oracle_track_rules(rule))
     return Program(track_count=4, start_state=p.start_state,
                    limit_state=p.limit_state, halt_state=p.halt_state,
                    query_state=p.query_state, yes_state=p.yes_state,

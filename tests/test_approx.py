@@ -383,6 +383,30 @@ def test_diagonal_keeps_the_rule_under_adds_and_replacements():
     assert diagonal_against(model + model[:5]) == diagonal.real()
 
 
+def test_diagonal_extend_is_one_add_per_real():
+    """`Diagonal(reals)`, `extend` and one `add` per real list each distinct
+    real once, at its first index, duplicates included; `add` says whether
+    its real was new."""
+    import random
+    rng = random.Random(11)
+    pool = [Real(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 7))),
+                 tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 3))))
+            for _ in range(60)]
+    for _ in range(40):
+        reals = [rng.choice(pool) for _ in range(rng.randint(0, 80))]
+        model = list(dict.fromkeys(reals))
+        word = sum((1 - r.bit(k)) << k for k, r in enumerate(model))
+        one_by_one = Diagonal()
+        new = [one_by_one.add(r) for r in reals]
+        assert new == [r not in reals[:i] for i, r in enumerate(reals)]
+        cut = rng.randint(0, len(reals))
+        extended = Diagonal(reals[:cut])
+        extended.extend(reals[cut:])
+        for d in (Diagonal(reals), extended, one_by_one):
+            assert list(d.position.items()) == [(r, k) for k, r in enumerate(model)]
+            assert d.word == word
+
+
 def test_segment_is_the_prefix_below_the_stage():
     from ittm.oracle import enumeration_slice
     budget = BudgetPolicy(3, 64, 384)

@@ -366,6 +366,15 @@ def test_kept_avoid_list_follows_edits_of_the_state(checked_witnesses):
     assert checked_witnesses["rebuilds"] == 4 + 4
 
 
+def test_witness_text_is_the_rendered_diagonal():
+    import random
+    rng = random.Random(5)
+    words = [0, 1, 2, 5] + [rng.getrandbits(rng.randint(1, 200))
+                            for _ in range(300)]
+    for word in words:
+        assert fm._witness_text(word) == ZERO_REAL.flipped(word).render()
+
+
 def test_avoid_list_rebuilds_only_per_attention(counts):
     # fm --states 0 --bound 48: one build for the first assignments, then
     # one per attention, where every witness once rebuilt the list

@@ -433,3 +433,96 @@ def test_layout_by_code_finds_every_slot_of_the_layout():
                 assert by_code[state][code] == slots[state, read]
         assert all(rule.write_code == vector_code(rule.write)
                    for rule in p.rules.values())
+
+
+def reference_render(p):
+    """A program's text line by line, from its fields alone."""
+    lines = ["tracks: %d" % p.track_count, "start: %s" % p.start_state,
+             "limit: %s" % p.limit_state, "halt: %s" % p.halt_state]
+    for name, state in (("query", p.query_state), ("yes", p.yes_state),
+                        ("no", p.no_state)):
+        if state is not None:
+            lines.append("%s: %s" % (name, state))
+    for (state, read), rule in p.rules.items():
+        lines.append("%s %s -> %s %s %s" % (
+            state, "".join(map(str, read)), rule.next_state,
+            "".join(map(str, rule.write)), rule.move))
+    return "\n".join(lines) + "\n"
+
+
+def layout_programs(tracks):
+    """Over every enumerated layout at `tracks`: the all-default table, one
+    with another rule in each single slot, and one with another rule in
+    every slot."""
+    from ittm.oracle import ENUM_WORK_CAP, _option_list, enumeration_slice
+    rng = random.Random(tracks)
+    out = []
+    for work, base in enumerate(enumeration_slice(ENUM_WORK_CAP + 1,
+                                                  ENUM_WORK_CAP, tracks)):
+        states, options = base.rules.states, _option_list(work, tracks)[1:]
+        keys = list(base.rules)
+        out.append(base)
+        out += [total_program(tracks, {key: rng.choice(options)}, states)
+                for key in keys]
+        out.append(total_program(tracks, {key: rng.choice(options)
+                                          for key in keys}, states))
+    return out
+
+
+def test_render_program_matches_a_line_by_line_render():
+    """`render_program` splices the formatted lines of the rules that are
+    not the shared default into cached text; a plain renderer gives the same
+    text on every enumerated layout at 3 and 4 tracks, a parsed hard-set
+    program, a table whose start is its limit state, the query probe and
+    4-track extensions."""
+    from conftest import query_probe
+    from ittm.oracle import ENUM_WORK_CAP
+    hard = Path(__file__).resolve().parents[1] / "perfbench" / "hard_set" / "10825.itm"
+    three = layout_programs(3)
+    programs = [*three, *layout_programs(4), parse_program(hard.read_text()),
+                parse_program(MINIMAL), query_probe(),
+                *map(extend_to_oracle_tracks, three + [p_flip(), p_sweep()])]
+    # the enumerated layouts at both track counts, MINIMAL's and the probe's
+    assert len({(p.rules.states, p.track_count) for p in programs}) == \
+        2 * (ENUM_WORK_CAP + 1) + 2
+    for p in programs:
+        assert render_program(p) == reference_render(p)
+    assert render_program(parse_program(MINIMAL)) == MINIMAL
+
+
+def reference_extend(p):
+    """`extend_to_oracle_tracks` built field by field, with no cache."""
+    rules = {(state, read + (b,)): Rule(rule.write + (b,), rule.move,
+                                        rule.next_state)
+             for (state, read), rule in p.rules.items() for b in (0, 1)}
+    return Program(track_count=4, start_state=p.start_state,
+                   limit_state=p.limit_state, halt_state=p.halt_state,
+                   query_state=p.query_state, yes_state=p.yes_state,
+                   no_state=p.no_state, rules=rules)
+
+
+def test_extend_to_oracle_tracks_matches_the_field_by_field_build():
+    for p in [*layout_programs(3), p_flip(), p_sweep(), p_flip_lh()]:
+        got, want = extend_to_oracle_tracks(p), reference_extend(p)
+        assert got == want and got.rules.slots is want.rules.slots
+        assert [r.write_code for r in got.rules.values()] == \
+            [vector_code(r.write) for r in want.rules.values()]
+
+
+def test_fm_makes_two_rules_per_distinct_rule(monkeypatch, capsys):
+    """cli-mix's `fm --states 0 --bound 48` extends 48 programs of 16 slots
+    to 4 tracks; each distinct 3-track rule is extended once."""
+    import ittm.machine as machine
+    from ittm import cli
+    from ittm.oracle import enumeration_slice
+    distinct = {rule for p in enumeration_slice(48, 0, 3)
+                for rule in p.rules.values()}
+    made = []
+    post_init = Rule.__post_init__
+    monkeypatch.setattr(Rule, "__post_init__",
+                        lambda rule: made.append(rule) or post_init(rule))
+    machine._oracle_track_rules.cache_clear()
+    assert cli.main(["fm", "--states", "0", "--bound", "48"]) == 1
+    capsys.readouterr()
+    extended = [rule for rule in made if len(rule.write) == 4]
+    assert 0 < len(extended) <= 2 * len(distinct) < 1536
