@@ -2,12 +2,10 @@
 
 Everything here replays certified traces rather than re-deriving semantics:
 the universal dovetailer logs each new distinct track content with the exact
-stage it first appears; stabilization search walks a run once, reading one
-cell or track at each snapshot and off each block's certificate, and answers
-where it settles; the halting-set approximation stream is the exact sequence
-of budgeted halting events; and the iterated-jump matrix replays the
-transfinite-injury procedure event by event, erasing higher rows whenever a
-lower row improves.
+stage it first appears; the halting-set approximation stream is the exact
+sequence of budgeted halting events; and the iterated-jump matrix replays
+the transfinite-injury procedure event by event, erasing higher rows
+whenever a lower row improves.
 
 Translation-certified blocks need care: the wake keeps producing fresh track
 contents below the block's limit, either forever (each cycle extends the
@@ -29,13 +27,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .machine import Program
 from .ordinal import (Ordinal, ZERO as ZERO_ORD, OMEGA, cnf_add,
                       element_of, from_int, pair_index, successor)
 from .oracle import RealOracle, run_programs
 from .reals import Real, ZERO as ZERO_REAL, _real, from_support
-from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, RepeatCert,
-                     RunResult, TranslationCert, cells_read, run_transfinite)
+from .runner import (BlockSummary, BudgetPolicy, DEFAULT_BUDGET, RunResult,
+                     TranslationCert, cells_read)
+# unused here; perfbench's tracer test reads it as a lookup site of the runner
+from .runner import run_transfinite  # noqa: F401
 
 
 class TruncatedLog(Exception):
@@ -229,8 +228,7 @@ class Diagonal:
 
     `position` maps each listed real to its index k, and bit k of `word` is
     1 - (k-th real).bit(k), so the diagonal differs from every listed real.
-    Adding a real already listed changes nothing, and replacing a listed real
-    by an unlisted one in place moves at most one bit."""
+    Adding a real already listed changes nothing."""
 
     __slots__ = ("position", "word")
 
@@ -260,13 +258,6 @@ class Diagonal:
                 k += 1
         self.word = word
 
-    def replace(self, old: Real, new: Real) -> None:
-        """List the unlisted real `new` at the index of `old`."""
-        if new in self.position:   # raised, not asserted, so `python -O` keeps it
-            raise AssertionError("the replacement is listed already")
-        k = self.position[new] = self.position.pop(old)
-        self.word ^= (old.bit(k) ^ new.bit(k)) << k
-
     def real(self) -> Real:
         """The diagonal itself, with a zero tail.  It is fresh: it differs
         from the k-th listed real at bit k, so it equals none of them.  This
@@ -285,117 +276,11 @@ def diagonal_against(reals) -> Real:
     return Diagonal(reals).real()
 
 
-def diagonalize_appearances(log: AppearanceLog, upto_stage: Ordinal) -> Real:
-    """A real provably absent from every tape below upto_stage."""
-    return diagonal_against(log.segment(upto_stage))
-
-
-# --- stabilization and eventual writing ------------------------------------
-
-def _stability(res: RunResult, read, wake_changes) -> tuple:
-    """(status, stage, value) of one value read off a run's track tuples, in
-    one walk over the run.
-
-    An exceeded run answers "exceeded" unread.  Otherwise the value is read
-    at each explicit snapshot, at the (relative step, value) changes that
-    `wake_changes(block)` gives past a translation block's window, at each
-    block limit and at the final limit.  A block whose certified cycle
-    changes the value cofinally below its limit (a repeat cycle holding two
-    values, or a translation whose `wake_changes` is None) leaves no value
-    from its start on, so its limit's read is a change.  A loop's value is
-    unstable when it changes strictly between the loop's two stages, as it
-    does in the explicit snapshots of every cofinal block from the first
-    stage on: a repeat cycle holds two values, and a moving track is not
-    constant over explicit[mu .. mu+pi], or its first wake cycle would equal
-    the window.  Otherwise it is stable at the stage and value of its last
-    change."""
-    if res.outcome == "exceeded":
-        return ("exceeded", None, None)
-    loop = res.loop   # None unless the run loops
-    reads = []
-    for block in res.blocks:
-        base, cert = block.start.stage, block.certificate
-        reads += [(s.stage, read(s.tracks)) for s in block.explicit]
-        changes = []
-        if isinstance(cert, TranslationCert):
-            changes = wake_changes(block)
-        elif isinstance(cert, RepeatCert):
-            cycle = block.explicit[cert.mu: cert.mu + cert.pi]
-            if len({read(s.tracks) for s in cycle}) > 1:
-                changes = None
-        if changes is None:
-            reads.append((base, None))
-        else:
-            reads += [(cnf_add(base, from_int(rel)), v) for rel, v in changes]
-        if block.limit is not None:
-            reads.append((block.limit.stage, read(block.limit.tracks)))
-    if res.final_limit is not None:
-        reads.append((res.final_limit.stage, read(res.final_limit.tracks)))
-    stage, value = ZERO_ORD, None
-    for at, v in reads:
-        if v != value:
-            if loop is not None and loop.first < at < loop.second:
-                return ("unstable", None, None)
-            stage, value = at, v
-    return ("stable", stage, value)
-
-
-@dataclass(frozen=True)
-class Stabilization:
-    status: str                 # "stable" | "unstable" | "exceeded"
-    stage: Ordinal | None
-    value: int | None
-
-
-def stabilization_stage(p: Program, cell: tuple[int, int],
-                        budget: BudgetPolicy = DEFAULT_BUDGET) -> Stabilization:
-    """Least stage from which the cell's value, on input 0, is constant
-    through the certified horizon, or a proof of cofinal oscillation."""
-    track, index = cell
-    def wake_changes(block):
-        # the cell freezes at its limit value once the head range passes
-        # it, which takes at most index // shift + 1 cycles past the window
-        cert = block.certificate
-        key = _wake_key(block, track)
-        return [(cert.mu + k * cert.pi + i, _wake(key, k, i).bit(index))
-                for k in range(1, index // cert.shift + 2)
-                for i in range(cert.pi) if k > 1 or i > 0]
-    res = run_transfinite(p, ZERO_REAL, budget)
-    return Stabilization(*_stability(
-        res, lambda tracks: tracks[track].bit(index), wake_changes))
-
-
-@dataclass(frozen=True)
-class EventuallyWritten:
-    status: str                 # "stable" | "unstable" | "exceeded"
-    real: Real | None
-    stage: Ordinal | None
-
-
-def eventually_written(p: Program, budget: BudgetPolicy = DEFAULT_BUDGET
-                       ) -> EventuallyWritten:
-    """Output-track content if it is constant from some certified stage on."""
-    res = run_transfinite(p, ZERO_REAL, budget)
-    status, stage, value = _stability(
-        res, lambda tracks: tracks[2],
-        lambda block: [] if _absorbed(block, _wake_key(block, 2), 2) else None)
-    if status != "stable":
-        return EventuallyWritten(status, None, None)
-    return EventuallyWritten("stable", value if value is not None else ZERO_REAL,
-                             stage)
-
-
 # --- the halting-set approximation stream ----------------------------------
 
 @dataclass(frozen=True)
 class ApproximationStream:
     events: tuple[tuple[Ordinal, int], ...]
-    exceeded: frozenset[int]
-    diverges: frozenset[int]
-
-    def snapshot_at(self, sigma: Ordinal) -> frozenset[int]:
-        """Programs halted by stage sigma."""
-        return frozenset(p for st, p in self.events if st <= sigma)
 
     def snapshots(self) -> list[tuple[Ordinal, frozenset[int]]]:
         out = []
@@ -417,17 +302,9 @@ def approximate_jump(results: list[RunResult]) -> ApproximationStream:
 
     Bookkeeping is kept separate from jump_lightface so that agreement of
     the stream's final set with the jump is a real cross-check."""
-    pending = []
-    exceeded, diverges = set(), set()
-    for pid, res in enumerate(results):
-        if res.outcome == "halted":
-            pending.append((res.time, pid))
-        elif res.outcome == "loops":
-            diverges.add(pid)
-        else:
-            exceeded.add(pid)
-    events = tuple(sorted(pending))
-    return ApproximationStream(events, frozenset(exceeded), frozenset(diverges))
+    return ApproximationStream(tuple(sorted(
+        (res.time, pid) for pid, res in enumerate(results)
+        if res.outcome == "halted")))
 
 
 # --- the iterated-jump injury matrix ----------------------------------------

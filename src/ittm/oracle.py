@@ -27,7 +27,6 @@ hand-written machines run against set oracles.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -71,10 +70,6 @@ class SetOracle:
                 "members": sorted(m.render() for m in self.members)}
 
 
-def set_oracle(members, trim_bits: int = DEFAULT_TRIM_BITS) -> SetOracle:
-    return SetOracle(frozenset(members), trim_bits)
-
-
 def replay_queries(query_log: Sequence[QueryRecord], oracle: SetOracle) -> bool:
     """True iff every logged answer matches the oracle, with stages increasing."""
     last = None
@@ -88,10 +83,6 @@ def replay_queries(query_log: Sequence[QueryRecord], oracle: SetOracle) -> bool:
 
 
 # --- canonical enumeration -------------------------------------------------
-
-def _slot_list(work: int, tracks: int):
-    return list(layout(("start", "limit") + _WORK_NAMES[:work], tracks))
-
 
 def _option_list(work: int, tracks: int):
     nexts = sorted(["halt", "limit", "start"] + list(_WORK_NAMES[:work]))
@@ -157,19 +148,6 @@ def enumerate_programs(max_work_states: int, tracks: int = 3):
 
 def enumeration_slice(bound: int, max_work_states: int = 2, tracks: int = 3):
     return list(itertools.islice(enumerate_programs(max_work_states, tracks), bound))
-
-
-def count_programs(work: int, tracks: int, max_overrides: int | None = None) -> int:
-    """Closed-form size of the exactly-`work`-state space, optionally cut at
-    an override count (the grading used by the enumerator)."""
-    s = len(_slot_list(work, tracks))
-    o = len(_option_list(work, tracks)) - 1
-    if max_overrides is None:
-        return (o + 1) ** s
-    total = 0
-    for k in range(min(max_overrides, s) + 1):
-        total += math.comb(s, k) * o ** k
-    return total
 
 
 # --- relativized runs and jumps -------------------------------------------

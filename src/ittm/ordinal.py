@@ -9,8 +9,9 @@ A fixed global numbering of ordinals as naturals (graded by term size, then
 by ordinal order) turns each ordinal a into a canonical well-order code: the
 bit sequence whose bit at Cantor pair index <i,j> says whether element i
 precedes element j in the canonical order of type a.  Diagonal bits <i,i>
-mark domain membership, so codes of distinct ordinals are distinct and the
-restriction of a canonical code is again canonical, bit for bit.
+mark domain membership, so codes of distinct ordinals are distinct.  Every
+code numbers the elements alike, so for b <= a the code of b is the code of
+a with every bit of an element of rank b or more cleared.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ Terms = tuple[tuple[int, int], ...]
 
 class BudgetOrdinalOverflow(Exception):
     """A stage label would reach w^D for the configured depth D."""
-
-
-class RankOutOfRange(Exception):
-    """Requested restriction rank exceeds the code's order type."""
 
 
 @total_ordering
@@ -106,10 +103,6 @@ def from_int(n: int) -> Ordinal:
     if n < len(_SMALL):
         return _SMALL[n]
     return _ordinal(((0, n),))
-
-
-def omega_power(e: int, c: int = 1) -> Ordinal:
-    return Ordinal(((e, c),))
 
 
 # one term of a literal: w, w^e, w*c, w^e*c or n, digits ASCII only
@@ -199,8 +192,8 @@ def unpair(n: int) -> tuple[int, int]:
 #
 # Ordinals below w^w enumerated by (size, ordinal order), where size is the
 # sum of exponents and coefficients.  The numbering is a bijection with the
-# naturals, shared by every code, which is what makes restriction of a
-# canonical code canonical.
+# naturals, shared by every code, so a canonical code cut down to the
+# elements of rank below b is the canonical code of b.
 
 _classes: list[list[Ordinal]] = []
 _positions: list[dict[Terms, int]] = []
@@ -285,10 +278,3 @@ def encode_order(a: Ordinal, prefix_bits: int) -> OrderCode:
     if prefix_bits < 0:
         raise ValueError("prefix length must be a natural")
     return OrderCode(a, prefix_bits)
-
-
-def restrict_code(y: OrderCode, beta: Ordinal) -> OrderCode:
-    if beta > y.ordinal:
-        raise RankOutOfRange(
-            "cannot restrict code of %s to %s" % (y.ordinal.render(), beta.render()))
-    return OrderCode(beta, y.materialized_prefix_len)

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from ittm import oracle
-from ittm.machine import Rule, total_program
+from ittm.machine import Rule, layout, total_program
 from ittm.runner import BudgetPolicy
 
 
@@ -114,7 +114,7 @@ def omega_squared_clocker():
 def random_tables(n, tracks=3):
     """The first n random total tables with two work states, from seed 11."""
     rng = random.Random(11)
-    slots = oracle._slot_list(2, tracks)
+    slots = layout(("start", "limit", "s0", "s1"), tracks)
     options = oracle._option_list(2, tracks)
     return [total_program(tracks, {s: rng.choice(options) for s in slots},
                           ("start", "limit", "s0", "s1")) for _ in range(n)]

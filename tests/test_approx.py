@@ -6,14 +6,11 @@ import pytest
 from conftest import (looper, nonzero_halter, oracle_bit_halter,
                       random_tables, total_program, zero_halter)
 
-from ittm import approx
 from ittm.approx import (Diagonal, TruncatedLog, approximate_jump,
-                         diagonal_against, diagonalize_appearances,
-                         eventually_written, iterated_matrix,
-                         join_rows, materialized_ranks, stabilization_stage,
-                         universal_run, validate_erasures, ErasureEntry)
-from ittm.machine import (Rule, extend_to_oracle_tracks, p_flip, p_flip_lh,
-                          p_halt, p_sweep)
+                         diagonal_against, iterated_matrix, join_rows,
+                         materialized_ranks, universal_run, validate_erasures,
+                         ErasureEntry)
+from ittm.machine import Rule, extend_to_oracle_tracks, p_flip, p_halt, p_sweep
 from ittm.oracle import RealOracle, run_programs
 from ittm.ordinal import (OMEGA, ZERO as ZERO_ORD, cnf_add, element_of,
                           from_int, pair_index, parse_ordinal, successor)
@@ -22,28 +19,6 @@ from ittm.runner import (BudgetPolicy, ExceededCert, RepeatCert, TranslationCert
                          run_transfinite)
 
 B = BudgetPolicy(3, 64, 256)
-
-
-def output_flipper():
-    """Oscillates output bit 0 below w, then loops quietly: eventually
-    written exactly from stage w."""
-    overrides = {}
-    for read in itertools.product((0, 1), repeat=3):
-        i, s, o = read
-        overrides[("start", read)] = Rule((i, s, 1 - o), "S", "start")
-        overrides[("limit", read)] = Rule(read, "S", "limit")
-    return total_program(3, overrides)
-
-
-def scratch_mirror():
-    """p_flip with the output track mirroring the scratch oscillation."""
-    overrides = {}
-    for read in itertools.product((0, 1), repeat=3):
-        i, s, o = read
-        rule = Rule((i, 1 - s, 1 - s), "S", "start")
-        overrides[("start", read)] = rule
-        overrides[("limit", read)] = rule
-    return total_program(3, overrides)
 
 
 # --- universal dovetailer ----------------------------------------------------
@@ -359,7 +334,7 @@ def test_diagonal_examples():
     assert out == parse_real("11(0)*")
 
 
-def test_diagonal_keeps_the_rule_under_adds_and_replacements():
+def test_diagonal_keeps_the_rule_under_adds():
     import random
     rng = random.Random(7)
     pool = [Real(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 9))),
@@ -368,14 +343,9 @@ def test_diagonal_keeps_the_rule_under_adds_and_replacements():
     diagonal, model = Diagonal(), []
     for _ in range(600):
         r = rng.choice(pool)
-        if model and r not in model and rng.random() < 0.4:
-            k = rng.randrange(len(model))
-            diagonal.replace(model[k], r)
-            model[k] = r
-        else:
-            diagonal.add(r)
-            if r not in model:
-                model.append(r)
+        diagonal.add(r)
+        if r not in model:
+            model.append(r)
         assert diagonal.position == {r: k for k, r in enumerate(model)}
         out = diagonal.real()
         assert out == Real(tuple(1 - r.bit(k) for k, r in enumerate(model)), (0,))
@@ -423,10 +393,10 @@ def test_segment_is_the_prefix_below_the_stage():
                                      if rec.stage < upto]
 
 
-def test_diagonalize_appearances_absent_from_segment():
+def test_diagonal_of_a_segment_is_absent_from_it():
     log = universal_run(run_programs([p_halt(), p_flip(), zero_halter()], B), B)
     upto = parse_ordinal("w*2")
-    out = diagonalize_appearances(log, upto)
+    out = diagonal_against(log.segment(upto))
     assert out not in set(log.segment(upto))
 
 
@@ -435,175 +405,10 @@ def test_diagonalize_refuses_truncated_segment():
     log = universal_run(run_programs([p_sweep()], budget), budget)
     assert log.truncated
     with pytest.raises(TruncatedLog):
-        diagonalize_appearances(log, parse_ordinal("w*1"))
+        diagonal_against(log.segment(parse_ordinal("w*1")))
     # before the truncation horizon the diagonal is still sound
-    small = diagonalize_appearances(log, from_int(1))
+    small = diagonal_against(log.segment(from_int(1)))
     assert small not in set(log.segment(from_int(1)))
-
-
-# --- stabilization and eventual writing -------------------------------------
-
-def test_stabilization_halt_output_cell():
-    st = stabilization_stage(p_halt(), (2, 0), B)
-    assert (st.status, st.stage, st.value) == ("stable", from_int(1), 1)
-
-
-def test_stabilization_flip_scratch_unstable():
-    st = stabilization_stage(p_flip(), (1, 0), B)
-    assert st.status == "unstable"
-
-
-def test_stabilization_sweep_cell_five():
-    st = stabilization_stage(p_sweep(), (1, 5), B)
-    assert (st.status, st.stage, st.value) == ("stable", from_int(6), 1)
-
-
-def test_stabilization_exceeded():
-    st = stabilization_stage(nonzero_halter(12), (2, 0), BudgetPolicy(3, 4, 64))
-    assert st.status == "exceeded"
-
-
-def test_stabilization_at_limit_stage():
-    st = stabilization_stage(output_flipper(), (2, 0), B)
-    assert (st.status, st.stage, st.value) == ("stable", OMEGA, 1)
-
-
-def test_eventually_written_examples():
-    ev = eventually_written(p_halt(), B)
-    assert (ev.status, ev.real, ev.stage) == \
-        ("stable", parse_real("1(0)*"), from_int(1))
-    ev = eventually_written(output_flipper(), B)
-    assert (ev.status, ev.real, ev.stage) == ("stable", parse_real("1(0)*"), OMEGA)
-    ev = eventually_written(scratch_mirror(), B)
-    assert ev.status == "unstable"
-    ev = eventually_written(nonzero_halter(12), BudgetPolicy(3, 4, 64))
-    assert ev.status == "exceeded"
-
-
-def test_a_loop_is_unstable_where_its_cycle_changes_the_value():
-    # random draws #39 and #79 loop, and these values change strictly
-    # between the two loop stages: that window is what tells them from the
-    # values that settle, such as cell (2, 5) of #79
-    tables = random_tables(80)
-    p39, p79 = tables[39], tables[79]
-    assert (p39.digest(), p79.digest()) == ("fab642f2988c99b2", "aea66d6c0999e896")
-    budget = BudgetPolicy(3, 64, 128)
-    loop = run_transfinite(p79, ZERO_REAL, budget).loop
-    assert (loop.first, loop.second) == (parse_ordinal("w*13"), parse_ordinal("w^2"))
-    for p, cells in ((p39, [(0, 0), (1, 0), (2, 0)]),
-                     (p79, [(0, 0), (1, 0), (1, 3), (2, 0)])):
-        for cell in cells:
-            assert stabilization_stage(p, cell, budget).status == "unstable"
-        assert eventually_written(p, budget).status == "unstable"
-    st = stabilization_stage(p79, (2, 5), budget)
-    assert (st.status, st.stage, st.value) == ("stable", from_int(6), 1)
-
-
-def reference_history(res, read, wake_changes):
-    """The change history stabilization was read from before it took one
-    pass, kept to check that pass against: ("set", stage, value) changes
-    plus ("osc", block start, limit stage) markers for blocks whose
-    certified cycle changes the value cofinally below the limit.
-    `wake_changes(block)` gives the (relative step, value) changes past a
-    translation block's window, or None when they never stop."""
-    items = []
-    value = None
-    def set_at(stage, v):
-        nonlocal value
-        if v != value:
-            items.append(("set", stage, v))
-            value = v
-    for block in res.blocks:
-        base = block.start.stage
-        for snap in block.explicit:
-            set_at(snap.stage, read(snap.tracks))
-        cert = block.certificate
-        changes = []
-        if isinstance(cert, RepeatCert):
-            vals = {read(s.tracks)
-                    for s in block.explicit[cert.mu: cert.mu + cert.pi]}
-            if len(vals) > 1:
-                changes = None
-        elif isinstance(cert, TranslationCert):
-            changes = wake_changes(block)
-        if changes is None:
-            items.append(("osc", base, block.limit.stage))
-            value = None
-        else:
-            for rel, v in changes:
-                set_at(cnf_add(base, from_int(rel)), v)
-        if block.limit is not None:
-            set_at(block.limit.stage, read(block.limit.tracks))
-    if res.final_limit is not None:
-        set_at(res.final_limit.stage, read(res.final_limit.tracks))
-    return items
-
-
-def reference_settle(items, res):
-    """(status, stage, final value) of a change history."""
-    if res.outcome == "exceeded":
-        return ("exceeded", None, None)
-    if res.outcome == "loops":
-        t1, t2 = res.loop.first, res.loop.second
-        for kind, *rest in items:
-            if kind == "set" and t1 < rest[0] < t2:
-                return ("unstable", None, None)
-            if kind == "osc" and t1 <= rest[0]:
-                return ("unstable", None, None)
-    if not items:
-        return ("stable", ZERO_ORD, None)
-    # every osc item is followed by its block limit's set item
-    _kind, stage, value = items[-1]
-    return ("stable", stage, value)
-
-
-STABILIZATION_CELLS = [(0, 0), (1, 0), (1, 3), (2, 0), (2, 5)]
-
-
-def reference_answers(res):
-    """The reference's answers on one result: each cell's (status, stage,
-    value), then the output track's (status, stage, real)."""
-    out = []
-    for track, cell in STABILIZATION_CELLS:
-        def cell_wake(block, track=track, cell=cell):
-            mu, pi = block.certificate.mu, block.certificate.pi
-            return [(mu + k * pi + i, reference_wake(block, k, i)[track].bit(cell))
-                    for k in range(1, cell // block.certificate.shift + 2)
-                    for i in range(pi) if k > 1 or i > 0]
-        items = reference_history(res, lambda tracks: tracks[track].bit(cell),
-                                  cell_wake)
-        out.append(reference_settle(items, res))
-    def output_wake(block):
-        mu, pi = block.certificate.mu, block.certificate.pi
-        absorbed = all(reference_wake(block, 1, i)[2] == block.explicit[mu + i].tracks[2]
-                       for i in range(pi))
-        return [] if absorbed else None
-    status, stage, value = reference_settle(
-        reference_history(res, lambda tracks: tracks[2], output_wake), res)
-    if status != "stable":
-        return out + [(status, None, None)]
-    return out + [(status, stage, ZERO_REAL if value is None else value)]
-
-
-def test_stabilization_matches_the_reference_walk(monkeypatch):
-    # each program runs once per budget, and both walks read that one result
-    from ittm.oracle import enumeration_slice
-    progs = [p_flip(), p_sweep(), p_halt(), p_flip_lh(), dipping_drifter(),
-             output_flipper(), scratch_mirror()]
-    progs += enumeration_slice(400, 2, 3) + random_tables(400)
-    statuses = set()
-    for budget in (BudgetPolicy(3, 64, 128), BudgetPolicy(4, 256, 256)):
-        for p in progs:
-            res = run_transfinite(p, ZERO_REAL, budget)
-            monkeypatch.setattr(approx, "run_transfinite", lambda *args: res)
-            got = [(st.status, st.stage, st.value) for st in
-                   (stabilization_stage(p, cell, budget)
-                    for cell in STABILIZATION_CELLS)]
-            ev = eventually_written(p, budget)
-            got.append((ev.status, ev.stage, ev.real))
-            assert got == reference_answers(res), p.digest()
-            statuses.update(status for status, _stage, _value in got)
-    assert statuses == {"stable", "unstable", "exceeded"}
 
 
 # --- the approximation stream ------------------------------------------------
@@ -611,8 +416,7 @@ def test_stabilization_matches_the_reference_walk(monkeypatch):
 def test_approximate_jump_examples():
     stream = approximate_jump(run_programs([p_halt(), p_flip()], B))
     assert stream.events == ((from_int(1), 0),)
-    assert stream.snapshot_at(ZERO_ORD) == frozenset()
-    assert stream.snapshot_at(from_int(2)) == frozenset({0})
+    assert stream.snapshots() == [(from_int(1), frozenset({0}))]
     assert stream.final() == frozenset({0})
 
     assert approximate_jump(run_programs([], B)).events == ()
@@ -867,34 +671,5 @@ def test_diagonal_absent_across_survey_logs():
         for upto in (from_int(1), from_int(3), OMEGA, parse_ordinal("w*2")):
             if log.complete_below is not None and log.complete_below < upto:
                 continue
-            out = diagonalize_appearances(log, upto)
+            out = diagonal_against(log.segment(upto))
             assert out not in set(log.segment(upto))
-
-
-def test_stabilization_soundness_by_longer_simulation():
-    from ittm.oracle import enumeration_slice
-    from ittm.runner import initial_snapshot, step
-    budget = BudgetPolicy(3, 64, 128)
-    cell = (1, 0)
-    for p in enumeration_slice(150, 0, 3) + [p_flip(), p_sweep(), p_halt()]:
-        st = stabilization_stage(p, cell, budget)
-        if st.status != "stable":
-            continue
-        if st.stage.degree() > 0:
-            # transfinite stage: recheck at a quadrupled budget instead
-            again = stabilization_stage(p, cell, budget.scaled(4))
-            assert (again.status, again.stage, again.value) == \
-                (st.status, st.stage, st.value)
-            continue
-        steps = 4 * (st.stage.terms[-1][1] if st.stage.terms else 0) + 8
-        s = initial_snapshot(p)
-        seen = []
-        for _ in range(steps):
-            seen.append(s.tracks[cell[0]].bit(cell[1]))
-            if s.state == p.halt_state:
-                break
-            s = step(s, p)
-        seen.append(s.tracks[cell[0]].bit(cell[1]))
-        stage_n = st.stage.terms[-1][1] if st.stage.terms else 0
-        tail = seen[stage_n:]
-        assert all(v == st.value for v in tail), (p.digest(), st, seen)

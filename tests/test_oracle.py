@@ -6,13 +6,12 @@ import pytest
 from conftest import oracle_bit_halter, query_probe, total_program
 
 from ittm.machine import (Program, ProgramError, Rule, extend_to_oracle_tracks,
-                          p_flip, p_halt, parse_program, render_program,
+                          layout, p_flip, p_halt, parse_program, render_program,
                           validate)
 from ittm.ordinal import from_int, pair_index
-from ittm.oracle import (RealOracle, count_programs,
-                         enumeration_slice, jump_boldface,
-                         jump_lightface, replay_queries, run_programs,
-                         run_with_oracle, set_oracle)
+from ittm.oracle import (RealOracle, SetOracle, _option_list,
+                         enumeration_slice, jump_boldface, jump_lightface,
+                         replay_queries, run_programs, run_with_oracle)
 from ittm.reals import ZERO as ZERO_REAL, parse_real
 from ittm.runner import BudgetPolicy, OracleProtocolError, run_transfinite
 
@@ -20,10 +19,10 @@ B = BudgetPolicy(3, 64, 256)
 
 
 def test_enumeration_zero_work_states_counts():
-    # override-count classes have closed-form sizes C(S,k) * (O-1)^k; the
-    # generator must reproduce them exactly for k <= 1
-    upto_one = count_programs(0, 3, max_overrides=1)
-    assert upto_one == 1 + 16 * 71
+    # the class of k overrides holds C(S,k) * (O-1)^k programs, for S slots
+    # and O options; with no work state S is 16 and O is 72, and the
+    # generator must reproduce the classes exactly for k <= 1
+    upto_one = 1 + 16 * 71
     progs = enumeration_slice(upto_one + 5, 0, 3)
     texts = {render_program(p) for p in progs}
     assert len(texts) == upto_one + 5            # duplicate-free
@@ -42,9 +41,12 @@ def test_enumeration_zero_work_states_counts():
 
 
 def test_enumeration_full_space_closed_form():
-    assert count_programs(0, 3) == 72 ** 16
-    assert count_programs(1, 3) == 96 ** 24
-    assert count_programs(0, 4) == (16 * 3 * 3) ** 32
+    # a level's space is O ** S: 72 ** 16, 96 ** 24 and (16 * 3 * 3) ** 32
+    for work, tracks, slots, options in ((0, 3, 16, 72), (1, 3, 24, 96),
+                                         (0, 4, 32, 16 * 3 * 3)):
+        states = ("start", "limit", "s0")[:2 + work]
+        assert len(layout(states, tracks)) == slots
+        assert len(_option_list(work, tracks)) == options
 
 
 def test_enumeration_is_deterministic():
@@ -126,11 +128,11 @@ def test_run_with_set_oracle_membership():
     probe = query_probe()
     # the probe's second query is 11(0)*; yes answers halt with zero output
     res, qlog = run_with_oracle(probe, ZERO_REAL,
-                                set_oracle([parse_real("11(0)*")], 16), B)
+                                SetOracle(frozenset([parse_real("11(0)*")]), 16), B)
     assert res.outcome == "halted" and res.output.is_zero()
     assert [(q.real.render(), q.answer) for q in qlog] == \
         [("1(0)*", False), ("11(0)*", True)]
-    res, qlog = run_with_oracle(probe, ZERO_REAL, set_oracle([], 16), B)
+    res, qlog = run_with_oracle(probe, ZERO_REAL, SetOracle(frozenset(), 16), B)
     assert [(q.real.render(), q.answer) for q in qlog] == \
         [("1(0)*", False), ("11(0)*", False)]
     assert res.output == parse_real("01(0)*")    # no-branch, input bit1 clear
@@ -150,7 +152,7 @@ def test_real_oracle_copy_program():
 
 def test_oracle_protocol_mismatches():
     with pytest.raises(OracleProtocolError):
-        run_with_oracle(p_halt(), ZERO_REAL, set_oracle([], 8), B)   # 3 tracks
+        run_with_oracle(p_halt(), ZERO_REAL, SetOracle(frozenset(), 8), B)   # 3 tracks
     with pytest.raises(OracleProtocolError):
         run_with_oracle(query_probe(), ZERO_REAL,
                         RealOracle(ZERO_REAL), B)    # query protocol vs real
@@ -227,7 +229,7 @@ def test_every_run_checks_the_pairing_where_it_starts(start, first):
         start(query_pairing_probe(first), RealOracle(parse_real("(1)*")))
     with pytest.raises(OracleProtocolError,
                        match="^oracle runs need a 4-track program$"):
-        start(p_halt(), set_oracle([]))
+        start(p_halt(), SetOracle(frozenset()))
 
 
 def test_real_oracle_track_is_immutable():
@@ -247,10 +249,10 @@ def test_real_oracle_track_is_immutable():
 
 def test_query_log_replay():
     probe = query_probe()
-    oracle = set_oracle([parse_real("1(0)*")], 16)
+    oracle = SetOracle(frozenset([parse_real("1(0)*")]), 16)
     _res, qlog = run_with_oracle(probe, ZERO_REAL, oracle, B)
     assert replay_queries(qlog, oracle)
-    assert not replay_queries(qlog, set_oracle([], 16))
+    assert not replay_queries(qlog, SetOracle(frozenset(), 16))
 
 
 def test_jump_lightface_examples():
@@ -269,13 +271,13 @@ def test_jump_with_empty_set_oracle_matches_plain_jump():
     progs3 = enumeration_slice(90, 0, 3)
     progs4 = [extend_to_oracle_tracks(p) for p in progs3]
     plain = jump_lightface(progs3, None, B)
-    relative = jump_lightface(progs4, set_oracle([], 16), B)
+    relative = jump_lightface(progs4, SetOracle(frozenset(), 16), B)
     assert plain.halted == relative.halted
     assert plain.diverges == relative.diverges
     assert plain.exceeded == relative.exceeded
     # without an oracle a query-protocol machine is answered by the empty set
     bare = jump_lightface([query_probe()], None, B)
-    assert bare.halted == jump_lightface([query_probe()], set_oracle([]), B).halted
+    assert bare.halted == jump_lightface([query_probe()], SetOracle(frozenset()), B).halted
     assert bare.halted_set() == frozenset({0})
 
 

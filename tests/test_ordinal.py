@@ -4,13 +4,12 @@ import re
 import pytest
 
 from ittm.ordinal import (Ordinal, OMEGA, ONE, ZERO, BudgetOrdinalOverflow,
-                          RankOutOfRange, cnf_add, cnf_cmp, element_of,
-                          encode_order, from_int, limit_step, omega_power,
-                          ordinal_at, pair_index, parse_ordinal, restrict_code,
+                          cnf_add, cnf_cmp, element_of, encode_order, from_int,
+                          limit_step, ordinal_at, pair_index, parse_ordinal,
                           successor, unpair)
 
 W = OMEGA
-W2 = omega_power(2)
+W2 = Ordinal(((2, 1),))
 
 
 def lex_triple(o: Ordinal):
@@ -84,7 +83,7 @@ def _fundamental(o: Ordinal, n: int):
     base = Ordinal(tuple(head))
     if e == 1:
         return [cnf_add(base, from_int(k)) for k in range(1, n + 1)]
-    return [cnf_add(base, omega_power(e - 1, k)) for k in range(1, n + 1)]
+    return [cnf_add(base, Ordinal(((e - 1, k),))) for k in range(1, n + 1)]
 
 
 def _ind_key(o: Ordinal):
@@ -247,29 +246,20 @@ def test_encode_order_omega_prefix_is_a_linear_order():
             assert before(i, k)                      # transitive
 
 
-def test_restrict_code_examples():
-    w1 = parse_ordinal("w*1+1")
-    assert restrict_code(encode_order(w1, 128), W).prefix_bits() == \
-        encode_order(W, 128).prefix_bits()
-    five = from_int(5)
-    assert restrict_code(encode_order(five, 64), five).prefix_bits() == \
-        encode_order(five, 64).prefix_bits()
-    assert restrict_code(encode_order(parse_ordinal("w*2"), 128), W).prefix_bits() == \
-        encode_order(W, 128).prefix_bits()
-    with pytest.raises(RankOutOfRange):
-        restrict_code(encode_order(W, 64), parse_ordinal("w*1+1"))
-
-
 def test_restriction_matches_direct_encoding_bit_for_bit():
+    # the code of b <= a is the code of a with the bits of every element of
+    # rank b or more cleared
     ords = [ZERO, ONE, from_int(3), W, parse_ordinal("w*1+2"),
             parse_ordinal("w*2"), W2, parse_ordinal("w^2*1+w*1+1")]
     for a in ords:
-        code = encode_order(a, 200)
+        bits = encode_order(a, 200).prefix_bits()
         for b in ords:
             if cnf_cmp(b, a) == 1:
                 continue
-            assert restrict_code(code, b).prefix_bits() == \
-                encode_order(b, 200).prefix_bits()
+            below = [all(ordinal_at(n) < b for n in unpair(k))
+                     for k in range(200)]
+            assert encode_order(b, 200).prefix_bits() == \
+                tuple(bit if keep else 0 for bit, keep in zip(bits, below))
 
 
 def code_order_oracle(a: Ordinal, b: Ordinal) -> int:

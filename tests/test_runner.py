@@ -445,6 +445,13 @@ def test_run_transfinite_micro_facts():
     assert r.outcome == "loops"
     assert r.loop.first == OMEGA and r.loop.second == parse_ordinal("w*2")
 
+    # random draws #39 and #79, and #79's loop past a level-2 limit
+    tables = random_tables(80)
+    p39, p79 = tables[39], tables[79]
+    assert (p39.digest(), p79.digest()) == ("fab642f2988c99b2", "aea66d6c0999e896")
+    loop = run_transfinite(p79, ZERO_REAL, BudgetPolicy(3, 64, 128)).loop
+    assert (loop.first, loop.second) == (parse_ordinal("w*13"), parse_ordinal("w^2"))
+
 
 def _check_halt_against_last_snapshot(res):
     """A halt's time and output are read off the last row of its last block
@@ -1056,16 +1063,11 @@ def test_soundness_checks_survive_python_O():
     script = "\n".join([
         "from ittm import approx, oracle",
         "from ittm.ordinal import OMEGA",
-        "from ittm.reals import ZERO, parse_real",
+        "from ittm.reals import ZERO",
         "from ittm.runner import RunResult",
-        "ONE = parse_real('1(0)*')",
         "assert False, 'asserts are on'",
         "try:",
         "    RunResult('halted', (), time=OMEGA, output=ZERO)",
-        "except AssertionError as exc:",
-        "    print(exc)",
-        "try:",
-        "    approx.Diagonal([ZERO, ONE]).replace(ZERO, ONE)",
         "except AssertionError as exc:",
         "    print(exc)",
         "oracle.default_rule = lambda state, tracks: None",
@@ -1085,7 +1087,6 @@ def test_soundness_checks_survive_python_O():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["halting times are never limit ordinals",
-                                        "the replacement is listed already",
                                         "the first option is not the default rule",
                                         "the diagonal equals a listed real"]
 
